@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -35,6 +36,8 @@ from .variation import (CharPatch, ParamPatch, VariationField, index_form,
 EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_INPUT = 2
+
+MAX_SURFACE_SAMPLES = 400   # frame rows of ``surface analyze``
 
 
 def _threads() -> int:
@@ -288,7 +291,9 @@ def _surface_sample_points(st, impl, region, grid):
             continue
         if all(lo - 1e-9 <= c <= hi + 1e-9 for c, (lo, hi) in zip(q, region)):
             pts.append(tuple(q))
-    return pts[:400]
+            if len(pts) == MAX_SURFACE_SAMPLES:
+                break
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +654,20 @@ def cmd_catalog(args) -> int:
 # argument parsing
 
 
+def _positive(kind):
+    """argparse type: a finite number of ``kind`` (float or int) above 0."""
+    def parse(text: str):
+        try:
+            v = kind(text)
+        except ValueError:
+            v = None
+        if v is None or not (math.isfinite(v) and v > 0):
+            raise argparse.ArgumentTypeError(
+                f"must be a positive finite {kind.__name__}, got {text!r}")
+        return v
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="subriemann",
                                  description=__doc__.splitlines()[0])
@@ -670,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     ci.add_argument("--phi", type=float, default=0.0)
     ci.add_argument("--lambda", dest="lam", type=float, default=0.0)
     ci.add_argument("--range", default="0,10")
-    ci.add_argument("--step", type=float, default=1e-3)
+    ci.add_argument("--step", type=_positive(float), default=1e-3)
     ci.add_argument("--geodesic", action="store_true")
     ci.add_argument("--oracle", action="store_true")
     ci.add_argument("--oracle-tol", type=float, default=1e-8)
@@ -682,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
     fa = fsub.add_parser("analyze")
     fa.add_argument("--structure", default="rt")
     fa.add_argument("--surface", required=True)
-    fa.add_argument("--grid", type=int, default=13)
+    fa.add_argument("--grid", type=_positive(int), default=13)
     fa.add_argument("--region")
     fa.add_argument("--csv-out")
     fa.add_argument("--json", action="store_true")
@@ -694,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface", default="sigma_c")
     p.add_argument("--u", default="(1-x*x)^2*(1-y*y)^2")
     p.add_argument("--eps", type=float, default=1e-4)
-    p.add_argument("--width", type=float, default=1.0)
+    p.add_argument("--width", type=_positive(float), default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")

@@ -660,138 +660,114 @@ def substitute(e: Expr, repl) -> Expr:
     return walk(e)
 
 
-def to_python_source(e: Expr) -> str:
-    """Render the expression as a Python source fragment over (x, y, t).
+# kernel globals; inf and nan are what repr() gives for non-finite constants
+_MATH_NS = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
+            "_sqrt": math.sqrt, "inf": math.inf, "nan": math.nan}
+_NUMPY_NS = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_sqrt": np.sqrt,
+             "_f64": np.float64, "_empty": np.empty, "inf": math.inf,
+             "nan": math.nan}
 
-    Uses ``math`` functions, so the compiled callable is scalar-only (fast
-    path for ODE right-hand sides); array evaluation should go through
-    :meth:`Expr.eval`.
+
+def _node_source(n: Expr, kids):
+    """Structural signature and source of one operation node, given the
+    names its children were emitted under."""
+    if isinstance(n, Pow):
+        return ("pow", kids[0], n.exponent), f"({kids[0]} ** {n.exponent!r})"
+    if isinstance(n, _Binary):
+        return (n.op,) + kids, f"({kids[0]} {n.op} {kids[1]})"
+    if isinstance(n, Neg):
+        return ("neg",) + kids, f"(-{kids[0]})"
+    if isinstance(n, _Func):
+        return (n.name,) + kids, f"_{n.name}({kids[0]})"
+    raise TypeError(f"unknown node {n!r}")
+
+
+def _cse_program(exprs):
+    """Emit SSA-style source for expressions with structural CSE.
+
+    Returns (lines, result_names), one name or literal per expression.
+    Equal subtrees (structurally, not just by identity) are computed once,
+    across all the expressions; this collapses the large symbolic curvature
+    trees to a few hundred operations.  The walk is iterative and visits
+    each node object once, so a tree that shares subtrees costs its distinct
+    nodes, not its tree size.
     """
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return VAR_NAMES[e.index]
-    if isinstance(e, Add):
-        return f"({to_python_source(e.a)} + {to_python_source(e.b)})"
-    if isinstance(e, Sub):
-        return f"({to_python_source(e.a)} - {to_python_source(e.b)})"
-    if isinstance(e, Mul):
-        return f"({to_python_source(e.a)} * {to_python_source(e.b)})"
-    if isinstance(e, Div):
-        return f"({to_python_source(e.a)} / {to_python_source(e.b)})"
-    if isinstance(e, Pow):
-        return f"({to_python_source(e.a)} ** {e.exponent!r})"
-    if isinstance(e, Neg):
-        return f"(-{to_python_source(e.a)})"
-    if isinstance(e, Sin):
-        return f"_sin({to_python_source(e.a)})"
-    if isinstance(e, Cos):
-        return f"_cos({to_python_source(e.a)})"
-    if isinstance(e, Exp):
-        return f"_exp({to_python_source(e.a)})"
-    if isinstance(e, Sqrt):
-        return f"_sqrt({to_python_source(e.a)})"
-    raise TypeError(f"unknown node {e!r}")
-
-
-_COMPILE_CACHE: dict = {}
-
-
-def compiled(e: Expr):
-    """Compile to a fast scalar callable f(x, y, t).  Cached per node."""
-    key = id(e)
-    hit = _COMPILE_CACHE.get(key)
-    if hit is not None and hit[0] is e:
-        return hit[1]
-    ns = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
-          "_sqrt": math.sqrt}
-    fn = eval("lambda x, y, t: " + to_python_source(e), ns)  # noqa: S307
-    _COMPILE_CACHE[key] = (e, fn)
-    return fn
-
-
-def _cse_program(e: Expr):
-    """Emit SSA-style source for the expression with structural CSE.
-
-    Returns (lines, result_name).  Equal subtrees (structurally, not just by
-    identity) are computed once; this collapses the large symbolic curvature
-    trees to a few hundred operations.
-    """
-    table = {}
+    table = {}   # structural signature -> name
+    names = {}   # id(node) -> name or literal; ``exprs`` keeps the nodes alive
     lines = []
-
-    def emit(src):
-        name = f"v{len(lines)}"
-        lines.append(f"{name} = {src}")
-        return name
-
-    def walk(n):
-        if isinstance(n, Const):
-            sig = ("c", n.value)
-            if sig not in table:
-                table[sig] = repr(n.value)
-            return table[sig]
-        if isinstance(n, Var):
-            sig = ("v", n.index)
-            if sig not in table:
-                table[sig] = VAR_NAMES[n.index]
-            return table[sig]
-        kids = tuple(walk(c) for c in n.children())
-        if isinstance(n, Pow):
-            sig = ("pow", kids, n.exponent)
-            render = f"({kids[0]} ** {n.exponent!r})"
-        elif isinstance(n, Add):
-            sig = ("+",) + kids
-            render = f"({kids[0]} + {kids[1]})"
-        elif isinstance(n, Sub):
-            sig = ("-",) + kids
-            render = f"({kids[0]} - {kids[1]})"
-        elif isinstance(n, Mul):
-            sig = ("*",) + kids
-            render = f"({kids[0]} * {kids[1]})"
-        elif isinstance(n, Div):
-            sig = ("/",) + kids
-            render = f"({kids[0]} / {kids[1]})"
-        elif isinstance(n, Neg):
-            sig = ("neg",) + kids
-            render = f"(-{kids[0]})"
-        elif isinstance(n, (Sin, Cos, Exp, Sqrt)):
-            sig = (n.name,) + kids
-            render = f"_{n.name}({kids[0]})"
-        else:
-            raise TypeError(f"unknown node {n!r}")
-        if sig not in table:
-            table[sig] = emit(render)
-        return table[sig]
-
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 100000))
-    try:
-        result = walk(e)
-    finally:
-        sys.setrecursionlimit(old)
-    return lines, result
+    for root in exprs:
+        stack = [root]
+        while stack:
+            n = stack[-1]
+            if id(n) in names:
+                stack.pop()
+                continue
+            if isinstance(n, Const):
+                names[id(n)] = repr(n.value)
+            elif isinstance(n, Var):
+                names[id(n)] = VAR_NAMES[n.index]
+            else:
+                todo = [c for c in n.children() if id(c) not in names]
+                if todo:
+                    stack.extend(todo)
+                    continue
+                sig, src = _node_source(n, tuple(names[id(c)] for c in n.children()))
+                if sig not in table:
+                    table[sig] = f"v{len(lines)}"
+                    lines.append(f"{table[sig]} = {src}")
+                names[id(n)] = table[sig]
+            stack.pop()
+    return lines, [names[id(e)] for e in exprs]
 
 
 _FAST_CACHE: dict = {}
 
 
-def compiled_cse(e: Expr, arrays: bool = False):
-    """CSE-compiled callable f(x, y, t); scalar (math) or array (numpy)."""
-    key = (id(e), arrays)
+def compiled_cse(e, arrays: bool = False):
+    """CSE-compiled kernel of one expression or of a list of expressions.
+
+    One expression compiles to ``f(x, y, t)`` returning its value.  Scalar
+    mode uses ``math`` functions, the fast path for ODE right-hand sides;
+    with ``arrays=True`` it uses numpy and takes arrays (a constant
+    expression returns a scalar, which the caller broadcasts).
+
+    A list or tuple of k expressions compiles to one function whose common
+    subexpressions are shared across all the outputs.  It uses numpy
+    functions, so it gives the tree walk's values bit for bit, and x/0
+    gives inf or nan as there (callers wrap calls in ``np.errstate`` where
+    that is expected):
+
+    * scalar mode: ``f(x, y, t)`` takes three numbers, evaluates in
+      ``np.float64`` and returns a k-tuple; it equals ``[e.at(p) for e in
+      exprs]``;
+    * ``arrays=True``: ``f(P)`` takes an (n, 3) array of points and returns
+      an (n, k) array, filled column by column, so constant outputs are
+      broadcast; column j equals ``exprs[j].eval(P[:, 0], P[:, 1], P[:, 2])``.
+
+    Kernels are cached by the identity of the expression objects; an entry
+    keeps its expressions alive, so the ids in its key cannot be reused.
+    """
+    single = isinstance(e, Expr)
+    exprs = (e,) if single else tuple(e)
+    key = (id(e) if single else tuple(map(id, exprs)), arrays)
     hit = _FAST_CACHE.get(key)
-    if hit is not None and hit[0] is e:
+    if hit is not None:
         return hit[1]
-    lines, result = _cse_program(e)
-    body = "\n    ".join(lines + [f"return {result}"])
-    src = f"def _f(x, y, t):\n    {body}\n"
-    if arrays:
-        ns = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_sqrt": np.sqrt}
+    lines, results = _cse_program(exprs)
+    if single:
+        head, body = "x, y, t", lines + [f"return {results[0]}"]
+    elif arrays:
+        head = "P"
+        body = (["x, y, t = P[:, 0], P[:, 1], P[:, 2]"] + lines
+                + [f"out = _empty((P.shape[0], {len(exprs)}))"]
+                + [f"out[:, {j}] = {r}" for j, r in enumerate(results)]
+                + ["return out"])
     else:
-        ns = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
-              "_sqrt": math.sqrt}
-    exec(src, ns)  # noqa: S102
+        head = "x, y, t"
+        body = (["x, y, t = _f64(x), _f64(y), _f64(t)"] + lines
+                + [f"return ({', '.join(results)},)"])
+    ns = dict(_MATH_NS if single and not arrays else _NUMPY_NS)
+    exec(f"def _f({head}):\n    " + "\n    ".join(body) + "\n", ns)  # noqa: S102
     fn = ns["_f"]
-    _FAST_CACHE[key] = (e, fn)
+    _FAST_CACHE[key] = (exprs, fn)
     return fn

@@ -61,6 +61,7 @@ class ImplicitSurface:
 
     def __init__(self, f: Expr, orientation: int = 1, name: str = ""):
         self.f = ex._as_expr(f)
+        self.grad = tuple(self.f.diff(i) for i in range(3))
         self.orientation = 1 if orientation >= 0 else -1
         self.name = name
         self._geom = {}
@@ -79,12 +80,14 @@ class ImplicitSurface:
     def project(self, p, tol=1e-13, max_iter=40):
         """Newton projection onto the surface along the coordinate gradient."""
         q = np.asarray(p, dtype=float)
-        grads = [self.f.diff(i) for i in range(3)]
+        kernel = ex.compiled_cse((self.f, *self.grad))
         for _ in range(max_iter):
-            v = self.f.at(q)
+            with np.errstate(all="ignore"):
+                v, *g = kernel(*q)
+            v = float(v)
             if abs(v) < tol:
                 return q
-            g = np.array([gi.at(q) for gi in grads])
+            g = np.array(g)
             n2 = float(g @ g)
             if n2 < 1e-30:
                 raise ValueError(f"vanishing gradient while projecting near {tuple(q)}")
@@ -117,6 +120,7 @@ class GraphSurface:
             raise ValueError("metric matrix must be symmetric")
         self.name = name
         self._structure = None
+        self._implicit = None
         self._min_det_check()
 
     def _min_det_check(self, n=9):
@@ -171,9 +175,13 @@ class GraphSurface:
         return ex.sqrt(out)
 
     def to_implicit(self) -> ImplicitSurface:
-        """Level set u(x,y) - t = 0; orientation +1 is the downward normal."""
-        return ImplicitSurface(ex.sub(self.u, ex.T), orientation=1,
-                               name=self.name or "graph")
+        """Level set u(x,y) - t = 0; orientation +1 is the downward normal.
+
+        Built once, so its geometry and compiled kernels are reused."""
+        if self._implicit is None:
+            self._implicit = ImplicitSurface(ex.sub(self.u, ex.T), orientation=1,
+                                             name=self.name or "graph")
+        return self._implicit
 
     def chart_box(self, t_pad=None):
         xs, ys = self.domain
@@ -278,6 +286,8 @@ class SurfaceGeometry:
         self.criterion = ex.sub(st.webster_expr(), ex.mul(st.c1, self.tauZnu))
         self._q = None
         self._shape_cache = {}
+        self._frame_fn = None
+        self._singular_fn = None
 
     # -- derivations ---------------------------------------------------------
 
@@ -338,29 +348,44 @@ class SurfaceGeometry:
 
     def frame_point(self, p, eps_sing: float = EPS_SING) -> SurfaceFramePoint:
         p = tuple(float(c) for c in p)
-        fval = self.surface.f.at(p)
+        if self._frame_fn is None:
+            # Z(g(N,T)) feeds the independent theta(S) cross-check below
+            self._frame_fn = ex.compiled_cse([
+                self.surface.f, self.nh, self.gNT, self.tauZZ, self.tauZnu,
+                self.thetaS, self.H, self.Z_of(self.gNT),
+                *self.N_comps, *self.nu, *self.Z, *self.S])
+        # every field is evaluated before the singular check: 0/0 there is nan
+        with np.errstate(all="ignore"):
+            vals = [float(v) for v in self._frame_fn(*p)]
+        fval, nh, gnt, tau_zz, tau_znu, theta_s, h, zg = vals[:8]
         if abs(fval) > 1e-8:
             raise ValueError(f"point {p} is not on the surface (f = {fval:.3e})")
-        nh = self.nh.at(p)
         if not np.isfinite(nh) or nh <= eps_sing:
             raise SingularPointSignal(p, 0.0 if not np.isfinite(nh) else nh)
-        gnt = self.gNT.at(p)
-        tau_zz = self.tauZZ.at(p)
-        tau_znu = self.tauZnu.at(p)
-        theta_s = self.thetaS.at(p)
-        h = self.H.at(p)
         # cross-check theta(S) by solving Lemma conti (v)
-        zg = self.Z_of(self.gNT).at(p)
         c1 = self.structure.c1
         theta_conti = (-c1 * gnt * gnt + nh * nh * tau_znu - zg / nh) / nh
         return SurfaceFramePoint(
             point=p,
-            N=TangentVector(p, [c.at(p) for c in self.N_comps]),
-            nu_h=TangentVector(p, [c.at(p) for c in self.nu]),
-            Z=TangentVector(p, [c.at(p) for c in self.Z]),
-            S=TangentVector(p, [c.at(p) for c in self.S]),
+            N=TangentVector(p, vals[8:11]),
+            nu_h=TangentVector(p, vals[11:14]),
+            Z=TangentVector(p, vals[14:17]),
+            S=TangentVector(p, vals[17:20]),
             nh=nh, gNT=gnt, thetaS=theta_s, thetaZ=-h, H=h,
             tauZZ=tau_zz, tauZnu=tau_znu, thetaS_conti=theta_conti)
+
+    def singular_system_at(self, q):
+        """(f, Xf, Yf) at q and their 3x3 coordinate Jacobian, from one kernel.
+
+        The singular set of the surface is the zero set of (f, Xf, Yf).
+        """
+        if self._singular_fn is None:
+            funcs = [self.surface.f, self.Xf, self.Yf]
+            self._singular_fn = ex.compiled_cse(
+                funcs + [fn.diff(j) for fn in funcs for j in range(3)])
+        with np.errstate(all="ignore"):
+            vals = np.array(self._singular_fn(*q))
+        return vals[:3], vals[3:].reshape(3, 3)
 
 
 def surface_frame(structure: StructureSpec, surf, p,
@@ -663,13 +688,12 @@ def _detect_graph(gs: GraphSurface, region, grid, step):
 def _detect_implicit(structure, surf, region, grid, step):
     geom = surf.geometry(structure)
     funcs = [surf.f, geom.Xf, geom.Yf]
-    jac_exprs = [[fn.diff(j) for j in range(3)] for fn in funcs]
 
     def fun(q):
-        return np.array([fn.at(q) for fn in funcs])
+        return geom.singular_system_at(q)[0]
 
     def jac(q):
-        return np.array([[e.at(q) for e in row] for row in jac_exprs])
+        return geom.singular_system_at(q)[1]
 
     axes = [np.linspace(lo, hi, grid) for lo, hi in region]
     gx, gy, gt = np.meshgrid(*axes, indexing="ij")

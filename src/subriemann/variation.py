@@ -42,15 +42,13 @@ class AdmissibilityError(ValueError):
 def _project_batch(surf: ImplicitSurface, q, tol=1e-12, max_iter=30):
     """Vectorized Newton projection of points (n, 3) onto {f = 0}."""
     q = np.array(q, dtype=float)
-    f_fn = ex.compiled_cse(surf.f, arrays=True)
-    grads = [ex.compiled_cse(surf.f.diff(i), arrays=True) for i in range(3)]
+    kernel = ex.compiled_cse((surf.f, *surf.grad), arrays=True)
     for _ in range(max_iter):
-        v = np.broadcast_to(np.asarray(f_fn(q[:, 0], q[:, 1], q[:, 2]),
-                                       dtype=float), (q.shape[0],))
+        fg = kernel(q)
+        v = fg[:, 0]
         if np.max(np.abs(v)) < tol:
             break
-        g = np.stack([np.broadcast_to(gi(q[:, 0], q[:, 1], q[:, 2]),
-                                      (q.shape[0],)) for gi in grads], axis=-1)
+        g = fg[:, 1:]
         n2 = np.sum(g * g, axis=-1)
         q = q - (v / n2)[:, None] * g
     return q
@@ -408,12 +406,7 @@ class CharPatch:
         single = p0.ndim == 1
         q0 = p0[None, :] if single else p0
 
-        fns = [ex.compiled_cse(c, arrays=True) for c in field_coord_exprs]
-
-        def rhs(q):
-            return np.stack([np.broadcast_to(f(q[:, 0], q[:, 1], q[:, 2]),
-                                             (q.shape[0],)) for f in fns], axis=-1)
-
+        rhs = ex.compiled_cse(field_coord_exprs, arrays=True)
         out = np.empty((q0.shape[0], len(s_grid), 3))
         out[:, 0] = q0
         q = q0
@@ -593,8 +586,7 @@ def _step_off_curve(structure, geom, surf, q, sgn, ds, ref_dir=None):
     its sign (arbitrary from the SVD) is aligned with ``ref_dir`` when given,
     so all rays of a fan step off to the same side.
     """
-    funcs = [surf.f, geom.Xf, geom.Yf]
-    j = np.array([[fn.diff(k).at(q) for k in range(3)] for fn in funcs])
+    _, j = geom.singular_system_at(q)
     _, _, vt = np.linalg.svd(j)
     tan_coord = vt[-1]
     if ref_dir is not None and float(tan_coord @ ref_dir) < 0:

@@ -147,3 +147,40 @@ def test_cli_entrypoint_subprocess():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "Heisenberg" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "integrate", "--structure", "rt", "--init", "0,0,0", "--step"],
+    ["variation", "second", "--width"],
+    ["surface", "analyze", "--surface", "sigma_c", "--grid"],
+])
+@pytest.mark.parametrize("value", ["0", "nan", "inf", "-1"])
+def test_numeric_arguments_must_be_positive_and_finite(argv, value, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv + [value])
+    assert info.value.code == 2
+    _, err = capsys.readouterr()
+    assert "error: argument" in err and "Traceback" not in err
+
+
+def test_surface_sample_points_stop_at_the_cap():
+    from subriemann import catalog as cat
+    from subriemann.cli import MAX_SURFACE_SAMPLES, _surface_sample_points
+    rt = cat.rt_structure()
+    surf = cat.find_entry("sigma_c").make()
+    region = ((-3.0, 3.0),) * 3
+    calls = []
+    project = surf.project
+    surf.project = lambda q: calls.append(1) or project(q)
+    pts = _surface_sample_points(rt, surf, region, 13)
+    del surf.project
+    # reference: project every candidate, keep those in the region, cut
+    axes = [np.linspace(lo, hi, 13) for lo, hi in region]
+    gx, gy, gt = np.meshgrid(*axes, indexing="ij")
+    idx = np.where(np.abs(surf.f.eval(gx, gy, gt)) < 2 * 6.0 / 13)
+    ref = [tuple(q) for q in (surf.project(np.array([gx[i], gy[i], gt[i]]))
+                              for i in zip(*idx))
+           if all(lo - 1e-9 <= c <= hi + 1e-9 for c, (lo, hi) in zip(q, region))]
+    assert len(ref) > MAX_SURFACE_SAMPLES
+    assert pts == ref[:MAX_SURFACE_SAMPLES]
+    assert len(calls) < len(idx[0])

@@ -94,3 +94,77 @@ def test_constant_folding_keeps_trees_small():
     e = ex.mul(ex.add(ex.ZERO, ex.X), ex.ONE)
     assert e is ex.X
     assert isinstance(ex.mul(2.0, ex.mul(3.0, ex.ONE)), ex.Const)
+
+
+# ---------------------------------------------------------------------------
+# compiled kernels
+
+_KERNEL_EXPRS = [
+    ex.parse("x^3*y - 2*x*t + sqrt(x*x + y*y + 4)"),
+    ex.parse("sin(x*y) * exp(t/4) + cos(x)"),
+    ex.parse("(x + 2*y)^4 / (3 + t*t)"),
+    ex.parse("sqrt(exp(x) + y^2 + 1) - x/(y + 5)"),
+    ex.parse("exp(sin(x) * cos(y)) / (2 + cos(t))"),
+    ex.Const(1.5), ex.Const(-0.0), ex.Y,
+]
+
+
+def _same(a, b):
+    return a == b and np.signbit(a) == np.signbit(b)
+
+
+def test_compiled_list_scalar_matches_tree_walk_bit_for_bit():
+    kernel = ex.compiled_cse(_KERNEL_EXPRS)
+    rng = np.random.default_rng(3)
+    for p in rng.uniform(-2.0, 2.0, (40, 3)):
+        p = tuple(float(c) for c in p)
+        got = kernel(*p)
+        assert isinstance(got, tuple) and len(got) == len(_KERNEL_EXPRS)
+        for g, e in zip(got, _KERNEL_EXPRS):
+            assert _same(float(g), e.at(p)), (e, p)
+
+
+def _nodes(e):
+    todo, seen = [e], []
+    while todo:
+        n = todo.pop()
+        seen.append(n)
+        todo.extend(n.children())
+    return seen
+
+
+def test_compiled_list_batch_matches_tree_walk_bit_for_bit():
+    kernel = ex.compiled_cse(_KERNEL_EXPRS, arrays=True)
+    pts = np.random.default_rng(4).uniform(-2.0, 2.0, (64, 3))
+    out = kernel(pts)
+    assert out.shape == (64, len(_KERNEL_EXPRS))
+    for j, e in enumerate(_KERNEL_EXPRS):
+        walk = np.broadcast_to(e.eval(pts[:, 0], pts[:, 1], pts[:, 2]), (64,))
+        assert np.array_equal(out[:, j], walk), e
+        assert np.array_equal(np.signbit(out[:, j]), np.signbit(walk)), e
+        if not any(isinstance(n, ex.Pow) for n in _nodes(e)):
+            # numpy's array power may round differently from scalar power
+            assert np.array_equal(out[:, j], [e.at(p) for p in pts]), e
+    assert np.all(out[:, 5] == 1.5)   # constant outputs broadcast
+
+
+def test_compiled_list_shares_subexpressions_across_outputs():
+    # a DAG whose tree walk has 2^60 nodes: the compile walk visits each
+    # node object once and emits each distinct operation once
+    e = ex.X
+    for _ in range(60):
+        e = ex.add(ex.mul(e, e), e)
+    lines, results = ex._cse_program([e, ex.mul(e, e), e])
+    assert len(lines) == 121
+    assert results[0] == results[2]
+    kernel = ex.compiled_cse([e, ex.sin(ex.Y), ex.sin(ex.Y)])
+    assert kernel(0.0, 0.5, 0.0) == (0.0, np.sin(0.5), np.sin(0.5))
+
+
+def test_compiled_list_division_by_zero_gives_inf_not_exception():
+    kernel = ex.compiled_cse([ex.div(ex.ONE, ex.X), ex.div(ex.X, ex.Y)])
+    with pytest.raises(ZeroDivisionError):
+        ex.div(ex.ONE, ex.X).at((0.0, 0.0, 0.0))   # the Python-float walk
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv, ratio = kernel(0.0, 0.0, 0.0)
+    assert inv == np.inf and np.isnan(ratio)

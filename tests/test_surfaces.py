@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -582,3 +584,61 @@ def test_surface_expression_domain_guard(rt):
     bad2 = ImplicitSurface(ex.parse("sqrt(x - 100)"), name="bad2")
     with pytest.raises(ex.DomainError):
         bad2.geometry(rt)
+
+
+# ---------------------------------------------------------------------------
+# compiled kernels of the surface layer
+
+
+def test_frame_point_matches_tree_walk_bit_for_bit(rt, helicoid, x_plus_sin):
+    rng = np.random.default_rng(12)
+    for surf, pts in ((helicoid, helicoid_points(rng, 10)),
+                      (x_plus_sin, [x_plus_sin.project(q) for q in
+                                    rng.uniform(-1.5, 1.5, (10, 3)) + (0, 0, 3.1)])):
+        geom = surf.geometry(rt)
+        z_gnt = geom.Z_of(geom.gNT)
+        for p in pts:
+            p = tuple(float(c) for c in p)
+            fp = geom.frame_point(p)
+            for name in ("nh", "gNT", "thetaS", "H", "tauZZ", "tauZnu"):
+                assert getattr(fp, name) == getattr(geom, name).at(p), name
+            for vec, comps in ((fp.N, geom.N_comps), (fp.nu_h, geom.nu),
+                               (fp.Z, geom.Z), (fp.S, geom.S)):
+                assert vec.components == tuple(c.at(p) for c in comps)
+            nh, gnt = fp.nh, fp.gNT
+            conti = (-rt.c1 * gnt * gnt + nh * nh * fp.tauZnu
+                     - z_gnt.at(p) / nh) / nh
+            assert fp.thetaS_conti == conti
+
+
+def test_frame_point_singular_signal_without_warnings(rt, helicoid, plane_y0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for surf, p in ((helicoid, (0.0, 0.0, 0.3)), (plane_y0, (0.4, 0.0, 0.0))):
+            with pytest.raises(SingularPointSignal):
+                surf.geometry(rt).frame_point(p)
+
+
+def test_projection_kernels_compile_once_per_surface():
+    from subriemann.variation import _project_batch
+    surf = ImplicitSurface(ex.parse("x*sin(t) - y*cos(t) + 0.1*x*x"))
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, (20, 3))
+    surf.project(pts[0])
+    _project_batch(surf, pts)
+    size = len(ex._FAST_CACHE)
+    for q in pts:
+        assert abs(surf.value(surf.project(q))) < 1e-12
+    for _ in range(5):
+        out = _project_batch(surf, pts + 0.01)
+    assert np.max(np.abs(surf.f.eval(out[:, 0], out[:, 1], out[:, 2]))) < 1e-12
+    assert len(ex._FAST_CACHE) == size
+
+
+def test_graph_frames_reuse_one_geometry():
+    gs = GraphSurface(ex.parse("x*y"), domain=((-1, 1), (-1, 1)))
+    assert gs.to_implicit() is gs.to_implicit()
+    surface_frame(None, gs, (0.5, 0.5, 0.25))
+    size = len(ex._FAST_CACHE)
+    for x in (0.1, 0.2, 0.3):
+        assert surface_frame(None, gs, (x, 0.5, 0.5 * x)).nh > 0
+    assert len(ex._FAST_CACHE) == size
