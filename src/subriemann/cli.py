@@ -185,17 +185,15 @@ def _structure_residuals(st: StructureSpec, n: int = 5) -> dict:
 
 def cmd_curve_integrate(args) -> int:
     st = _load_structure(args.structure)
-    init_point = tuple(float(v) for v in args.init.split(","))
-    if len(init_point) != 3:
-        raise StructureError("--init must be x,y,t")
-    s0, s1 = (float(v) for v in args.range.split(","))
+    init_point = _floats(args.init)
+    s0, s1 = _floats(args.range)
     state = CharState(init_point, args.phi, args.lam)
     if args.geodesic:
         trace = integrate_geodesic(st, state, (s0, s1), args.step)
     else:
         trace = integrate_characteristic(st, state, (s0, s1), args.step)
-    csv = trace.to_csv()
     max_dev = None
+    extra = ()
     if args.oracle:
         if st.name != "rt":
             raise StructureError("--oracle requires the rt structure")
@@ -207,11 +205,9 @@ def cmd_curve_integrate(args) -> int:
         closed = rt_characteristic_closed_form(init6, trace.s)
         max_dev = float(np.max(np.linalg.norm(closed - trace.points, axis=1))) \
             if len(trace) else 0.0
-        rows = csv.strip().split("\n")
-        rows[0] += ",x_oracle,y_oracle,t_oracle"
-        for i in range(1, len(rows)):
-            rows[i] += "," + ",".join(_fmt(v) for v in closed[i - 1])
-        csv = "\n".join(rows) + "\n"
+        extra = [(name, closed[:, j])
+                 for j, name in enumerate(("x_oracle", "y_oracle", "t_oracle"))]
+    csv = trace.to_csv(extra=extra, extra_fmt=_fmt)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(csv)
@@ -668,6 +664,36 @@ def _positive(kind):
     return parse
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float."""
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"must be a finite float, got {text!r}")
+    return v
+
+
+def _floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _finite_floats(count: int):
+    """argparse type: ``count`` comma-separated finite floats.  The text is
+    kept as given, since the run config echoes it; read it with _floats."""
+    def parse(text: str) -> str:
+        try:
+            vals = _floats(text)
+        except ValueError:
+            vals = ()
+        if len(vals) != count or not all(map(math.isfinite, vals)):
+            raise argparse.ArgumentTypeError(
+                f"must be {count} comma-separated finite floats, got {text!r}")
+        return text
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="subriemann",
                                  description=__doc__.splitlines()[0])
@@ -685,14 +711,14 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="action", required=True)
     ci = csub.add_parser("integrate")
     ci.add_argument("--structure", required=True)
-    ci.add_argument("--init", required=True, help="x,y,t")
-    ci.add_argument("--phi", type=float, default=0.0)
-    ci.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    ci.add_argument("--range", default="0,10")
+    ci.add_argument("--init", type=_finite_floats(3), required=True, help="x,y,t")
+    ci.add_argument("--phi", type=_finite_float, default=0.0)
+    ci.add_argument("--lambda", dest="lam", type=_finite_float, default=0.0)
+    ci.add_argument("--range", type=_finite_floats(2), default="0,10", help="s0,s1")
     ci.add_argument("--step", type=_positive(float), default=1e-3)
     ci.add_argument("--geodesic", action="store_true")
     ci.add_argument("--oracle", action="store_true")
-    ci.add_argument("--oracle-tol", type=float, default=1e-8)
+    ci.add_argument("--oracle-tol", type=_positive(float), default=1e-8)
     ci.add_argument("--out")
     ci.set_defaults(fn=cmd_curve_integrate)
 

@@ -32,9 +32,11 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from . import expr as ex
 from .structures import StructureSpec, StructureError, TangentVector
 
 
@@ -76,17 +78,27 @@ class CurveTrace:
         c, s2 = np.cos(self.phi[i]), np.sin(self.phi[i])
         return TangentVector(self.points[i], (c, s2, 0.0))
 
-    def to_csv(self, jacobi=None) -> str:
+    def to_csv(self, jacobi=None, extra=(), extra_fmt=None) -> str:
+        """CSV of s, x, y, t, phi, lambda (and g(V,T) with its first two
+        derivatives if ``jacobi`` is given), each value as ``%.17g``.
+        ``extra`` adds (name, values) columns, formatted by ``extra_fmt``."""
         cols = ["s", "x", "y", "t", "phi", "lambda"]
         data = [self.s, self.points[:, 0], self.points[:, 1], self.points[:, 2],
                 self.phi, self.lam]
         if jacobi is not None:
             cols += ["gVT", "gVT_prime", "gVT_second"]
             data += [jacobi.vt, jacobi.vt_prime, jacobi.vt_second]
+        n_main = len(data)
+        for name, values in extra:
+            cols.append(name)
+            data.append(values)
         buf = io.StringIO()
         buf.write(",".join(cols) + "\n")
         for row in zip(*data):
-            buf.write(",".join("%.17g" % v for v in row) + "\n")
+            line = ",".join("%.17g" % v for v in row[:n_main])
+            if extra:
+                line += "," + ",".join(extra_fmt(v) for v in row[n_main:])
+            buf.write(line + "\n")
         return buf.getvalue()
 
 
@@ -110,107 +122,125 @@ def _require_chart(structure: StructureSpec):
             "specs carry frame-level geometry only")
 
 
-class _CharSystem:
-    """Right-hand sides shared by the characteristic/geodesic integrators.
+def _char_system(structure: StructureSpec) -> "_CharSystem":
+    """The structure's right-hand-side system, built on first use and kept
+    on the structure, so every curve on one structure shares its kernels.
+    Two threads that race here each build an equal system; one is kept."""
+    sysm = getattr(structure, "_char_system", None)
+    if sysm is None:
+        sysm = structure._char_system = _CharSystem(structure)
+    return sysm
 
-    All expression lookups are compiled to scalar callables once, so the RK4
-    loops run without walking expression trees.
+
+class _CharSystem:
+    """Right-hand sides shared by the characteristic, geodesic and Jacobi
+    integrators.
+
+    The coefficients come from two multi-output ``math`` kernels, each
+    compiled once, on first use:
+
+    * characteristic: the coordinate rows of X and Y, then the
+      pseudo-hermitian Christoffels g(nabla_{E_a} E_b, E_k) for a, b, k < 2;
+    * Jacobi: tau_00, tau_01, tau_11, their d/dx, d/dy, d/dt, the Webster
+      curvature W, then g(R(E_a, T) E_c, E_d) for a, c, d < 2.
+
+    A right-hand side makes one call per kernel it needs; the rest is float
+    arithmetic, so the RK4 loops never walk expression trees.
     """
 
     def __init__(self, structure: StructureSpec):
-        from .expr import compiled_cse as compiled
         _require_chart(structure)
         self.st = structure
         self.c1 = structure.c1
         self.abs_c1 = abs(structure.c1)
-        self._frame = [[compiled(c) for c in row] for row in structure.frame[:2]]
-        self._ph01 = [[(compiled(structure._ph[a][b][0]),
-                        compiled(structure._ph[a][b][1]))
-                       for b in range(2)] for a in range(2)]
-        tau = structure.tau_matrix_exprs()
-        self._tau = [[compiled(tau[i][j]) for j in range(2)] for i in range(2)]
-        self._tau_d = [[[compiled(tau[i][j].diff(k)) for k in range(3)]
-                        for j in range(2)] for i in range(2)]
-        self._webster = compiled(structure.webster_expr())
-        self._rzt = [[[compiled(structure.curvature_expr(a, 2, c, d))
-                       for d in range(2)] for c in range(2)] for a in range(2)]
+        self.sgn_c1 = structure.sgn_c1
 
-    def velocity(self, p, phi):
-        """Coordinate velocity of the curve: cos(phi) X(p) + sin(phi) Y(p)."""
-        x, y, t = p
-        c, s2 = math.cos(phi), math.sin(phi)
-        return np.array([c * self._frame[0][j](x, y, t)
-                         + s2 * self._frame[1][j](x, y, t) for j in range(3)])
+    @cached_property
+    def _char_kernel(self):
+        st = self.st
+        ph = [st._ph[a][b][k] for a in range(2) for b in range(2) for k in range(2)]
+        return ex.compiled_cse([*st.frame[0], *st.frame[1], *ph], math_floats=True)
 
-    def gamma_conn(self, p, phi):
-        x, y, t = p
+    @cached_property
+    def _jacobi_kernel(self):
+        st = self.st
+        tau = st.tau_matrix_exprs()
+        m = (tau[0][0], tau[0][1], tau[1][1])
+        rzt = [st.curvature_expr(a, 2, c, d)
+               for a in range(2) for c in range(2) for d in range(2)]
+        return ex.compiled_cse([*m, *(e.diff(k) for e in m for k in range(3)),
+                                st.webster_expr(), *rzt], math_floats=True)
+
+    def _char_terms(self, x, y, t, phi, lam):
+        """cos(phi), sin(phi), the coordinate velocity cos(phi) X + sin(phi) Y
+        and dphi/ds = -|c1| lam - Gamma(p, phi), from one kernel call."""
+        k = self._char_kernel(x, y, t)
         c, s2 = math.cos(phi), math.sin(phi)
-        w = (c, s2)
-        acc = 0.0
-        for a in range(2):
-            for b in range(2):
-                f0, f1 = self._ph01[a][b]
-                acc += w[a] * w[b] * (-s2 * f0(x, y, t) + c * f1(x, y, t))
-        return acc
+        dp = (c * k[0] + s2 * k[3], c * k[1] + s2 * k[4], c * k[2] + s2 * k[5])
+        # Gamma = sum over a, b < 2 of w_a w_b g(nabla_{E_a} E_b, Zperp) with
+        # w = (c, s2); starting from 0.0 makes a sum of zeros +0.0, not -0.0
+        gamma = (0.0 + c * c * (-s2 * k[6] + c * k[7])
+                 + c * s2 * (-s2 * k[8] + c * k[9])
+                 + s2 * c * (-s2 * k[10] + c * k[11])
+                 + s2 * s2 * (-s2 * k[12] + c * k[13]))
+        return c, s2, dp, -self.abs_c1 * lam - gamma
+
+    def _betas(self, j, c, s2, lam, dp, dphi):
+        """(beta1, beta2) from the Jacobi kernel values j at a state whose
+        flow is (dp, dphi)."""
+        sgn, c1 = self.sgn_c1, self.c1
+        m00, m01, m11 = j[0], j[1], j[2]
+        tzz = m00 * c * c + 2 * m01 * c * s2 + m11 * s2 * s2      # g(tau(Z), Z)
+        tzj = sgn * (m01 * (c * c - s2 * s2) + (m11 - m00) * c * s2)
+        # d/ds g(tau(Z), J(Z)) along the flow
+        cos2, sin2 = c * c - s2 * s2, 2 * c * s2
+        spatial = 0.0
+        for i in range(3):
+            dm00, dm01, dm11 = j[3 + i], j[6 + i], j[9 + i]
+            spatial += dp[i] * (dm01 * cos2 + 0.5 * (dm11 - dm00) * sin2)
+        angular = (-2 * m01 * sin2 + (m11 - m00) * cos2) * dphi
+        dtzj = sgn * (spatial + angular)
+        # g(R(Z, T) Z, J(Z))
+        w, jw = (c, s2), (-sgn * s2, sgn * c)
+        r_term = 0.0
+        i = 13
+        for wa in w:
+            for wc in w:
+                for wd in jw:
+                    r_term += wa * wc * wd * j[i]
+                    i += 1
+        beta1 = j[12] + c1 * tzj + c1 ** 2 * lam ** 2
+        beta2 = c1 * lam * tzz + r_term + dtzj
+        return beta1, beta2
 
     def char_rhs(self, state, lam):
-        p, phi = state[:3], state[3]
-        dp = self.velocity(p, phi)
-        dphi = -self.abs_c1 * lam - self.gamma_conn(p, phi)
+        """(x, y, t, phi)' on a characteristic curve of curvature lam."""
+        x, y, t, phi = state
+        _, _, dp, dphi = self._char_terms(x, y, t, phi, lam)
         return np.array([dp[0], dp[1], dp[2], dphi])
 
-    def tau_num(self, p):
-        x, y, t = p
-        return (self._tau[0][0](x, y, t), self._tau[0][1](x, y, t),
-                self._tau[1][1](x, y, t))
-
-    def tau_quadratics(self, p, phi):
-        """(g(tau(Z),Z), g(tau(Z),J(Z))) at (p, phi)."""
-        m00, m01, m11 = self.tau_num(p)
-        c, s2 = math.cos(phi), math.sin(phi)
+    def geodesic_rhs(self, state):
+        """(x, y, t, phi, lam)' on a geodesic: lam' = -(1/c1) g(tau(Z), Z)."""
+        x, y, t, phi, lam = state
+        c, s2, dp, dphi = self._char_terms(x, y, t, phi, lam)
+        m00, m01, m11 = self._jacobi_kernel(x, y, t)[:3]
         tzz = m00 * c * c + 2 * m01 * c * s2 + m11 * s2 * s2
-        tzj = self.st.sgn_c1 * (m01 * (c * c - s2 * s2) + (m11 - m00) * c * s2)
-        return tzz, tzj
+        return np.array([dp[0], dp[1], dp[2], dphi, -tzz / self.c1])
 
-    def dtzj_ds(self, p, phi, lam, dp=None, dphi=None):
-        """d/ds of g(tau(Z), J(Z)) along the characteristic flow."""
+    def jacobi_rhs(self, state, lam):
+        """(x, y, t, phi, v, v', v'')' for a characteristic curve of
+        curvature lam and the vertical Jacobi equation in v = g(V, T)."""
+        x, y, t, phi, vt, vtp, vtpp = state
+        c, s2, dp, dphi = self._char_terms(x, y, t, phi, lam)
+        b1, b2 = self._betas(self._jacobi_kernel(x, y, t), c, s2, lam, dp, dphi)
+        vtppp = -b1 * vtp - self.c1 * b2 * vt
+        return np.array([dp[0], dp[1], dp[2], dphi, vtp, vtpp, vtppp])
+
+    def beta_coeffs(self, p, phi, lam):
+        """(beta1, beta2) at the point p and angle phi."""
         x, y, t = p
-        c, s2 = math.cos(phi), math.sin(phi)
-        cos2, sin2 = c * c - s2 * s2, 2 * c * s2
-        if dp is None:
-            dp = self.velocity(p, phi)
-        if dphi is None:
-            dphi = -self.abs_c1 * lam - self.gamma_conn(p, phi)
-        spatial = 0.0
-        for j in range(3):
-            dm01 = self._tau_d[0][1][j](x, y, t)
-            dm00 = self._tau_d[0][0][j](x, y, t)
-            dm11 = self._tau_d[1][1][j](x, y, t)
-            spatial += dp[j] * (dm01 * cos2 + 0.5 * (dm11 - dm00) * sin2)
-        m00, m01, m11 = self.tau_num(p)
-        angular = (-2 * m01 * sin2 + (m11 - m00) * cos2) * dphi
-        return self.st.sgn_c1 * (spatial + angular)
-
-    def r_term(self, p, phi):
-        """g(R(Z, T) Z, J(Z)) at (p, phi)."""
-        x, y, t = p
-        c, s2 = math.cos(phi), math.sin(phi)
-        w = (c, s2)
-        jw = (-self.st.sgn_c1 * s2, self.st.sgn_c1 * c)
-        acc = 0.0
-        for a in range(2):
-            for cc in range(2):
-                for d in range(2):
-                    acc += w[a] * w[cc] * jw[d] * self._rzt[a][cc][d](x, y, t)
-        return acc
-
-    def beta_coeffs(self, p, phi, lam, dp=None, dphi=None):
-        tzz, tzj = self.tau_quadratics(p, phi)
-        w = self._webster(p[0], p[1], p[2])
-        beta1 = w + self.c1 * tzj + self.c1 ** 2 * lam ** 2
-        beta2 = (self.c1 * lam * tzz + self.r_term(p, phi)
-                 + self.dtzj_ds(p, phi, lam, dp, dphi))
-        return beta1, beta2
+        c, s2, dp, dphi = self._char_terms(x, y, t, phi, lam)
+        return self._betas(self._jacobi_kernel(x, y, t), c, s2, lam, dp, dphi)
 
 
 def rk4_step(f, y, h):
@@ -283,16 +313,11 @@ def integrate_ode(f, y0, s_span, step, adaptive=False, tol=1e-9):
     return np.array(ss), np.array(ys)
 
 
-def _in_domain(structure, p):
-    return all(lo - 1e-9 <= c <= hi + 1e-9
-               for c, (lo, hi) in zip(p, structure.chart_domain))
-
-
 def integrate_characteristic(structure: StructureSpec, init: CharState,
                              s_range=(0.0, 10.0), step=1e-3,
                              adaptive=False, tol=1e-9) -> CurveTrace:
     """Integrate a characteristic curve of curvature init.lam."""
-    sysm = _CharSystem(structure)
+    sysm = _char_system(structure)
     structure.check_point(init.point)
     lam = init.lam
     f = lambda y: sysm.char_rhs(y, lam)
@@ -308,17 +333,10 @@ def integrate_geodesic(structure: StructureSpec, init: CharState,
                        s_range=(0.0, 10.0), step=1e-3) -> CurveTrace:
     """Integrate a sub-Riemannian geodesic: characteristic system plus
     dlambda/ds = -(1/c1) g(tau(Z), Z)."""
-    sysm = _CharSystem(structure)
+    sysm = _char_system(structure)
     structure.check_point(init.point)
-
-    def f(y):
-        p, phi, lam = y[:3], y[3], y[4]
-        base = sysm.char_rhs(y[:4], lam)
-        tzz, _ = sysm.tau_quadratics(p, phi)
-        return np.concatenate([base, [-tzz / sysm.c1]])
-
     y0 = np.array([*init.point, init.phi, init.lam])
-    ss, ys = integrate_ode(f, y0, s_range, step)
+    ss, ys = integrate_ode(sysm.geodesic_rhs, y0, s_range, step)
     trunc = _truncate_outside(structure, ys)
     n = trunc if trunc is not None else len(ss)
     return CurveTrace(s=ss[:n], points=ys[:n, :3], phi=ys[:n, 3],
@@ -326,10 +344,12 @@ def integrate_geodesic(structure: StructureSpec, init: CharState,
 
 
 def _truncate_outside(structure, ys):
-    for i in range(len(ys)):
-        if not _in_domain(structure, ys[i, :3]):
-            return max(i, 1)
-    return None
+    """Index of the first state outside the chart (at least 1, so a trace
+    keeps its start), or None; a NaN coordinate counts as outside."""
+    lo, hi = np.array(structure.chart_domain).T
+    p = ys[:, :3]
+    outside = np.flatnonzero(~np.all((lo - 1e-9 <= p) & (p <= hi + 1e-9), axis=1))
+    return max(int(outside[0]), 1) if len(outside) else None
 
 
 def rt_characteristic_closed_form(init, t):
@@ -361,7 +381,7 @@ def characteristic_residual(structure: StructureSpec, trace: CurveTrace,
                             samples: int = 20) -> float:
     """Max residual of phi' + |c1| lambda + Gamma along a trace (finite
     differences); used as the precondition check for the Jacobi solver."""
-    sysm = _CharSystem(structure)
+    sysm = _char_system(structure)
     n = len(trace)
     if n < 3:
         return 0.0
@@ -370,8 +390,7 @@ def characteristic_residual(structure: StructureSpec, trace: CurveTrace,
     for i in idx:
         h = trace.s[i + 1] - trace.s[i - 1]
         dphi = (trace.phi[i + 1] - trace.phi[i - 1]) / h
-        target = (-sysm.abs_c1 * trace.lam[i]
-                  - sysm.gamma_conn(trace.points[i], trace.phi[i]))
+        target = sysm.char_rhs((*trace.points[i], trace.phi[i]), trace.lam[i])[3]
         worst = max(worst, abs(dphi - target))
     return worst
 
@@ -387,25 +406,15 @@ def jacobi_vertical_ode(structure: StructureSpec, init: CharState,
     precomputed ``base_trace`` is supplied it is only used for a precondition
     check that it really is a characteristic curve.
     """
-    sysm = _CharSystem(structure)
+    sysm = _char_system(structure)
     structure.check_point(init.point)
     if base_trace is not None:
         res = characteristic_residual(structure, base_trace)
         if res > 1e-6:
             raise ValueError(f"base curve is not characteristic (residual {res:.2e})")
     lam = init.lam
-
-    def f(y):
-        p, phi = y[:3], y[3]
-        vt, vtp, vtpp = y[4], y[5], y[6]
-        dp = sysm.velocity(p, phi)
-        dphi = -sysm.abs_c1 * lam - sysm.gamma_conn(p, phi)
-        b1, b2 = sysm.beta_coeffs(p, phi, lam, dp, dphi)
-        vtppp = -b1 * vtp - sysm.c1 * b2 * vt
-        return np.array([dp[0], dp[1], dp[2], dphi, vtp, vtpp, vtppp])
-
     y0 = np.array([*init.point, init.phi, *jacobi_init])
-    ss, ys = integrate_ode(f, y0, s_range, step)
+    ss, ys = integrate_ode(lambda y: sysm.jacobi_rhs(y, lam), y0, s_range, step)
     b1s = np.empty(len(ss))
     b2s = np.empty(len(ss))
     for i in range(len(ss)):
@@ -428,18 +437,13 @@ def jacobi_from_curve_family(structure: StructureSpec, transverse,
     plus = integrate_characteristic(structure, transverse(+eps), s_range, step)
     minus = integrate_characteristic(structure, transverse(-eps), s_range, step)
     n = min(len(base), len(plus), len(minus))
-    vt = np.empty(n)
-    gvz = np.empty(n)
-    gvjz = np.empty(n)
-    for i in range(n):
-        dcoord = (plus.points[i] - minus.points[i]) / (2.0 * eps)
-        m = structure.frame_matrix(base.points[i])
-        comps = np.linalg.solve(m.T, dcoord)
-        c, s2 = np.cos(base.phi[i]), np.sin(base.phi[i])
-        vt[i] = comps[2]
-        gvz[i] = comps[0] * c + comps[1] * s2
-        gvjz[i] = structure.sgn_c1 * (-comps[0] * s2 + comps[1] * c)
-    sysm = _CharSystem(structure)
+    dcoord = (plus.points[:n] - minus.points[:n]) / (2.0 * eps)
+    comps = structure.frame_components(base.points[:n], dcoord)
+    c, s2 = np.cos(base.phi[:n]), np.sin(base.phi[:n])
+    vt = comps[:, 2]
+    gvz = comps[:, 0] * c + comps[:, 1] * s2
+    gvjz = structure.sgn_c1 * (-comps[:, 0] * s2 + comps[:, 1] * c)
+    sysm = _char_system(structure)
     b1s = np.empty(n)
     b2s = np.empty(n)
     for i in range(n):

@@ -723,7 +723,7 @@ def _cse_program(exprs):
 _FAST_CACHE: dict = {}
 
 
-def compiled_cse(e, arrays: bool = False):
+def compiled_cse(e, arrays: bool = False, math_floats: bool = False):
     """CSE-compiled kernel of one expression or of a list of expressions.
 
     One expression compiles to ``f(x, y, t)`` returning its value.  Scalar
@@ -732,8 +732,8 @@ def compiled_cse(e, arrays: bool = False):
     expression returns a scalar, which the caller broadcasts).
 
     A list or tuple of k expressions compiles to one function whose common
-    subexpressions are shared across all the outputs.  It uses numpy
-    functions, so it gives the tree walk's values bit for bit, and x/0
+    subexpressions are shared across all the outputs.  By default it uses
+    numpy functions, so it gives the tree walk's values bit for bit, and x/0
     gives inf or nan as there (callers wrap calls in ``np.errstate`` where
     that is expected):
 
@@ -744,12 +744,22 @@ def compiled_cse(e, arrays: bool = False):
       an (n, k) array, filled column by column, so constant outputs are
       broadcast; column j equals ``exprs[j].eval(P[:, 0], P[:, 1], P[:, 2])``.
 
+    ``math_floats=True`` (scalar mode only) compiles a list with the
+    ``math`` functions of the single scalar kernel instead: ``f(x, y, t)``
+    computes on the numbers as given, with no ``np.float64`` conversion,
+    and returns a k-tuple whose entry j equals ``compiled_cse(exprs[j])(x,
+    y, t)`` bit for bit.  This is the ODE right-hand-side path for many
+    coefficients at once.
+
     Kernels are cached by the identity of the expression objects; an entry
     keeps its expressions alive, so the ids in its key cannot be reused.
     """
     single = isinstance(e, Expr)
+    if arrays and math_floats:
+        raise ValueError("math_floats kernels take scalars, not arrays")
+    math_floats = math_floats or (single and not arrays)
     exprs = (e,) if single else tuple(e)
-    key = (id(e) if single else tuple(map(id, exprs)), arrays)
+    key = (id(e) if single else tuple(map(id, exprs)), arrays, math_floats)
     hit = _FAST_CACHE.get(key)
     if hit is not None:
         return hit[1]
@@ -764,9 +774,9 @@ def compiled_cse(e, arrays: bool = False):
                 + ["return out"])
     else:
         head = "x, y, t"
-        body = (["x, y, t = _f64(x), _f64(y), _f64(t)"] + lines
-                + [f"return ({', '.join(results)},)"])
-    ns = dict(_MATH_NS if single and not arrays else _NUMPY_NS)
+        convert = [] if math_floats else ["x, y, t = _f64(x), _f64(y), _f64(t)"]
+        body = convert + lines + [f"return ({', '.join(results)},)"]
+    ns = dict(_MATH_NS if math_floats else _NUMPY_NS)
     exec(f"def _f({head}):\n    " + "\n    ".join(body) + "\n", ns)  # noqa: S102
     fn = ns["_f"]
     _FAST_CACHE[key] = (exprs, fn)

@@ -170,6 +170,20 @@ class StructureSpec:
         """Coordinate coefficients of the frame at p; row i is frame field i."""
         return np.array([[c.at(p) for c in row] for row in self.frame])
 
+    def frame_components(self, P, V) -> np.ndarray:
+        """Frame components (a, b, c) of the coordinate vectors V at the
+        points P, both (n, 3): V[k] = a X + b Y + c T at P[k].
+
+        The frame matrices come from one call of a 9-output kernel and the
+        systems are solved in one batch.  Row k equals solving
+        ``frame_matrix(P[k]).T`` against V[k], bit for bit, unless a frame
+        coefficient holds a power other than a square root, which numpy may
+        round differently on arrays."""
+        kernel = ex.compiled_cse([c for row in self.frame for c in row], arrays=True)
+        m = kernel(np.asarray(P, dtype=float)).reshape(-1, 3, 3)
+        v = np.asarray(V, dtype=float)[..., None]
+        return np.linalg.solve(np.swapaxes(m, 1, 2), v)[..., 0]
+
     def frame_derivation(self, i: int, h: Expr) -> Expr:
         """The scalar field E_i(h), symbolically."""
         out = ex.ZERO

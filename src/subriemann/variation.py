@@ -521,17 +521,9 @@ class CharPatch:
         d_eps = self.eps[1] - self.eps[0]
         v = _fd4(self.points, d_eps, axis=0) if len(self.eps) >= 7 else \
             np.gradient(self.points, self.eps, axis=0)
-        vt = np.empty(self.points.shape[:2])
-        for i in range(len(self.eps)):
-            m = np.empty((len(self.s), 3, 3))
-            for a in range(3):
-                for b in range(3):
-                    fn = ex.compiled_cse(self.structure.frame[a][b], arrays=True)
-                    m[:, a, b] = np.broadcast_to(
-                        fn(self.points[i, :, 0], self.points[i, :, 1],
-                           self.points[i, :, 2]), (len(self.s),))
-            comps = np.linalg.solve(np.swapaxes(m, 1, 2), v[i][..., None])[..., 0]
-            vt[i] = comps[:, 2]
+        comps = self.structure.frame_components(self.points.reshape(-1, 3),
+                                                v.reshape(-1, 3))
+        vt = comps[:, 2].reshape(self.points.shape[:2])
         nh = self.scalar(self.geom.nh)
         f = -vt / nh
         if np.median(f) < 0:

@@ -163,6 +163,45 @@ def test_numeric_arguments_must_be_positive_and_finite(argv, value, capsys):
     assert "error: argument" in err and "Traceback" not in err
 
 
+_CURVE = ["curve", "integrate", "--structure", "rt"]
+
+
+@pytest.mark.parametrize("args", [
+    ["--init", "0,0,0", "--phi", "inf"], ["--init", "0,0,0", "--phi", "nan"],
+    ["--init", "0,0,0", "--lambda", "inf"], ["--init", "0,0,0", "--lambda", "nan"],
+    ["--init", "0,0,inf"], ["--init", "nan,0,0"], ["--init", "0,0"], ["--init", "0,0,0,0"],
+    ["--init", "0,0,0", "--range", "0,inf"], ["--init", "0,0,0", "--range", "nan,1"],
+    ["--init", "0,0,0", "--range", "1"], ["--init", "0,0,0", "--range", "0,1,2"],
+    ["--init", "0,0,0", "--oracle", "--oracle-tol", "nan"],
+])
+def test_curve_inputs_must_be_finite_with_the_right_count(args, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(_CURVE + args)
+    assert info.value.code == 2
+    _, err = capsys.readouterr()
+    assert "error: argument --" in err and "Traceback" not in err
+
+
+def test_curve_oracle_columns_follow_the_trace_columns(tmp_path, capsys):
+    from subriemann import catalog as cat
+    from subriemann.cli import _fmt
+    from subriemann.curves import (CharState, integrate_characteristic,
+                                   rt_characteristic_closed_form)
+    out_file = tmp_path / "trace.csv"
+    code, _, _ = run_cli(_CURVE + ["--init", "0,0,0.5", "--phi", "0.3", "--range", "0,0.5",
+                                   "--oracle", "--out", str(out_file)], capsys)
+    assert code == 0
+    rt = cat.rt_structure()
+    trace = integrate_characteristic(rt, CharState((0, 0, 0.5), 0.3), (0.0, 0.5), 1e-3)
+    m = rt.frame_matrix((0, 0, 0.5))
+    vel = np.cos(0.3) * m[0] + np.sin(0.3) * m[1]
+    closed = rt_characteristic_closed_form((0, 0, 0.5, *vel), trace.s)
+    rows = trace.to_csv().strip().split("\n")
+    expected = [rows[0] + ",x_oracle,y_oracle,t_oracle"] + [
+        row + "," + ",".join(_fmt(v) for v in c) for row, c in zip(rows[1:], closed)]
+    assert out_file.read_text() == "\n".join(expected) + "\n"
+
+
 def test_surface_sample_points_stop_at_the_cap():
     from subriemann import catalog as cat
     from subriemann.cli import MAX_SURFACE_SAMPLES, _surface_sample_points

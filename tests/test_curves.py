@@ -318,3 +318,86 @@ def test_csv_with_jacobi_columns(rt):
     csv = jt.base.to_csv(jacobi=jt)
     header = csv.split("\n")[0]
     assert header == "s,x,y,t,phi,lambda,gVT,gVT_prime,gVT_second"
+
+
+# ---------------------------------------------------------------------------
+# shared right-hand-side kernels, batched frame solves, truncation
+
+
+def test_second_integration_on_a_structure_compiles_nothing():
+    from subriemann import catalog as cat
+    st = cat.rt_structure()
+
+    def run_all():
+        integrate_characteristic(st, CharState((0, 0, 0.2), 0.4, 0.1), (0.0, 0.1), 1e-2)
+        integrate_geodesic(st, CharState((0, 0, 0.2), 0.4, 0.1), (0.0, 0.1), 1e-2)
+        jacobi_vertical_ode(st, CharState((0, 0, 0.2), 0.4, 0.1), (0, -1, 0),
+                            (0.0, 0.1), 1e-2)
+        jacobi_from_curve_family(st, lambda e: CharState((e, 0, 0.2), 0.4, 0.0), 0.0,
+                                 (0.0, 0.1), 1e-2)
+
+    run_all()
+    entries = len(ex._FAST_CACHE)
+    run_all()
+    assert len(ex._FAST_CACHE) == entries
+
+
+@pytest.mark.parametrize("name", ["rt", "heis"])
+def test_batched_frame_solve_equals_per_point_solve(name, request):
+    st = request.getfixturevalue(name)
+    rng = np.random.default_rng(5)
+    P = rng.uniform(-3.0, 3.0, (200, 3))
+    V = rng.normal(size=(200, 3))
+    comps = st.frame_components(P, V)
+    for k in range(len(P)):
+        assert np.array_equal(comps[k], np.linalg.solve(st.frame_matrix(P[k]).T, V[k]))
+
+
+def _first_outside_scan(structure, ys):
+    """Per-row reference: first row with a coordinate off the chart."""
+    for i in range(len(ys)):
+        if not all(lo - 1e-9 <= c <= hi + 1e-9
+                   for c, (lo, hi) in zip(ys[i, :3], structure.chart_domain)):
+            return max(i, 1)
+    return None
+
+
+def test_truncation_equals_per_row_scan(rt):
+    from subriemann.curves import integrate_ode, _char_system, _truncate_outside
+    sysm = _char_system(rt)
+    # the fiber direction leaves the chart at alpha = 16
+    _, ys = integrate_ode(lambda y: sysm.char_rhs(y, 0.0), np.array([0, 0, 15.9, 0.0]),
+                          (0.0, 1.0), 1e-3)
+    cut = _truncate_outside(rt, ys)
+    assert cut is not None and cut == _first_outside_scan(rt, ys)
+    inside = ys[:cut]
+    assert _truncate_outside(rt, inside) is None is _first_outside_scan(rt, inside)
+    with_nan = inside.copy()
+    with_nan[7, 1] = np.nan
+    assert _truncate_outside(rt, with_nan) == _first_outside_scan(rt, with_nan) == 7
+    off_at_start = inside.copy()
+    off_at_start[0, 0] = 1e3
+    assert _truncate_outside(rt, off_at_start) == _first_outside_scan(rt, off_at_start) == 1
+
+
+@pytest.mark.parametrize("name", ["rt", "heis"])
+def test_jacobi_rhs_agrees_with_beta_coeffs(name, request):
+    from subriemann.curves import _char_system
+    st = request.getfixturevalue(name)
+    sysm = _char_system(st)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        state = np.concatenate([rng.uniform(-2.0, 2.0, 3), rng.uniform(-np.pi, np.pi, 1),
+                                rng.normal(size=3)])
+        lam = float(rng.uniform(-1.0, 1.0))
+        rhs = sysm.jacobi_rhs(state, lam)
+        b1, b2 = sysm.beta_coeffs(state[:3], state[3], lam)
+        assert np.array_equal(rhs[:4], sysm.char_rhs(state[:4], lam))
+        assert np.array_equal(rhs[4:6], state[5:7])
+        assert rhs[6] == -b1 * state[5] - st.c1 * b2 * state[4]
+        # beta1 = W + c1 g(tau(Z), J(Z)) + c1^2 lam^2, by tree walks
+        c, s = np.cos(state[3]), np.sin(state[3])
+        tau = st.tau_matrix(state[:3])
+        tzj = st.sgn_c1 * (tau[0, 1] * (c * c - s * s) + (tau[1, 1] - tau[0, 0]) * c * s)
+        w = st.webster_expr().at(state[:3])
+        assert b1 == pytest.approx(w + st.c1 * tzj + st.c1 ** 2 * lam ** 2, abs=1e-12)

@@ -124,6 +124,21 @@ def test_compiled_list_scalar_matches_tree_walk_bit_for_bit():
             assert _same(float(g), e.at(p)), (e, p)
 
 
+def test_compiled_list_math_floats_matches_single_kernels_bit_for_bit():
+    kernel = ex.compiled_cse(_KERNEL_EXPRS, math_floats=True)
+    assert kernel is not ex.compiled_cse(_KERNEL_EXPRS)   # its own cache entry
+    singles = [ex.compiled_cse(e) for e in _KERNEL_EXPRS]
+    rng = np.random.default_rng(6)
+    for p in rng.uniform(-2.0, 2.0, (40, 3)):
+        for args in (tuple(p), tuple(float(c) for c in p)):   # np.float64, float
+            got = kernel(*args)
+            assert isinstance(got, tuple) and len(got) == len(_KERNEL_EXPRS)
+            for g, f in zip(got, singles):
+                assert _same(g, f(*args))
+    with pytest.raises(ValueError):
+        ex.compiled_cse(_KERNEL_EXPRS, arrays=True, math_floats=True)
+
+
 def _nodes(e):
     todo, seen = [e], []
     while todo:
