@@ -11,6 +11,8 @@ Submodules:
   stability operators
 * :mod:`subriemann.catalog` -- named structures and surfaces, the unimodular
   classifier
+* :mod:`subriemann.reproduce` -- the roto-translation report, the Q runners
+  and the payloads of the command-line verbs
 * :mod:`subriemann.cli` -- command-line front end
 """
 

@@ -462,29 +462,3 @@ def first_integral(trace: JacobiTrace) -> np.ndarray:
     if trace.gVZ is None:
         raise ValueError("first integral needs a curve-family trace with gVZ")
     return trace.base.lam * trace.vt + trace.gVZ
-
-
-def integrate_flow(field_at, p0, s_range, step, project=None):
-    """RK4 flow of an ambient coordinate field with optional projection.
-
-    ``field_at(p) -> ndarray(3)``; ``project(p) -> p`` is applied after each
-    step (used to keep surface fields on their surface).
-    """
-    f = lambda p: np.asarray(field_at(p), dtype=float)
-    s0, s1 = float(s_range[0]), float(s_range[1])
-    n = max(int(round(abs(s1 - s0) / abs(step))), 1) if s1 != s0 else 0
-    ss = [s0]
-    pts = [np.asarray(p0, dtype=float)]
-    if n == 0:
-        return np.array(ss), np.array(pts)
-    h = (s1 - s0) / n
-    p = pts[0]
-    s = s0
-    for _ in range(n):
-        p = rk4_step(f, p, h)
-        if project is not None:
-            p = project(p)
-        s += h
-        ss.append(s)
-        pts.append(p)
-    return np.array(ss), np.array(pts)

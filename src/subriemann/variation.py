@@ -137,24 +137,19 @@ class ParamPatch:
                for m in maps]
         return pts
 
-    def _frame_components_at(self, pts, coord_vecs):
-        """Convert coordinate vectors to frame components at many points."""
-        a = np.empty(pts[0].shape + (3, 3))
-        for i in range(3):
-            for j in range(3):
-                fn = ex.compiled_cse(self.structure.frame[i][j], arrays=True)
-                a[..., i, j] = np.broadcast_to(fn(pts[0], pts[1], pts[2]),
-                                               pts[0].shape)
-        at = np.swapaxes(a, -1, -2)
-        v = np.stack(coord_vecs, axis=-1)
-        return np.linalg.solve(at, v[..., None])[..., 0]
-
-    def _area_of_map(self, maps, xx, yy, ww):
+    def _tangent_frames(self, maps, xx, yy):
+        """The map's points on the grid and the frame components of its two
+        parameter derivatives there, each grid-shaped (..., 3)."""
         pts = self._eval_map(maps, xx, yy)
         e1 = self._eval_map([m.diff(0) for m in maps], xx, yy)
         e2 = self._eval_map([m.diff(1) for m in maps], xx, yy)
-        f1 = self._frame_components_at(pts, e1)
-        f2 = self._frame_components_at(pts, e2)
+        p, v1, v2 = (np.stack(v, -1).reshape(-1, 3) for v in (pts, e1, e2))
+        f1, f2 = (self.structure.frame_components(p, v).reshape(xx.shape + (3,))
+                  for v in (v1, v2))
+        return pts, f1, f2
+
+    def _area_of_map(self, maps, xx, yy, ww):
+        _, f1, f2 = self._tangent_frames(maps, xx, yy)
         t1 = f1[..., 2]
         t2 = f2[..., 2]
         v = t1[..., None] * f2 - t2[..., None] * f1
@@ -195,11 +190,7 @@ class ParamPatch:
     def integrate_riemannian(self, scalar: Expr, order=10, cells=24) -> float:
         """Integral of an ambient scalar over the patch w.r.t. dSigma."""
         xx, yy, ww = self._nodes(order, cells)
-        pts = self._eval_map(self.map, xx, yy)
-        e1 = self._eval_map([m.diff(0) for m in self.map], xx, yy)
-        e2 = self._eval_map([m.diff(1) for m in self.map], xx, yy)
-        f1 = self._frame_components_at(pts, e1)
-        f2 = self._frame_components_at(pts, e2)
+        pts, f1, f2 = self._tangent_frames(self.map, xx, yy)
         g11 = np.sum(f1 * f1, axis=-1)
         g22 = np.sum(f2 * f2, axis=-1)
         g12 = np.sum(f1 * f2, axis=-1)

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +155,8 @@ def test_cli_entrypoint_subprocess():
     ["curve", "integrate", "--structure", "rt", "--init", "0,0,0", "--step"],
     ["variation", "second", "--width"],
     ["surface", "analyze", "--surface", "sigma_c", "--grid"],
+    ["rt-report", "--q-samples"],
+    ["variation", "first", "--eps"],
 ])
 @pytest.mark.parametrize("value", ["0", "nan", "inf", "-1"])
 def test_numeric_arguments_must_be_positive_and_finite(argv, value, capsys):
@@ -164,19 +168,24 @@ def test_numeric_arguments_must_be_positive_and_finite(argv, value, capsys):
 
 
 _CURVE = ["curve", "integrate", "--structure", "rt"]
+_REGION = ["surface", "analyze", "--surface", "sigma_c", "--region"]
 
 
-@pytest.mark.parametrize("args", [
+@pytest.mark.parametrize("args", [_CURVE + a for a in [
     ["--init", "0,0,0", "--phi", "inf"], ["--init", "0,0,0", "--phi", "nan"],
     ["--init", "0,0,0", "--lambda", "inf"], ["--init", "0,0,0", "--lambda", "nan"],
     ["--init", "0,0,inf"], ["--init", "nan,0,0"], ["--init", "0,0"], ["--init", "0,0,0,0"],
     ["--init", "0,0,0", "--range", "0,inf"], ["--init", "0,0,0", "--range", "nan,1"],
     ["--init", "0,0,0", "--range", "1"], ["--init", "0,0,0", "--range", "0,1,2"],
     ["--init", "0,0,0", "--oracle", "--oracle-tol", "nan"],
+]] + [
+    ["classify", "--c2", "nan", "--c3", "1"], ["classify", "--c2", "inf", "--c3", "1"],
+    ["classify", "--c2", "1", "--c3", "nan"], ["classify", "--c2", "1", "--c3", "inf"],
+    _REGION + ["0,1,0,1,0"], _REGION + ["0,1,0,1,0,1,0"], _REGION + ["0,1,0,1,0,nan"],
 ])
 def test_curve_inputs_must_be_finite_with_the_right_count(args, capsys):
     with pytest.raises(SystemExit) as info:
-        main(_CURVE + args)
+        main(args)
     assert info.value.code == 2
     _, err = capsys.readouterr()
     assert "error: argument --" in err and "Traceback" not in err
@@ -204,7 +213,7 @@ def test_curve_oracle_columns_follow_the_trace_columns(tmp_path, capsys):
 
 def test_surface_sample_points_stop_at_the_cap():
     from subriemann import catalog as cat
-    from subriemann.cli import MAX_SURFACE_SAMPLES, _surface_sample_points
+    from subriemann.reproduce import MAX_SURFACE_SAMPLES, _surface_sample_points
     rt = cat.rt_structure()
     surf = cat.find_entry("sigma_c").make()
     region = ((-3.0, 3.0),) * 3
@@ -223,3 +232,23 @@ def test_surface_sample_points_stop_at_the_cap():
     assert len(ref) > MAX_SURFACE_SAMPLES
     assert pts == ref[:MAX_SURFACE_SAMPLES]
     assert len(calls) < len(idx[0])
+
+
+def test_rt_report_config_has_no_threads(capsys):
+    code, out, _ = run_cli(["rt-report", "--json", "--q-samples", "1"], capsys)
+    assert code in (0, 1)
+    assert json.loads(out)["config"] == {"q_samples": 1, "seed": 0}
+
+
+def test_bench_tracer_finds_every_target():
+    # the per-layer benchmark wraps package names from outside; a name it
+    # cannot find silently drops its metrics
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "bench"),
+                                                       str(root / "src")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import layers; t = layers.Tracer(); t.install(); print(t.missing)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -344,7 +344,7 @@ def test_q_plane_never_negative_in_modeled_class(rt, plane_y0):
     # q = 0 and the singular coefficient c1 + 2 g(tauZ,nu) vanishes on the
     # plane, so Q(u) reduces to the S(u)^2 line integrals; the prescribed
     # widening cosine ansatz cannot reach a negative value
-    from subriemann.cli import plane_q_search
+    from subriemann.reproduce import plane_q_search
     report = plane_q_search(widths=(2.5, 10.0))
     assert report["negative_direction_found"] is False
     assert report["min_Q"] >= 0.0
@@ -545,13 +545,11 @@ def test_q_validated_on_heisenberg_saddle(heis):
 def test_z_derivative_along_integrated_curve_matches_symbolic(rt, helicoid):
     # d/ds of a scalar along an integrated Z-curve equals the symbolic
     # directional derivative Z(h) (the identity suites use the latter)
-    from subriemann.curves import integrate_flow
     geom = helicoid.geometry(rt)
     z_coord = rt.frame_to_coordinate(list(geom.Z))
-    fns = [ex.compiled_cse(c) for c in z_coord]
     p0 = helicoid.project(np.array([1.0, 0.4, np.arctan2(0.4, 1.0)]))
-    ss, pts = integrate_flow(lambda q: [f(*q) for f in fns], p0, (0.0, 0.5),
-                             1e-3, project=lambda q: helicoid.project(q))
+    ss = np.linspace(0, 0.5, 501)
+    pts = CharPatch._surface_flow(rt, helicoid, z_coord, p0, ss)
     h_vals = np.array([geom.nh.at(p) for p in pts])
     mid = len(ss) // 2
     num = (h_vals[mid + 1] - h_vals[mid - 1]) / (ss[mid + 1] - ss[mid - 1])
