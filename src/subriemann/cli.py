@@ -72,7 +72,8 @@ def _load_surface(ref: str):
 
 def _emit(payload, args, text_fn=None):
     if getattr(args, "json", False) or text_fn is None:
-        out = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+        out = json.dumps(_no_negative_zero(payload), indent=2, sort_keys=True,
+                         default=_json_default)
     else:
         out = text_fn(payload)
     if getattr(args, "out", None):
@@ -82,11 +83,22 @@ def _emit(payload, args, text_fn=None):
         print(out)
 
 
+def _no_negative_zero(o):
+    """The payload with every -0.0 written as 0.0, as _fmt does for text."""
+    if isinstance(o, float):
+        return o + 0.0   # -0.0 + 0.0 is 0.0; every other float is unchanged
+    if isinstance(o, dict):
+        return {k: _no_negative_zero(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_no_negative_zero(v) for v in o]
+    if isinstance(o, np.ndarray):
+        return _no_negative_zero(o.tolist())
+    return o
+
+
 def _json_default(o):
     if isinstance(o, (np.floating, np.integer)):
-        return float(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
+        return float(o) + 0.0
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 

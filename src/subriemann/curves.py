@@ -124,8 +124,7 @@ def _require_chart(structure: StructureSpec):
 
 def _char_system(structure: StructureSpec) -> "_CharSystem":
     """The structure's right-hand-side system, built on first use and kept
-    on the structure, so every curve on one structure shares its kernels.
-    Two threads that race here each build an equal system; one is kept."""
+    on the structure, so every curve on one structure shares its kernels."""
     sysm = getattr(structure, "_char_system", None)
     if sysm is None:
         sysm = structure._char_system = _CharSystem(structure)

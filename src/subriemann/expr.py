@@ -1,11 +1,14 @@
 """Small symbolic expression engine over chart coordinates.
 
-Expressions are immutable trees over the variables x, y, t (the three chart
-coordinates; "alpha" is accepted as an alias for t when parsing, which is
-convenient for the roto-translation chart).  They support numpy-vectorized
-evaluation and exact symbolic differentiation.  This is deliberately tiny:
-just enough calculus for frame coefficients, level-set functions and the
-curvature machinery built on top.
+Expressions are hash-consed DAGs over the variables x, y, t ("alpha" is
+accepted as an alias for t when parsing, which reads naturally in the
+roto-translation chart).  Nodes are interned by op, child identities and
+constant, so structurally equal expressions are one object: equality is
+identity, each node derives once per variable and keeps the result, and
+equal expressions share one compiled kernel.  The one node class,
+:class:`Expr`, takes its evaluation, derivative, ``str`` and kernel source
+from an op table (:class:`Op`).  Just enough calculus for frame
+coefficients, level-set functions and the curvature machinery on top.
 
 Grammar for :func:`parse` (EBNF)::
 
@@ -20,6 +23,8 @@ Grammar for :func:`parse` (EBNF)::
 from __future__ import annotations
 
 import math
+import operator
+import weakref
 
 import numpy as np
 
@@ -32,312 +37,133 @@ class DomainError(ValueError):
 
 
 class Expr:
-    """Base class for expression nodes.  Nodes are immutable and hashable."""
+    """One expression node: its op, its children (``args``) and its
+    ``value``, which is the constant of a Const, the variable index of a Var,
+    the exponent of a Pow and None otherwise.  Nodes are interned and
+    immutable, so ``==`` and ``hash`` are those of identity."""
 
-    __slots__ = ()
+    __slots__ = ("op", "args", "value", "_diffs", "__weakref__")
+
+    def __setattr__(self, *a):
+        raise AttributeError("immutable")
 
     def eval(self, x, y, t):
-        raise NotImplementedError
+        return self.op.evaluate(self, x, y, t)
 
     def diff(self, var: int) -> "Expr":
-        raise NotImplementedError
+        """d/d(x, y, t)[var], built once per node and variable."""
+        if var not in (0, 1, 2):
+            raise ValueError(f"no variable with index {var!r}")
+        memo = self._diffs
+        if memo is None:
+            memo = [None, None, None]
+            _set(self, "_diffs", memo)
+        if memo[var] is None:
+            memo[var] = self.op.derive(self, var, *[a.diff(var) for a in self.args])
+        return memo[var]
 
     def children(self):
-        return ()
-
-    # -- operator sugar ----------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, exponent):
-        return pow_(self, exponent)
+        return self.args
 
     def at(self, p) -> float:
         """Evaluate at a single chart point (3 floats)."""
         return float(self.eval(p[0], p[1], p[2]))
 
+    def __str__(self):
+        texts = {}
+        for n in _postorder((self,)):
+            texts[n] = _render(n, [texts[c] for c in n.args], n.op.text)
+        return texts[self]
+
     def __repr__(self):
         return f"Expr({self})"
 
 
-class Const(Expr):
-    __slots__ = ("value",)
-
-    def __init__(self, value: float):
-        object.__setattr__(self, "value", float(value))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def eval(self, x, y, t):
-        return self.value
-
-    def diff(self, var):
-        return ZERO
-
-    def __str__(self):
-        return repr(self.value)
-
-    def __eq__(self, other):
-        return isinstance(other, Const) and other.value == self.value
-
-    def __hash__(self):
-        return hash(("const", self.value))
-
-
-class Var(Expr):
-    __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        object.__setattr__(self, "index", int(index))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def eval(self, x, y, t):
-        return (x, y, t)[self.index]
-
-    def diff(self, var):
-        return ONE if var == self.index else ZERO
-
-    def __str__(self):
-        return VAR_NAMES[self.index]
-
-    def __eq__(self, other):
-        return isinstance(other, Var) and other.index == self.index
-
-    def __hash__(self):
-        return hash(("var", self.index))
-
-
-class _Binary(Expr):
-    __slots__ = ("a", "b")
-    op = "?"
-
-    def __init__(self, a: Expr, b: Expr):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def children(self):
-        return (self.a, self.b)
-
-    def __str__(self):
-        return f"({self.a} {self.op} {self.b})"
-
-    def __eq__(self, other):
-        return type(other) is type(self) and other.a == self.a and other.b == self.b
-
-    def __hash__(self):
-        return hash((self.op, self.a, self.b))
-
-
-class Add(_Binary):
-    __slots__ = ()
-    op = "+"
-
-    def eval(self, x, y, t):
-        return self.a.eval(x, y, t) + self.b.eval(x, y, t)
-
-    def diff(self, var):
-        return add(self.a.diff(var), self.b.diff(var))
-
-
-class Sub(_Binary):
-    __slots__ = ()
-    op = "-"
-
-    def eval(self, x, y, t):
-        return self.a.eval(x, y, t) - self.b.eval(x, y, t)
-
-    def diff(self, var):
-        return sub(self.a.diff(var), self.b.diff(var))
-
-
-class Mul(_Binary):
-    __slots__ = ()
-    op = "*"
-
-    def eval(self, x, y, t):
-        return self.a.eval(x, y, t) * self.b.eval(x, y, t)
-
-    def diff(self, var):
-        return add(mul(self.a.diff(var), self.b), mul(self.a, self.b.diff(var)))
-
-
-class Div(_Binary):
-    __slots__ = ()
-    op = "/"
-
-    def eval(self, x, y, t):
-        return self.a.eval(x, y, t) / self.b.eval(x, y, t)
-
-    def diff(self, var):
-        num = sub(mul(self.a.diff(var), self.b), mul(self.a, self.b.diff(var)))
-        return div(num, mul(self.b, self.b))
-
-
-class Pow(Expr):
-    """Power with a constant real exponent."""
-
-    __slots__ = ("a", "exponent")
-
-    def __init__(self, a: Expr, exponent: float):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "exponent", float(exponent))
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def children(self):
-        return (self.a,)
-
-    def eval(self, x, y, t):
-        base = self.a.eval(x, y, t)
-        if self.exponent == int(self.exponent):
-            return base ** int(self.exponent)
-        return base ** self.exponent
-
-    def diff(self, var):
-        return mul(mul(Const(self.exponent), pow_(self.a, self.exponent - 1)),
-                   self.a.diff(var))
-
-    def __str__(self):
-        return f"({self.a} ^ {self.exponent!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, Pow) and other.a == self.a and other.exponent == self.exponent
-
-    def __hash__(self):
-        return hash(("pow", self.a, self.exponent))
-
-
-class Neg(Expr):
-    __slots__ = ("a",)
-
-    def __init__(self, a: Expr):
-        object.__setattr__(self, "a", a)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def children(self):
-        return (self.a,)
-
-    def eval(self, x, y, t):
-        return -self.a.eval(x, y, t)
-
-    def diff(self, var):
-        return neg(self.a.diff(var))
-
-    def __str__(self):
-        return f"(-{self.a})"
-
-    def __eq__(self, other):
-        return isinstance(other, Neg) and other.a == self.a
-
-    def __hash__(self):
-        return hash(("neg", self.a))
-
-
-class _Func(Expr):
-    __slots__ = ("a",)
-    name = "?"
-
-    def __init__(self, a: Expr):
-        object.__setattr__(self, "a", a)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def children(self):
-        return (self.a,)
-
-    def __str__(self):
-        return f"{self.name}({self.a})"
-
-    def __eq__(self, other):
-        return type(other) is type(self) and other.a == self.a
-
-    def __hash__(self):
-        return hash((self.name, self.a))
-
-
-class Sin(_Func):
-    __slots__ = ()
-    name = "sin"
-
-    def eval(self, x, y, t):
-        return np.sin(self.a.eval(x, y, t))
-
-    def diff(self, var):
-        return mul(Cos(self.a), self.a.diff(var))
-
-
-class Cos(_Func):
-    __slots__ = ()
-    name = "cos"
-
-    def eval(self, x, y, t):
-        return np.cos(self.a.eval(x, y, t))
-
-    def diff(self, var):
-        return neg(mul(Sin(self.a), self.a.diff(var)))
-
-
-class Exp(_Func):
-    __slots__ = ()
-    name = "exp"
-
-    def eval(self, x, y, t):
-        return np.exp(self.a.eval(x, y, t))
-
-    def diff(self, var):
-        return mul(self, self.a.diff(var))
-
-
-class Sqrt(_Func):
-    __slots__ = ()
-    name = "sqrt"
-
-    def eval(self, x, y, t):
-        return np.sqrt(self.a.eval(x, y, t))
-
-    def diff(self, var):
-        return div(self.a.diff(var), mul(Const(2.0), self))
-
-
-ZERO = Const(0.0)
-ONE = Const(1.0)
-X = Var(0)
-Y = Var(1)
-T = Var(2)
+# the intern table, filled from one thread; an entry lives as long as its node
+_NODES = weakref.WeakValueDictionary()
+_set = object.__setattr__
+
+
+def _intern(op, args, value):
+    # Keyed by child ids, so that no key keeps a node alive (the derivative of
+    # an exp refers back to it), and by the signed constant, so that 0.0 and
+    # -0.0 stay two nodes (kernels emit repr(value)).
+    ids = map(id, args)
+    key = (op, *ids) if value is None else (op, *ids, value, math.copysign(1.0, value))
+    node = _NODES.get(key)
+    if node is None:
+        node = object.__new__(Expr)
+        _set(node, "op", op)
+        _set(node, "args", args)
+        _set(node, "value", value)
+        _set(node, "_diffs", None)
+        _NODES[key] = node
+    return node
+
+
+class Op:
+    """One kind of expression node, one row of the op table:
+
+    * ``param``: None, or the type of the constant argument, which comes
+      last in a call (``float`` for Const and Pow, ``int`` for Var);
+    * ``evaluate(node, x, y, t)``: the tree-walk value;
+    * ``derive(node, var, *child_derivatives)``: the derivative;
+    * ``text`` and ``source``: ``str.format`` templates of ``str`` and of
+      kernel source, over the children's renderings and ``p``, the value;
+    * ``rebuild``: the constructor :func:`substitute` rebuilds the node with;
+    * ``guard``: None, or (child index, test(values, eps), message) for
+      :func:`validate_on_box`.
+
+    Calling an op builds the interned node, unfolded: ``Const(1.5)``,
+    ``Pow(a, 3.0)``, ``Sin(a)``, ``Add(a, b)``.  ``isinstance(e, op)`` is
+    true when ``e`` is a node of that op."""
+
+    __slots__ = ("name", "param", "evaluate", "derive", "text", "source",
+                 "rebuild", "guard")
+
+    def __init__(self, name, evaluate, derive, text, source=None, rebuild=None,
+                 param=None, guard=None):
+        self.name, self.param, self.evaluate, self.derive = name, param, evaluate, derive
+        self.text, self.source = text, text if source is None else source
+        self.rebuild, self.guard = rebuild or self, guard
+
+    def __call__(self, *args):
+        if self.param is None:
+            return _intern(self, args, None)
+        return _intern(self, args[:-1], self.param(args[-1]))
+
+    def __instancecheck__(self, obj):
+        return getattr(obj, "op", None) is self
+
+    def __repr__(self):
+        return self.name
+
+
+def _render(n, kids, template) -> str:
+    """``str`` or kernel source of one node from its children's renderings."""
+    if n.op is Var:
+        return VAR_NAMES[n.value]
+    return template.format(*kids, p=n.value)
+
+
+def _postorder(roots):
+    """Every distinct node under ``roots`` once, children before parents: an
+    iterative depth-first walk, last child first, costing the distinct nodes."""
+    done = set()
+    for root in roots:
+        stack = [root]
+        while stack:
+            n = stack[-1]
+            if n in done:
+                stack.pop()
+                continue
+            todo = [c for c in n.args if c not in done]
+            if todo:
+                stack.extend(todo)
+                continue
+            done.add(n)
+            stack.pop()
+            yield n
 
 
 def _as_expr(v) -> Expr:
@@ -349,9 +175,7 @@ def _as_expr(v) -> Expr:
 
 
 def _is_const(e: Expr, value=None):
-    if not isinstance(e, Const):
-        return False
-    return True if value is None else e.value == value
+    return e.op is Const and (value is None or e.value == value)
 
 
 # Smart constructors fold constants and drop algebraic no-ops; this keeps the
@@ -376,7 +200,7 @@ def sub(a, b) -> Expr:
         return a
     if _is_const(a, 0.0):
         return neg(b)
-    if a == b:
+    if a is b:
         return ZERO
     return Sub(a, b)
 
@@ -408,7 +232,7 @@ def div(a, b) -> Expr:
         return a
     if _is_const(a) and _is_const(b):
         return Const(a.value / b.value)
-    if a == b:
+    if a is b:
         return ONE
     return Div(a, b)
 
@@ -417,15 +241,15 @@ def neg(a) -> Expr:
     a = _as_expr(a)
     if _is_const(a):
         return Const(-a.value)
-    if isinstance(a, Neg):
-        return a.a
+    if a.op is Neg:
+        return a.args[0]
     return Neg(a)
 
 
 def pow_(a, exponent) -> Expr:
     a = _as_expr(a)
     if isinstance(exponent, Expr):
-        if not isinstance(exponent, Const):
+        if exponent.op is not Const:
             raise ValueError("exponent must be a numeric constant")
         exponent = exponent.value
     exponent = float(exponent)
@@ -464,12 +288,62 @@ def sqrt(a) -> Expr:
     return Sqrt(a)
 
 
-def var(name: str) -> Expr:
-    return Var(_VAR_ALIASES[name])
+def _power(base, exponent):
+    return base ** (int(exponent) if exponent == int(exponent) else exponent)
 
 
-def const(v: float) -> Expr:
-    return Const(v)
+def _infix(symbol, fn, derive, rebuild, guard=None):
+    def evaluate(n, x, y, t):
+        a, b = n.args
+        return fn(a.op.evaluate(a, x, y, t), b.op.evaluate(b, x, y, t))
+    return Op(symbol, evaluate, derive, f"({{0}} {symbol} {{1}})", rebuild=rebuild, guard=guard)
+
+
+def _function(name, fn, derive, rebuild, guard=None):
+    def evaluate(n, x, y, t):
+        a = n.args[0]
+        return fn(a.op.evaluate(a, x, y, t))
+    return Op(name, evaluate, derive, name + "({0})", f"_{name}({{0}})", rebuild, guard=guard)
+
+
+# The op table.  Derivative rules build through the smart constructors above
+# (Sin and Cos call each other unfolded, as the chain rule leaves them).
+Const = Op("const", lambda n, x, y, t: n.value, lambda n, var: ZERO, "{p!r}", param=float)
+Var = Op("var", lambda n, x, y, t: (x, y, t)[n.value],
+         lambda n, var: ONE if var == n.value else ZERO, None, param=int)
+Add = _infix("+", operator.add, lambda n, var, da, db: add(da, db), add)
+Sub = _infix("-", operator.sub, lambda n, var, da, db: sub(da, db), sub)
+Mul = _infix("*", operator.mul,
+             lambda n, var, da, db: add(mul(da, n.args[1]), mul(n.args[0], db)), mul)
+Div = _infix("/", operator.truediv,
+             lambda n, var, da, db: div(sub(mul(da, n.args[1]), mul(n.args[0], db)),
+                                        mul(n.args[1], n.args[1])),
+             div, (1, lambda v, eps: np.abs(v) < eps, "divisor {} vanishes on the declared box"))
+Pow = Op("pow", lambda n, x, y, t: _power(n.args[0].eval(x, y, t), n.value),
+         lambda n, var, da: mul(mul(Const(n.value), pow_(n.args[0], n.value - 1)), da),
+         "({0} ^ {p!r})", "({0} ** {p!r})", pow_, param=float)
+Neg = Op("neg", lambda n, x, y, t: -n.args[0].eval(x, y, t),
+         lambda n, var, da: neg(da), "(-{0})", rebuild=neg)
+Sin = _function("sin", np.sin, lambda n, var, da: mul(Cos(n.args[0]), da), sin)
+Cos = _function("cos", np.cos, lambda n, var, da: neg(mul(Sin(n.args[0]), da)), cos)
+Exp = _function("exp", np.exp, lambda n, var, da: mul(n, da), exp)
+# substitute rebuilds square roots unfolded
+Sqrt = _function("sqrt", np.sqrt, lambda n, var, da: div(da, mul(Const(2.0), n)), None,
+                 (0, lambda v, eps: v < -eps, "sqrt argument {} is negative on the declared box"))
+
+
+ZERO = Const(0.0)
+ONE = Const(1.0)
+X = Var(0)
+Y = Var(1)
+T = Var(2)
+
+
+# operator sugar: a + b, 2 * a, -a, a ** 2.0, ... are the smart constructors
+Expr.__add__, Expr.__sub__, Expr.__mul__, Expr.__truediv__ = add, sub, mul, div
+Expr.__radd__, Expr.__rmul__ = (lambda a, b: add(b, a)), (lambda a, b: mul(b, a))
+Expr.__rsub__, Expr.__rtruediv__ = (lambda a, b: sub(b, a)), (lambda a, b: div(b, a))
+Expr.__neg__, Expr.__pow__ = neg, pow_
 
 
 # ---------------------------------------------------------------------------
@@ -522,22 +396,20 @@ def parse(text: str) -> Expr:
     return e
 
 
-def _parse_sum(tk):
-    e = _parse_term(tk)
-    while tk.peek() in ("+", "-"):
-        op = tk.next()
-        rhs = _parse_term(tk)
-        e = add(e, rhs) if op == "+" else sub(e, rhs)
+def _parse_chain(tk, operand, builders):
+    """operand { op operand }, folded to the left."""
+    e = operand(tk)
+    while tk.peek() in builders:
+        e = builders[tk.next()](e, operand(tk))
     return e
+
+
+def _parse_sum(tk):
+    return _parse_chain(tk, _parse_term, {"+": add, "-": sub})
 
 
 def _parse_term(tk):
-    e = _parse_unary(tk)
-    while tk.peek() in ("*", "/"):
-        op = tk.next()
-        rhs = _parse_unary(tk)
-        e = mul(e, rhs) if op == "*" else div(e, rhs)
-    return e
+    return _parse_chain(tk, _parse_unary, {"*": mul, "/": div})
 
 
 def _parse_unary(tk):
@@ -552,7 +424,7 @@ def _parse_power(tk):
     if tk.peek() == "^":
         tk.next()
         exponent = _parse_unary(tk)
-        if not isinstance(exponent, Const):
+        if exponent.op is not Const:
             raise DomainError("exponent must reduce to a numeric constant")
         return pow_(base, exponent.value)
     return base
@@ -592,32 +464,30 @@ def validate_on_box(e: Expr, box, n: int = 7, eps: float = 1e-12) -> None:
 
     ``box`` is ((x0, x1), (y0, y1), (t0, t1)).  Samples an n^3 grid; raises
     DomainError if any divisor comes within ``eps`` of zero or any sqrt
-    argument goes negative.
+    argument goes negative.  Nodes are checked depth first, parents before
+    children, each distinct node once.
     """
     axes = [np.linspace(lo, hi, n) for lo, hi in box]
     gx, gy, gt = np.meshgrid(*axes, indexing="ij")
-
-    def walk(node):
-        if isinstance(node, Div):
-            denom = np.asarray(node.b.eval(gx, gy, gt), dtype=float)
-            if np.any(np.abs(denom) < eps):
-                raise DomainError(f"divisor {node.b} vanishes on the declared box")
-        if isinstance(node, Sqrt):
-            arg = np.asarray(node.a.eval(gx, gy, gt), dtype=float)
-            if np.any(arg < -eps):
-                raise DomainError(f"sqrt argument {node.a} is negative on the declared box")
-        for child in node.children():
-            walk(child)
-
-    walk(e)
+    seen = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        if node.op.guard is not None:
+            i, bad, message = node.op.guard
+            values = np.asarray(node.args[i].eval(gx, gy, gt), dtype=float)
+            if np.any(bad(values, eps)):
+                raise DomainError(message.format(node.args[i]))
+        stack.extend(reversed(node.args))
 
 
 def fd_derivative(e: Expr, p, var: int, h: float = 1e-5):
     """Central finite difference; test oracle for symbolic differentiation."""
-    scale = max(1.0, abs(p[var]))
-    hh = h * scale
-    hi = list(p)
-    lo = list(p)
+    hh = h * max(1.0, abs(p[var]))
+    hi, lo = list(p), list(p)
     hi[var] += hh
     lo[var] -= hh
     return (e.at(hi) - e.at(lo)) / (2.0 * hh)
@@ -629,95 +499,38 @@ def substitute(e: Expr, repl) -> Expr:
     ``repl`` is a triple of Expr (or numbers) replacing x, y, t.
     """
     repl = tuple(_as_expr(r) for r in repl)
-
-    def walk(node):
-        if isinstance(node, Const):
-            return node
-        if isinstance(node, Var):
-            return repl[node.index]
-        if isinstance(node, Add):
-            return add(walk(node.a), walk(node.b))
-        if isinstance(node, Sub):
-            return sub(walk(node.a), walk(node.b))
-        if isinstance(node, Mul):
-            return mul(walk(node.a), walk(node.b))
-        if isinstance(node, Div):
-            return div(walk(node.a), walk(node.b))
-        if isinstance(node, Pow):
-            return pow_(walk(node.a), node.exponent)
-        if isinstance(node, Neg):
-            return neg(walk(node.a))
-        if isinstance(node, Sin):
-            return sin(walk(node.a))
-        if isinstance(node, Cos):
-            return cos(walk(node.a))
-        if isinstance(node, Exp):
-            return exp(walk(node.a))
-        if isinstance(node, Sqrt):
-            return Sqrt(walk(node.a))
-        raise TypeError(f"unknown node {node!r}")
-
-    return walk(e)
+    out = {}
+    for n in _postorder((e,)):
+        if n.op is Var:
+            out[n] = repl[n.value]
+        else:
+            args = [out[c] for c in n.args]
+            out[n] = n.op.rebuild(*args) if n.value is None else n.op.rebuild(*args, n.value)
+    return out[e]
 
 
 # kernel globals; inf and nan are what repr() gives for non-finite constants
 _MATH_NS = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
             "_sqrt": math.sqrt, "inf": math.inf, "nan": math.nan}
 _NUMPY_NS = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_sqrt": np.sqrt,
-             "_f64": np.float64, "_empty": np.empty, "inf": math.inf,
-             "nan": math.nan}
-
-
-def _node_source(n: Expr, kids):
-    """Structural signature and source of one operation node, given the
-    names its children were emitted under."""
-    if isinstance(n, Pow):
-        return ("pow", kids[0], n.exponent), f"({kids[0]} ** {n.exponent!r})"
-    if isinstance(n, _Binary):
-        return (n.op,) + kids, f"({kids[0]} {n.op} {kids[1]})"
-    if isinstance(n, Neg):
-        return ("neg",) + kids, f"(-{kids[0]})"
-    if isinstance(n, _Func):
-        return (n.name,) + kids, f"_{n.name}({kids[0]})"
-    raise TypeError(f"unknown node {n!r}")
+             "_f64": np.float64, "_empty": np.empty, "inf": math.inf, "nan": math.nan}
 
 
 def _cse_program(exprs):
-    """Emit SSA-style source for expressions with structural CSE.
-
-    Returns (lines, result_names), one name or literal per expression.
-    Equal subtrees (structurally, not just by identity) are computed once,
-    across all the expressions; this collapses the large symbolic curvature
-    trees to a few hundred operations.  The walk is iterative and visits
-    each node object once, so a tree that shares subtrees costs its distinct
-    nodes, not its tree size.
-    """
-    table = {}   # structural signature -> name
-    names = {}   # id(node) -> name or literal; ``exprs`` keeps the nodes alive
+    """SSA-style source of expressions: (lines, result_names), one name or
+    literal per expression.  Equal subtrees are one node, so each distinct
+    operation under all the expressions gets one line; this collapses the
+    large symbolic curvature trees to a few hundred operations."""
+    names = {}
     lines = []
-    for root in exprs:
-        stack = [root]
-        while stack:
-            n = stack[-1]
-            if id(n) in names:
-                stack.pop()
-                continue
-            if isinstance(n, Const):
-                names[id(n)] = repr(n.value)
-            elif isinstance(n, Var):
-                names[id(n)] = VAR_NAMES[n.index]
-            else:
-                todo = [c for c in n.children() if id(c) not in names]
-                if todo:
-                    stack.extend(todo)
-                    continue
-                sig, src = _node_source(n, tuple(names[id(c)] for c in n.children()))
-                if sig not in table:
-                    table[sig] = f"v{len(lines)}"
-                    lines.append(f"{table[sig]} = {src}")
-                names[id(n)] = table[sig]
-            stack.pop()
-    return lines, [names[id(e)] for e in exprs]
+    for n in _postorder(exprs):
+        kids = [names[c] for c in n.args]
+        if n.args:
+            names[n] = f"v{len(lines)}"
+            lines.append(f"{names[n]} = {_render(n, kids, n.op.source)}")
+        else:
+            names[n] = _render(n, kids, n.op.source)
+    return lines, [names[e] for e in exprs]
 
 
 _FAST_CACHE: dict = {}
@@ -751,8 +564,9 @@ def compiled_cse(e, arrays: bool = False, math_floats: bool = False):
     y, t)`` bit for bit.  This is the ODE right-hand-side path for many
     coefficients at once.
 
-    Kernels are cached by the identity of the expression objects; an entry
-    keeps its expressions alive, so the ids in its key cannot be reused.
+    Kernels are cached by the identity of the expressions, which equal
+    expressions share; an entry keeps its expressions alive, so the ids in
+    its key cannot be reused.
     """
     single = isinstance(e, Expr)
     if arrays and math_floats:

@@ -186,8 +186,11 @@ def catalog_list() -> list:
             for e in cat.catalog_structures() + cat.catalog_rt_surfaces()]
 
 
-def catalog_show(name: str) -> dict:
-    entry = cat.find_entry(name)
+def catalog_show(name: str | None) -> dict:
+    try:
+        entry = cat.find_entry(name)
+    except KeyError:
+        raise StructureError(f"no catalog entry named {name!r}") from None
     return {"name": entry.name, "kind": entry.kind,
             "description": entry.description, "expected": entry.expected,
             "spec": entry.make().to_json()}

@@ -145,9 +145,15 @@ class StructureSpec:
         self._c1_expr = ex.neg(self._brackets[0][1][2])
         if validate:
             self._validate()
+        self._derive_geometry()
+
+    # -- construction helpers ---------------------------------------------
+
+    def _derive_geometry(self):
+        """c1 and the connection data, from the bracket table and c1's
+        expression; both constructors end here."""
         self.c1 = float(self._c1_expr.at(self._chart_center()))
         self.sgn_c1 = 1.0 if self.c1 > 0 else -1.0
-
         self._lc = self._koszul_christoffels()
         self._sigma = [[self._lc[i][2][k] for k in range(2)] for i in range(2)]
         s = self._sigma
@@ -156,8 +162,6 @@ class StructureSpec:
         self._ph = self._ph_christoffels()
         self._r_cache = {}
         self._webster = None
-
-    # -- construction helpers ---------------------------------------------
 
     def _chart_center(self):
         return tuple(0.5 * (lo + hi) for lo, hi in self.chart_domain)
@@ -556,18 +560,9 @@ def _constant_bracket_structure(bracket_table, name, meta, chart_domain=((-4, 4)
     spec._brackets = [[[ex._as_expr(bracket_table[i][j][k]) for k in range(3)]
                        for j in range(3)] for i in range(3)]
     spec._c1_expr = ex.neg(spec._brackets[0][1][2])
-    spec.c1 = float(spec._c1_expr.at((0, 0, 0)))
-    if abs(spec.c1) < 1e-12:
+    if abs(spec._c1_expr.at(spec._chart_center())) < 1e-12:
         raise StructureError("lie-group structure must have [X,Y] with a Reeb component")
-    spec.sgn_c1 = 1.0 if spec.c1 > 0 else -1.0
-    spec._lc = spec._koszul_christoffels()
-    spec._sigma = [[spec._lc[i][2][k] for k in range(2)] for i in range(2)]
-    s = spec._sigma
-    off = ex.mul(0.5, ex.add(s[0][1], s[1][0]))
-    spec._tau = [[s[0][0], off], [off, s[1][1]]]
-    spec._ph = spec._ph_christoffels()
-    spec._r_cache = {}
-    spec._webster = None
+    spec._derive_geometry()
     return spec
 
 

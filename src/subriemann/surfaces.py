@@ -116,7 +116,9 @@ class GraphSurface:
         if metric is None:
             metric = ((1.0, 0.0), (0.0, 1.0))
         self.metric = [[ex._as_expr(metric[i][j]) for j in range(2)] for i in range(2)]
-        if self.metric[0][1] != self.metric[1][0]:
+        # equal entries are one node; constants 0.0 and -0.0 are two nodes
+        # but still a symmetric pair
+        if not ex._is_const(ex.sub(self.metric[0][1], self.metric[1][0]), 0.0):
             raise ValueError("metric matrix must be symmetric")
         self.name = name
         self._structure = None

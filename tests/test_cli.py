@@ -98,6 +98,24 @@ def test_catalog_list_and_show(capsys):
     assert data["spec"]["kind"] == "implicit"
 
 
+@pytest.mark.parametrize("argv", [["catalog", "show"], ["catalog", "show", "nope"]])
+def test_catalog_show_needs_a_known_name(argv, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: no catalog entry named ") and "Traceback" not in err
+
+
+def test_json_output_writes_no_negative_zero(capsys):
+    code, out, _ = run_cli(["structure", "info", "heisenberg", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["W"] == 0.0 and "-0.0" not in out
+    from subriemann.cli import _no_negative_zero
+    payload = {"a": -0.0, "b": [np.float64(-0.0), (1.5, -2.0)], "c": np.array([-0.0, 3.0]),
+               "d": 7, "e": "x"}
+    assert json.dumps(_no_negative_zero(payload)) == \
+        '{"a": 0.0, "b": [0.0, [1.5, -2.0]], "c": [0.0, 3.0], "d": 7, "e": "x"}'
+
+
 def test_surface_analyze_graph(tmp_path, capsys):
     spec = tmp_path / "graph.json"
     spec.write_text(json.dumps({"kind": "graph", "expr": "0",

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -183,3 +185,70 @@ def test_compiled_list_division_by_zero_gives_inf_not_exception():
     with np.errstate(divide="ignore", invalid="ignore"):
         inv, ratio = kernel(0.0, 0.0, 0.0)
     assert inv == np.inf and np.isnan(ratio)
+
+
+# ---------------------------------------------------------------------------
+# hash-consing: equal expressions are one object
+
+
+def test_equal_expressions_are_one_object():
+    s = "x^3*y - 2*x*t + sqrt(x*x + y*y + 4)"
+    assert ex.parse(s) is ex.parse(s)
+    assert ex.parse("x + y") is ex.add(ex.X, ex.Y) is ex.Add(ex.X, ex.Y)
+    assert ex.Sin(ex.X) is ex.sin(ex.X) and ex.Const(2.5) is ex.Const(2.5)
+    assert ex.parse("x") is ex.X and ex.Var(2) is ex.T
+
+
+def test_derivatives_are_memoized_on_the_node():
+    s = "sin(x*y) * exp(t/4) + cos(x)"
+    e = ex.parse(s)
+    assert e.diff(0) is e.diff(0)
+    assert ex.parse(s).diff(0).diff(1) is e.diff(0).diff(1)
+    with pytest.raises(ValueError):
+        e.diff(3)
+
+
+def test_signed_zero_constants_are_two_nodes():
+    assert ex.Const(0.0) is ex.ZERO and ex.Const(-0.0) is ex.Const(-0.0)
+    assert ex.Const(-0.0) is not ex.Const(0.0)
+    assert str(ex.Const(-0.0)) == "-0.0" and str(ex.Const(0.0)) == "0.0"
+    assert str(ex.neg(ex.ZERO)) == "-0.0"
+    neg_zero, zero = ex.compiled_cse([ex.Const(-0.0), ex.ZERO])(0.0, 0.0, 0.0)
+    assert np.signbit(neg_zero) and not np.signbit(zero)
+
+
+def test_node_kinds_and_immutability():
+    p = ex.parse("x^3")
+    assert isinstance(p, ex.Pow) and not isinstance(p, ex.Const)
+    assert isinstance(ex.ONE, ex.Const) and isinstance(p, ex.Expr)
+    assert p.children() == (ex.X,)
+    with pytest.raises(AttributeError):
+        p.value = 2.0
+
+
+def test_equal_trees_share_one_kernel():
+    a = ex.parse("exp(sin(x) * cos(y)) / (2 + cos(t))")
+    b = ex.div(ex.exp(ex.mul(ex.sin(ex.X), ex.cos(ex.Y))), ex.add(2.0, ex.cos(ex.T)))
+    assert ex.compiled_cse(a) is ex.compiled_cse(b)
+    assert ex.compiled_cse([a, ex.X], arrays=True) is ex.compiled_cse([b, ex.X], arrays=True)
+
+
+def test_substitute_rebuilds_equal_trees_as_the_same_node():
+    e = ex.X
+    for _ in range(12):
+        e = ex.add(ex.mul(e, e), e)
+    assert ex.substitute(e, (ex.X, ex.Y, ex.T)) is e
+    assert ex.substitute(ex.parse("sqrt(x + y) * t"), (ex.Y, ex.X, 2.0)) \
+        is ex.parse("sqrt(y + x) * 2")
+
+
+def test_unreferenced_nodes_leave_the_intern_table():
+    # the derivative of an exp refers back to it; the table must not pin it
+    e = ex.exp(ex.mul(ex.X, ex.sin(ex.parse("y + 0.123456789"))))
+    e.diff(0)
+    e.diff(1)
+    ref = weakref.ref(e)
+    size = len(ex._NODES)
+    del e
+    gc.collect()
+    assert ref() is None and len(ex._NODES) < size

@@ -642,3 +642,14 @@ def test_graph_frames_reuse_one_geometry():
     for x in (0.1, 0.2, 0.3):
         assert surface_frame(None, gs, (x, 0.5, 0.5 * x)).nh > 0
     assert len(ex._FAST_CACHE) == size
+
+
+def test_graph_metric_accepts_signed_zero_off_diagonal():
+    # 0.0 and -0.0 are two nodes (kernels print repr), yet a symmetric pair
+    gs = GraphSurface(ex.parse("x*y"), metric=((1.0, 0.0), (-0.0, 1.0)))
+    assert gs.metric[0][1] is ex.ZERO and gs.metric[1][0] is ex.Const(-0.0)
+    gs = GraphSurface(ex.parse("x*y"),
+                      metric=((2.0, ex.parse("0.1*x")), (ex.parse("0.1*x"), 1.0)))
+    assert gs.metric[0][1] is gs.metric[1][0]
+    with pytest.raises(ValueError, match="symmetric"):
+        GraphSurface(ex.parse("x*y"), metric=((1.0, 0.0), (0.1, 1.0)))

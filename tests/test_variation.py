@@ -587,3 +587,13 @@ def test_heisenberg_vertical_plane_cross_evaluation(heis):
         a, b, diff = l_of_nh(geom, p)
         assert a == pytest.approx(0.0, abs=1e-12)
         assert abs(diff) < 1e-10
+
+
+def test_repeated_q_runs_compile_nothing_new():
+    # each run builds a fresh rt structure and fresh fans; equal expressions
+    # are one node, so the second run finds every kernel in the cache
+    from subriemann.reproduce import helicoid_q_samples
+    first = helicoid_q_samples(1)
+    entries = len(ex._FAST_CACHE)
+    assert helicoid_q_samples(1) == first
+    assert len(ex._FAST_CACHE) == entries
