@@ -253,6 +253,29 @@ def _finite_floats(count: int):
     return parse
 
 
+def _grid_size(text: str) -> int:
+    """argparse type: points per axis of a sample grid, an int of at least 2
+    (one point would sample only the lower corner of the region)."""
+    try:
+        v = int(text)
+    except ValueError:
+        v = 0
+    if v < 2:
+        raise argparse.ArgumentTypeError(f"must be an int of at least 2, got {text!r}")
+    return v
+
+
+def _region(text: str) -> str:
+    """argparse type: x0,x1,y0,y1,t0,t1, six finite floats with lo < hi on
+    every axis.  The text is kept as given, like _finite_floats."""
+    vals = _floats(_finite_floats(6)(text))
+    for axis, lo, hi in zip("xyt", vals[0::2], vals[1::2]):
+        if not lo < hi:
+            raise argparse.ArgumentTypeError(
+                f"the {axis} interval must have lo < hi, got {text!r}")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="subriemann",
                                  description=__doc__.splitlines()[0])
@@ -286,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     fa = fsub.add_parser("analyze")
     fa.add_argument("--structure", default="rt")
     fa.add_argument("--surface", required=True)
-    fa.add_argument("--grid", type=_positive(int), default=13)
-    fa.add_argument("--region", type=_finite_floats(6), help="x0,x1,y0,y1,t0,t1")
+    fa.add_argument("--grid", type=_grid_size, default=13)
+    fa.add_argument("--region", type=_region, help="x0,x1,y0,y1,t0,t1")
     fa.add_argument("--csv-out")
     fa.add_argument("--json", action="store_true")
     fa.add_argument("--out")

@@ -319,9 +319,11 @@ Div = _infix("/", operator.truediv,
              lambda n, var, da, db: div(sub(mul(da, n.args[1]), mul(n.args[0], db)),
                                         mul(n.args[1], n.args[1])),
              div, (1, lambda v, eps: np.abs(v) < eps, "divisor {} vanishes on the declared box"))
+# the kernel source brackets the base: a negative constant literal would
+# otherwise bind as -(c ** p)
 Pow = Op("pow", lambda n, x, y, t: _power(n.args[0].eval(x, y, t), n.value),
          lambda n, var, da: mul(mul(Const(n.value), pow_(n.args[0], n.value - 1)), da),
-         "({0} ^ {p!r})", "({0} ** {p!r})", pow_, param=float)
+         "({0} ^ {p!r})", "(({0}) ** {p!r})", pow_, param=float)
 Neg = Op("neg", lambda n, x, y, t: -n.args[0].eval(x, y, t),
          lambda n, var, da: neg(da), "(-{0})", rebuild=neg)
 Sin = _function("sin", np.sin, lambda n, var, da: mul(Cos(n.args[0]), da), sin)

@@ -376,15 +376,17 @@ class SurfaceGeometry:
             nh=nh, gNT=gnt, thetaS=theta_s, thetaZ=-h, H=h,
             tauZZ=tau_zz, tauZnu=tau_znu, thetaS_conti=theta_conti)
 
-    def singular_system_at(self, q):
-        """(f, Xf, Yf) at q and their 3x3 coordinate Jacobian, from one kernel.
+    def singular_exprs(self) -> list:
+        """(f, Xf, Yf) and their coordinate derivatives d/dx, d/dy, d/dt.
 
-        The singular set of the surface is the zero set of (f, Xf, Yf).
-        """
+        The singular set of the surface is the zero set of (f, Xf, Yf)."""
+        funcs = [self.surface.f, self.Xf, self.Yf]
+        return funcs + [fn.diff(j) for fn in funcs for j in range(3)]
+
+    def singular_system_at(self, q):
+        """(f, Xf, Yf) at q and their 3x3 coordinate Jacobian, from one kernel."""
         if self._singular_fn is None:
-            funcs = [self.surface.f, self.Xf, self.Yf]
-            self._singular_fn = ex.compiled_cse(
-                funcs + [fn.diff(j) for fn in funcs for j in range(3)])
+            self._singular_fn = ex.compiled_cse(self.singular_exprs())
         with np.errstate(all="ignore"):
             vals = np.array(self._singular_fn(*q))
         return vals[:3], vals[3:].reshape(3, 3)
@@ -589,22 +591,69 @@ class SingularLocus:
         return self.points[0]
 
 
-def _newton_lstsq(fun, jac, q0, tol=1e-10, max_iter=60):
+def _newton_lstsq(system, q0, tol=1e-10, max_iter=60):
+    """Gauss-Newton with minimum-norm least-squares steps capped at 0.5.
+
+    ``system(q)`` gives the residual r and its Jacobian J at q, from one
+    evaluation.  Returns (q, converged, J at q)."""
     q = np.asarray(q0, dtype=float)
     for _ in range(max_iter):
-        r = np.asarray(fun(q), dtype=float)
+        r, j = system(q)
         if np.linalg.norm(r) < tol:
-            return q, True
-        j = np.asarray(jac(q), dtype=float)
+            return q, True, j
         step, *_ = np.linalg.lstsq(j, -r, rcond=None)
         if not np.all(np.isfinite(step)):
-            return q, False
+            return q, False, j
         limit = 0.5
         nrm = np.linalg.norm(step)
         if nrm > limit:
             step *= limit / nrm
         q = q + step
-    return q, np.linalg.norm(fun(q)) < tol * 10
+    r, j = system(q)
+    return q, np.linalg.norm(r) < tol * 10, j
+
+
+def _lstsq_batch(j, b):
+    """Minimum-norm least-squares solutions of the stacked systems j[k] x = b[k],
+    with lstsq's default cutoff: singular values up to eps * max(m, n) * s_max
+    count as zero."""
+    u, s, vt = np.linalg.svd(j, full_matrices=False)
+    cut = np.finfo(float).eps * max(j.shape[1:]) * s[:, :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut)
+    return np.einsum("nkd,nk->nd", vt, inv * np.einsum("nmk,nm->nk", u, b))
+
+
+def _newton_batch(batch, seeds, dim, tol=1e-10, max_iter=60):
+    """``_newton_lstsq`` run on every seed at once.
+
+    ``batch(Q)`` gives, for each row of the (n, dim) array Q, the dim
+    residuals followed by the row-major dim x dim Jacobian.  A seed stops
+    when its residual is below tol (converged), or when its values or its
+    step are not finite (failed).  The iterates may round differently from
+    the scalar routine's, so they only say where each seed goes.
+    Returns the (n, dim) end points and the converged flags."""
+    q = np.array(seeds, dtype=float).reshape(len(seeds), dim)
+    ok = np.zeros(len(q), dtype=bool)
+    live = np.arange(len(q))
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            if not len(live):
+                return q, ok
+            vals = batch(q[live])
+            rn = np.linalg.norm(vals[:, :dim], axis=1)
+            ok[live[rn < tol]] = True
+            go = (rn >= tol) & np.isfinite(vals).all(axis=1)
+            live, vals = live[go], vals[go]
+            step = _lstsq_batch(vals[:, dim:].reshape(-1, dim, dim), -vals[:, :dim])
+            good = np.isfinite(step).all(axis=1)
+            live, step = live[good], step[good]
+            nrm = np.linalg.norm(step, axis=1)
+            big = nrm > 0.5
+            step[big] *= (0.5 / nrm[big])[:, None]
+            q[live] += step
+        if len(live):
+            ok[live] = np.linalg.norm(batch(q[live])[:, :dim], axis=1) < tol * 10
+    return q, ok
 
 
 def _numeric_rank(j, tol_ratio=1e-5):
@@ -613,11 +662,12 @@ def _numeric_rank(j, tol_ratio=1e-5):
     return int(np.sum(sv > tol_ratio * max(scale, 1.0))), sv
 
 
-def _trace_curve(fun, jac, q0, region, step=1e-2, newton_tol=1e-10, max_steps=4000):
-    """Predictor-corrector continuation of a rank-deficient zero curve."""
+def _trace_curve(system, q0, j0, region, step=1e-2, newton_tol=1e-10, max_steps=4000):
+    """Predictor-corrector continuation of a rank-deficient zero curve from
+    q0, where the Jacobian is j0.  The tangent is the kernel direction of the
+    Jacobian of each corrected point."""
 
-    def kernel_dir(q):
-        j = np.asarray(jac(q), dtype=float)
+    def kernel_dir(j):
         _, _, vt = np.linalg.svd(j)
         return vt[-1]
 
@@ -625,16 +675,16 @@ def _trace_curve(fun, jac, q0, region, step=1e-2, newton_tol=1e-10, max_steps=40
         return all(lo - 1e-9 <= c <= hi + 1e-9 for c, (lo, hi) in zip(q, region))
 
     pts = [np.asarray(q0, dtype=float)]
-    tans = [kernel_dir(q0)]
+    tans = [kernel_dir(j0)]
     for direction in (1.0, -1.0):
         q = np.asarray(q0, dtype=float)
         tan = direction * tans[0]
         while len(pts) < max_steps:
             q_pred = q + step * tan
-            q_corr, ok = _newton_lstsq(fun, jac, q_pred, newton_tol)
+            q_corr, ok, j = _newton_lstsq(system, q_pred, newton_tol)
             if not ok or not in_region(q_corr):
                 break
-            new_tan = kernel_dir(q_corr)
+            new_tan = kernel_dir(j)
             if np.dot(new_tan, tan) < 0:
                 new_tan = -new_tan
             q, tan = q_corr, new_tan
@@ -656,7 +706,8 @@ def singular_set_detect(structure: StructureSpec, surf, region=None,
     Graphs: zeros of p = grad(u) + F in the (x, y) domain, classified by the
     rank of Dp (2 -> isolated point, 1 -> curve).  Implicit surfaces: zeros
     of (f, Xf, Yf) in the chart region, classified by the rank of the 3x3
-    Jacobian (3 -> isolated, 2 -> curve, else unclassified).
+    Jacobian (3 -> isolated, 2 -> curve, else unclassified).  The seeds are
+    the grid points where the system is small.
     """
     if isinstance(surf, GraphSurface):
         return _detect_graph(surf, region or surf.domain, grid, step)
@@ -666,50 +717,68 @@ def singular_set_detect(structure: StructureSpec, surf, region=None,
 
 def _detect_graph(gs: GraphSurface, region, grid, step):
     pe = gs.p_exprs()
-    jac_exprs = [[pe[i].diff(j) for j in range(2)] for i in range(2)]
+    exprs = pe + [p.diff(j) for p in pe for j in range(2)]
+    point_fn = ex.compiled_cse(exprs)
+    batch_fn = ex.compiled_cse(exprs, arrays=True)
 
-    def fun(q):
-        return np.array([pe[0].at((q[0], q[1], 0.0)), pe[1].at((q[0], q[1], 0.0))])
+    def system(q):
+        with np.errstate(all="ignore"):
+            vals = np.array(point_fn(q[0], q[1], 0.0))
+        return vals[:2], vals[2:].reshape(2, 2)
 
-    def jac(q):
-        return np.array([[jac_exprs[i][j].at((q[0], q[1], 0.0)) for j in range(2)]
-                         for i in range(2)])
+    def batch(q):
+        return batch_fn(np.column_stack([q, np.zeros(len(q))]))
 
     xs = np.linspace(*region[0], grid)
     ys = np.linspace(*region[1], grid)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    p1 = np.broadcast_to(pe[0].eval(gx, gy, 0.0), gx.shape)
-    p2 = np.broadcast_to(pe[1].eval(gx, gy, 0.0), gx.shape)
-    norm = np.hypot(p1, p2)
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    with np.errstate(all="ignore"):
+        vals = batch(pts)
+    norm = np.hypot(vals[:, 0], vals[:, 1])
     cell = max((region[0][1] - region[0][0]), (region[1][1] - region[1][0])) / grid
-    seeds = [np.array([gx[i, j], gy[i, j]])
-             for i, j in zip(*np.where(norm < 4 * cell))]
-    return _classify_seeds(fun, jac, seeds, region, step, ambient_dim=2)
+    return _classify_seeds(system, batch, pts[norm < 4 * cell], region, step,
+                           ambient_dim=2)
 
 
 def _detect_implicit(structure, surf, region, grid, step):
     geom = surf.geometry(structure)
-    funcs = [surf.f, geom.Xf, geom.Yf]
-
-    def fun(q):
-        return geom.singular_system_at(q)[0]
-
-    def jac(q):
-        return geom.singular_system_at(q)[1]
-
+    batch_fn = ex.compiled_cse(geom.singular_exprs(), arrays=True)
     axes = [np.linspace(lo, hi, grid) for lo, hi in region]
-    gx, gy, gt = np.meshgrid(*axes, indexing="ij")
-    vals = [np.broadcast_to(fn.eval(gx, gy, gt), gx.shape) for fn in funcs]
-    norm = np.sqrt(sum(v * v for v in vals))
+    pts = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    with np.errstate(all="ignore"):
+        vals = batch_fn(pts)
+    norm = np.sqrt(sum(vals[:, i] * vals[:, i] for i in range(3)))
     cell = max(hi - lo for lo, hi in region) / grid
-    idx = np.where(norm < 4 * cell)
-    seeds = [np.array([gx[i], gy[i], gt[i]]) for i in zip(*idx)]
-    return _classify_seeds(fun, jac, seeds, region, step, ambient_dim=3)
+    return _classify_seeds(geom.singular_system_at, batch_fn, pts[norm < 4 * cell],
+                           region, step, ambient_dim=3)
 
 
-def _classify_seeds(fun, jac, seeds, region, step, ambient_dim):
+def _near(points, qs, radius):
+    """Whether each row of qs lies within radius of some row of points,
+    measured as ``np.linalg.norm(points - q, axis=1)``, a block of rows at a
+    time so that the distance table stays small."""
+    out = np.zeros(len(qs), dtype=bool)
+    rows = max(1, 4096 // len(points))
+    for lo in range(0, len(qs), rows):
+        d = np.linalg.norm(points[None, :, :] - qs[lo:lo + rows, None, :], axis=2)
+        out[lo:lo + rows] = d.min(axis=1) < radius
+    return out
+
+
+def _classify_seeds(system, batch, seeds, region, step, ambient_dim):
+    """Loci of the seeds' Newton limits, in sorted seed order.
+
+    All seeds are solved at once by ``_newton_batch``.  A seed whose batched
+    solution converged near a locus found from an earlier seed is skipped;
+    every other seed is solved again from the seed by the scalar
+    ``_newton_lstsq``, so a locus is always founded, ranked and traced from
+    the scalar solution."""
     loci = []
     full_rank = ambient_dim
+    seeds = sorted(seeds, key=tuple)
+    solved, converged = _newton_batch(batch, seeds, ambient_dim)
+    covered = np.zeros(len(seeds), dtype=bool)
 
     def near_existing(q):
         for locus in loci:
@@ -717,24 +786,28 @@ def _classify_seeds(fun, jac, seeds, region, step, ambient_dim):
                 return True
         return False
 
-    for seed in sorted(seeds, key=lambda q: tuple(q)):
-        q, ok = _newton_lstsq(fun, jac, seed)
+    for k, seed in enumerate(seeds):
+        if covered[k]:
+            continue
+        q, ok, j = _newton_lstsq(system, seed)
         if not ok or near_existing(q):
             continue
         if not all(lo - 1e-7 <= c <= hi + 1e-7 for c, (lo, hi) in zip(q, region)):
             continue
-        rank, sv = _numeric_rank(jac(q))
+        rank, sv = _numeric_rank(j)
         if rank >= full_rank:
             loci.append(SingularLocus("isolated-point", np.array([q]),
                                       diagnostics={"singular_values": sv.tolist()}))
         elif rank == full_rank - 1:
-            pts, tans = _trace_curve(fun, jac, q, region, step)
+            pts, tans = _trace_curve(system, q, j, region, step)
             loci.append(SingularLocus("curve", pts, tans,
                                       diagnostics={"singular_values": sv.tolist()}))
         else:
             loci.append(SingularLocus("unclassified", np.array([q]),
                                       diagnostics={"singular_values": sv.tolist(),
                                                    "rank": rank}))
+        later = k + 1 + np.flatnonzero(converged[k + 1:] & ~covered[k + 1:])
+        covered[later] = _near(loci[-1].points, solved[later], 5 * step)
     return loci
 
 

@@ -209,6 +209,20 @@ def test_curve_inputs_must_be_finite_with_the_right_count(args, capsys):
     assert "error: argument --" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [
+    _REGION + ["2,1,-1,1,-1,1"], _REGION + ["-1,1,1,-1,-1,1"], _REGION + ["-1,1,-1,1,1,1"],
+    ["surface", "analyze", "--surface", "sigma_c", "--grid", "1"],
+])
+def test_surface_analyze_rejects_an_empty_sample_grid(args, capsys):
+    # an inverted or empty interval, or one point per axis, used to exit 0
+    # with "samples": 0
+    with pytest.raises(SystemExit) as info:
+        main(args)
+    assert info.value.code == 2
+    _, err = capsys.readouterr()
+    assert "error: argument --" in err and "Traceback" not in err
+
+
 def test_curve_oracle_columns_follow_the_trace_columns(tmp_path, capsys):
     from subriemann import catalog as cat
     from subriemann.cli import _fmt

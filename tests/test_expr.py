@@ -252,3 +252,12 @@ def test_unreferenced_nodes_leave_the_intern_table():
     del e
     gc.collect()
     assert ref() is None and len(ex._NODES) < size
+
+
+def test_a_negative_constant_base_of_a_raw_power_is_bracketed_in_kernels():
+    # kernel source once read "-2.0 ** 2.0", which Python binds as -(2.0 ** 2.0)
+    e = ex.Pow(ex.Const(-2.0), 2.0)
+    assert e.at((0.0, 0.0, 0.0)) == 4.0
+    assert ex.compiled_cse(e)(0.0, 0.0, 0.0) == 4.0
+    assert ex.compiled_cse([e, ex.X])(0.0, 0.0, 0.0)[0] == 4.0
+    assert ex.compiled_cse([e, ex.X], arrays=True)(np.zeros((2, 3)))[:, 0].tolist() == [4.0, 4.0]

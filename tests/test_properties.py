@@ -4,6 +4,9 @@ Kept apart from test_expr.py, so that a missing hypothesis skips this file
 only.
 """
 
+import warnings
+
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -64,3 +67,118 @@ def test_the_same_recipe_builds_one_node_one_derivative_and_one_kernel(recipe):
     assert ex.compiled_cse(first) is ex.compiled_cse(second)
     assert ex.compiled_cse([first, ex.X], arrays=True) is \
         ex.compiled_cse([second, ex.X], arrays=True)
+
+
+# The batched singular-set screen and Newton solves rely on these: the
+# scalar list kernel gives the tree walk ``at`` bit for bit, a column of the
+# array kernel gives ``eval`` on the same columns bit for bit, and ``diff``
+# is the derivative.  Points are np.float64, as the solvers pass them, so
+# that x/0 and a negative base under a fractional power give inf or nan in
+# the tree walk too; a subtree of raw constants still computes in Python
+# floats and may raise or turn complex, and such values are skipped.
+_POINT = st.tuples(*[st.floats(-2.0, 2.0).map(np.float64)] * 3)
+
+
+def _derived(recipe):
+    """[e, d/dx e, d/dy e, d/dt e], or None where building one raises."""
+    e = _attempt(_build, recipe)
+    exprs = [e] if isinstance(e, type) else [e] + [_attempt(e.diff, v) for v in range(3)]
+    return None if any(isinstance(d, type) for d in exprs) else exprs
+
+
+def _finite_at(e, p):
+    """e.at(p), or None where the tree walk raises, turns complex or is not
+    finite."""
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        try:
+            v = e.at(p)
+        except (ArithmeticError, ValueError, TypeError, np.exceptions.ComplexWarning):
+            return None
+    return v if np.isfinite(v) else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_RECIPES, _POINT)
+def test_the_scalar_list_kernel_equals_the_tree_walk(recipe, p):
+    exprs = _derived(recipe)
+    if exprs is None:
+        return
+    with np.errstate(all="ignore"):
+        got = _attempt(ex.compiled_cse(exprs), *p)
+    if isinstance(got, type):
+        return
+    for expr, value in zip(exprs, got):
+        want = _finite_at(expr, p)
+        if want is not None:
+            assert float(value) == want and np.signbit(value) == np.signbit(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_RECIPES, st.lists(_POINT, min_size=1, max_size=6))
+def test_an_array_kernel_column_equals_eval(recipe, points):
+    exprs = _derived(recipe)
+    if exprs is None:
+        return
+    P = np.array(points, dtype=float)
+    with np.errstate(all="ignore"):
+        got = _attempt(ex.compiled_cse(exprs, arrays=True), P)
+        if isinstance(got, type):
+            return
+        for col, expr in zip(got.T, exprs):
+            want = np.broadcast_to(expr.eval(P[:, 0], P[:, 1], P[:, 2]), len(P))
+            if np.iscomplexobj(want):
+                continue
+            finite = np.isfinite(want)
+            assert np.array_equal(col[finite], want[finite])
+
+
+FD_STEP = 1e-5
+
+
+def _fd_check(e, de, p, var):
+    """|de - central difference| and its bound at p along var, or None where
+    e is not smooth at the step's scale h = FD_STEP.
+
+    The central difference is the mean of de over [-h, h].  Smooth means: the
+    even part of de at h and h/2 (its curvature, which sets that mean's
+    error) is below 1e-6 relative, and the central differences of steps h
+    and 2h agree to 1e-6 relative (no jump of e between the samples).  The
+    bound is 1e-5 relative plus rounding: 1e-10 M (1 + |de|) / h, where M is
+    the largest value of any subexpression of e at p (x + 1e8 moves in
+    steps of 1.5e-8, not h).  Points where a subexpression of e or de is
+    not finite, or is nonzero outside 1e-100 < |v| < 1e100 (where products
+    under- or overflow and de itself loses its digits), are skipped."""
+    def at(fn, k):
+        q = list(p)
+        q[var] += k * FD_STEP
+        return _finite_at(fn, tuple(q))
+    vals = [at(e, k) for k in (-2, -1, 1, 2)]
+    ds = [at(de, k) for k in (-1, -0.5, 0, 0.5, 1)]
+    if None in vals or None in ds:
+        return None
+    nodes = [_finite_at(n, p) for n in ex._postorder((e,))]
+    if any(v is None or (v and not 1e-100 < abs(v) < 1e100)
+           for v in nodes + [_finite_at(n, p) for n in ex._postorder((de,))]):
+        return None
+    m2, m1, p1, p2 = vals
+    fd1, fd2 = (p1 - m1) / (2 * FD_STEP), (p2 - m2) / (4 * FD_STEP)
+    d0 = ds[2]
+    rounding = 1e-10 * max(map(abs, vals + nodes)) * (1.0 + abs(d0)) / FD_STEP
+    smooth = 1e-6 * (1.0 + abs(d0))
+    if abs(ds[0] + ds[4] - 2 * d0) > 2 * smooth or abs(ds[1] + ds[3] - 2 * d0) > 2 * smooth \
+            or abs(fd1 - fd2) > 1e-6 * (1.0 + abs(fd1)) + rounding:
+        return None
+    return abs(d0 - fd1), 1e-5 * (1.0 + abs(fd1)) + rounding
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RECIPES, _POINT)
+def test_diff_agrees_with_a_central_difference(recipe, p):
+    exprs = _derived(recipe)
+    if exprs is None:
+        return
+    for var in range(3):
+        check = _fd_check(exprs[0], exprs[1 + var], p, var)
+        if check is not None:
+            assert check[0] <= check[1]

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -516,6 +517,193 @@ def test_singular_set_plane(rt, plane_y0):
     als = sorted(np.median(c.points[:, 2]) for c in curves)
     assert abs(als[0] - 0.0) < 1e-8
     assert abs(als[1] - np.pi) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# batched seed Newton against the per-seed loop
+
+
+def _oracle_newton(fun, jac, q0, tol=1e-10, max_iter=60):
+    q = np.asarray(q0, dtype=float)
+    for _ in range(max_iter):
+        r = np.asarray(fun(q), dtype=float)
+        if np.linalg.norm(r) < tol:
+            return q, True
+        j = np.asarray(jac(q), dtype=float)
+        step, *_ = np.linalg.lstsq(j, -r, rcond=None)
+        if not np.all(np.isfinite(step)):
+            return q, False
+        limit = 0.5
+        nrm = np.linalg.norm(step)
+        if nrm > limit:
+            step *= limit / nrm
+        q = q + step
+    return q, np.linalg.norm(fun(q)) < tol * 10
+
+
+def _oracle_trace(fun, jac, q0, region, step=1e-2, newton_tol=1e-10, max_steps=4000):
+    def kernel_dir(q):
+        j = np.asarray(jac(q), dtype=float)
+        _, _, vt = np.linalg.svd(j)
+        return vt[-1]
+
+    def in_region(q):
+        return all(lo - 1e-9 <= c <= hi + 1e-9 for c, (lo, hi) in zip(q, region))
+
+    pts = [np.asarray(q0, dtype=float)]
+    tans = [kernel_dir(q0)]
+    for direction in (1.0, -1.0):
+        q = np.asarray(q0, dtype=float)
+        tan = direction * tans[0]
+        while len(pts) < max_steps:
+            q_pred = q + step * tan
+            q_corr, ok = _oracle_newton(fun, jac, q_pred, newton_tol)
+            if not ok or not in_region(q_corr):
+                break
+            new_tan = kernel_dir(q_corr)
+            if np.dot(new_tan, tan) < 0:
+                new_tan = -new_tan
+            q, tan = q_corr, new_tan
+            if direction > 0:
+                pts.append(q)
+                tans.append(tan)
+            else:
+                pts.insert(0, q)
+                tans.insert(0, tan)
+            if np.linalg.norm(q - q0) < 0.5 * step and len(pts) > 10:
+                break
+    return np.array(pts), np.array(tans)
+
+
+def _oracle_classify(fun, jac, seeds, region, step, ambient_dim):
+    """The sequential detection: one scalar Newton solve per sorted seed."""
+    loci = []
+
+    def near_existing(q):
+        return any(np.min(np.linalg.norm(l[1] - q, axis=1)) < 5 * step for l in loci)
+
+    for seed in sorted(seeds, key=lambda q: tuple(q)):
+        q, ok = _oracle_newton(fun, jac, seed)
+        if not ok or near_existing(q):
+            continue
+        if not all(lo - 1e-7 <= c <= hi + 1e-7 for c, (lo, hi) in zip(q, region)):
+            continue
+        sv = np.linalg.svd(jac(q), compute_uv=False)
+        rank = int(np.sum(sv > 1e-5 * max(max(sv[0], 1e-12), 1.0)))
+        if rank >= ambient_dim:
+            loci.append(("isolated-point", np.array([q]), None))
+        elif rank == ambient_dim - 1:
+            loci.append(("curve", *_oracle_trace(fun, jac, q, region, step)))
+        else:
+            loci.append(("unclassified", np.array([q]), None))
+    return loci
+
+
+def _oracle_detect(structure, surf, region, grid, step=1e-2):
+    if isinstance(surf, GraphSurface):
+        pe = surf.p_exprs()
+        jac_exprs = [[pe[i].diff(j) for j in range(2)] for i in range(2)]
+
+        def fun(q):
+            return np.array([pe[0].at((q[0], q[1], 0.0)), pe[1].at((q[0], q[1], 0.0))])
+
+        def jac(q):
+            return np.array([[jac_exprs[i][j].at((q[0], q[1], 0.0)) for j in range(2)]
+                             for i in range(2)])
+
+        gx, gy = np.meshgrid(*(np.linspace(lo, hi, grid) for lo, hi in region),
+                             indexing="ij")
+        p1 = np.broadcast_to(pe[0].eval(gx, gy, 0.0), gx.shape)
+        p2 = np.broadcast_to(pe[1].eval(gx, gy, 0.0), gx.shape)
+        cell = max(hi - lo for lo, hi in region) / grid
+        seeds = [np.array([gx[i, j], gy[i, j]])
+                 for i, j in zip(*np.where(np.hypot(p1, p2) < 4 * cell))]
+        return _oracle_classify(fun, jac, seeds, region, step, 2)
+    geom = surf.geometry(structure)
+
+    def fun(q):
+        return geom.singular_system_at(q)[0]
+
+    def jac(q):
+        return geom.singular_system_at(q)[1]
+
+    gx, gy, gt = np.meshgrid(*(np.linspace(lo, hi, grid) for lo, hi in region),
+                             indexing="ij")
+    vals = [np.broadcast_to(fn.eval(gx, gy, gt), gx.shape)
+            for fn in (surf.f, geom.Xf, geom.Yf)]
+    cell = max(hi - lo for lo, hi in region) / grid
+    idx = np.where(np.sqrt(sum(v * v for v in vals)) < 4 * cell)
+    seeds = [np.array([gx[i], gy[i], gt[i]]) for i in zip(*idx)]
+    return _oracle_classify(fun, jac, seeds, region, step, 3)
+
+
+# the regions of the rt-report checks
+_RT_REPORT_REGIONS = {"helicoid": ((-2, 2), (-2, 2), (-2, 2)),
+                      "plane_y0": ((-2, 2), (-2, 2), (-0.8, 4.0)),
+                      "x_plus_sin": ((-2, 2), (-2, 2), (0.3, 5.9))}
+
+
+def _assert_same_loci(loci, oracle):
+    assert [l.kind for l in loci] == [o[0] for o in oracle]
+    for locus, (_, pts, tans) in zip(loci, oracle):
+        assert np.array_equal(locus.points, pts)
+        if tans is None:
+            assert locus.tangents is None
+        else:
+            assert np.array_equal(locus.tangents, tans)
+
+
+@pytest.mark.parametrize("name", sorted(_RT_REPORT_REGIONS))
+def test_batched_detection_equals_the_per_seed_loop(name, rt, request):
+    surf = request.getfixturevalue(name)
+    region = _RT_REPORT_REGIONS[name]
+    loci = singular_set_detect(rt, surf, region=region, grid=13)
+    assert loci
+    _assert_same_loci(loci, _oracle_detect(rt, surf, region, 13))
+
+
+@pytest.mark.parametrize("grid", [9, 15, 24])
+def test_batched_detection_equals_the_per_seed_loop_on_a_graph(grid):
+    # the Heisenberg flat graph: one isolated singular point, Dp of rank 2
+    gs = GraphSurface(ex.ZERO, domain=((-1, 1), (-1, 1)))
+    loci = singular_set_detect(None, gs, grid=grid)
+    assert [l.kind for l in loci] == ["isolated-point"]
+    _assert_same_loci(loci, _oracle_detect(None, gs, gs.domain, grid))
+
+
+def test_scalar_newton_runs_only_for_founding_seeds_and_the_tracer(rt, plane_y0,
+                                                                   monkeypatch):
+    from subriemann import surfaces
+    callers = []
+    newton = surfaces._newton_lstsq
+
+    def counted(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(surfaces, "_newton_lstsq", counted)
+    loci = singular_set_detect(rt, plane_y0, region=_RT_REPORT_REGIONS["plane_y0"], grid=13)
+    assert [l.kind for l in loci] == ["curve", "curve"]
+    assert callers.count("_classify_seeds") == len(loci)
+    # one corrector per traced point after the first, plus at most one
+    # failed corrector at each end
+    traced = sum(len(l.points) - 1 for l in loci)
+    assert traced <= callers.count("_trace_curve") <= traced + 2 * len(loci)
+    assert set(callers) == {"_classify_seeds", "_trace_curve"}
+
+
+def test_batched_lstsq_matches_numpy_lstsq():
+    from subriemann.surfaces import _lstsq_batch
+    rng = np.random.default_rng(3)
+    j = rng.normal(size=(40, 3, 3))
+    j[::4, 2] = j[::4, 0] + j[::4, 1]          # rank 2
+    j[1::4, 1:] = 0.0                           # rank 1
+    j[2::4] *= 1e-3
+    b = rng.normal(size=(40, 3))
+    got = _lstsq_batch(j, b)
+    for k in range(40):
+        want, *_ = np.linalg.lstsq(j[k], b[k], rcond=None)
+        assert np.allclose(got[k], want, rtol=1e-9, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
