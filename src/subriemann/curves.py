@@ -53,14 +53,6 @@ class CharState:
         object.__setattr__(self, "phi", float(self.phi))
         object.__setattr__(self, "lam", float(self.lam))
 
-    @staticmethod
-    def from_direction(point, a, b, lam=0.0):
-        """State with initial horizontal direction a X + b Y (normalized)."""
-        n = float(np.hypot(a, b))
-        if n == 0:
-            raise ValueError("horizontal direction must be nonzero")
-        return CharState(point, float(np.arctan2(b / n, a / n)), lam)
-
 
 @dataclass
 class CurveTrace:
@@ -158,7 +150,7 @@ class _CharSystem:
     def _char_kernel(self):
         st = self.st
         ph = [st._ph[a][b][k] for a in range(2) for b in range(2) for k in range(2)]
-        return ex.compiled_cse([*st.frame[0], *st.frame[1], *ph], math_floats=True)
+        return ex.compiled_cse([*st.frame[0], *st.frame[1], *ph], "math")
 
     @cached_property
     def _jacobi_kernel(self):
@@ -168,7 +160,7 @@ class _CharSystem:
         rzt = [st.curvature_expr(a, 2, c, d)
                for a in range(2) for c in range(2) for d in range(2)]
         return ex.compiled_cse([*m, *(e.diff(k) for e in m for k in range(3)),
-                                st.webster_expr(), *rzt], math_floats=True)
+                                st.webster_expr(), *rzt], "math")
 
     def _char_terms(self, x, y, t, phi, lam):
         """cos(phi), sin(phi), the coordinate velocity cos(phi) X + sin(phi) Y

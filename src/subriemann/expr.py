@@ -143,6 +143,9 @@ def _render(n, kids, template) -> str:
     """``str`` or kernel source of one node from its children's renderings."""
     if n.op is Var:
         return VAR_NAMES[n.value]
+    if n.op is Pow and kids[0].startswith("-"):
+        # a negative constant base: -2.0 ^ 2.0 would read as -(2.0 ^ 2.0)
+        kids = [f"({kids[0]})"]
     return template.format(*kids, p=n.value)
 
 
@@ -289,7 +292,9 @@ def sqrt(a) -> Expr:
 
 
 def _power(base, exponent):
-    return base ** (int(exponent) if exponent == int(exponent) else exponent)
+    # in np.float64, not Python floats: a negative base under a fractional
+    # power is then nan, as in the kernels, not a complex number
+    return (base if isinstance(base, np.ndarray) else np.float64(base)) ** exponent
 
 
 def _infix(symbol, fn, derive, rebuild, guard=None):
@@ -319,11 +324,9 @@ Div = _infix("/", operator.truediv,
              lambda n, var, da, db: div(sub(mul(da, n.args[1]), mul(n.args[0], db)),
                                         mul(n.args[1], n.args[1])),
              div, (1, lambda v, eps: np.abs(v) < eps, "divisor {} vanishes on the declared box"))
-# the kernel source brackets the base: a negative constant literal would
-# otherwise bind as -(c ** p)
 Pow = Op("pow", lambda n, x, y, t: _power(n.args[0].eval(x, y, t), n.value),
          lambda n, var, da: mul(mul(Const(n.value), pow_(n.args[0], n.value - 1)), da),
-         "({0} ^ {p!r})", "(({0}) ** {p!r})", pow_, param=float)
+         "({0} ^ {p!r})", "({0} ** {p!r})", pow_, param=float)
 Neg = Op("neg", lambda n, x, y, t: -n.args[0].eval(x, y, t),
          lambda n, var, da: neg(da), "(-{0})", rebuild=neg)
 Sin = _function("sin", np.sin, lambda n, var, da: mul(Cos(n.args[0]), da), sin)
@@ -518,16 +521,22 @@ _NUMPY_NS = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_sqrt": np.sqrt,
              "_f64": np.float64, "_empty": np.empty, "inf": math.inf, "nan": math.nan}
 
 
-def _cse_program(exprs):
+def _cse_program(exprs, f64=False):
     """SSA-style source of expressions: (lines, result_names), one name or
     literal per expression.  Equal subtrees are one node, so each distinct
     operation under all the expressions gets one line; this collapses the
-    large symbolic curvature trees to a few hundred operations."""
+    large symbolic curvature trees to a few hundred operations.  With
+    ``f64``, the constants under an operation that reads no variable are
+    made np.float64, so that such a subtree computes as the rest does."""
     names = {}
+    constant = {}   # node -> whether no variable lies under it
     lines = []
     for n in _postorder(exprs):
         kids = [names[c] for c in n.args]
+        constant[n] = n.op is Const or (n.op is not Var and all(constant[c] for c in n.args))
         if n.args:
+            if f64 and constant[n]:
+                kids = [f"_f64({k})" if c.op is Const else k for c, k in zip(n.args, kids)]
             names[n] = f"v{len(lines)}"
             lines.append(f"{names[n]} = {_render(n, kids, n.op.source)}")
         else:
@@ -538,51 +547,39 @@ def _cse_program(exprs):
 _FAST_CACHE: dict = {}
 
 
-def compiled_cse(e, arrays: bool = False, math_floats: bool = False):
-    """CSE-compiled kernel of one expression or of a list of expressions.
+def compiled_cse(exprs, mode: str = "numpy"):
+    """CSE-compiled kernel of a list or tuple of k expressions.
 
-    One expression compiles to ``f(x, y, t)`` returning its value.  Scalar
-    mode uses ``math`` functions, the fast path for ODE right-hand sides;
-    with ``arrays=True`` it uses numpy and takes arrays (a constant
-    expression returns a scalar, which the caller broadcasts).
+    One function evaluates all k, computing each subexpression they share
+    once.  ``mode`` picks the function's shape:
 
-    A list or tuple of k expressions compiles to one function whose common
-    subexpressions are shared across all the outputs.  By default it uses
-    numpy functions, so it gives the tree walk's values bit for bit, and x/0
-    gives inf or nan as there (callers wrap calls in ``np.errstate`` where
-    that is expected):
-
-    * scalar mode: ``f(x, y, t)`` takes three numbers, evaluates in
-      ``np.float64`` and returns a k-tuple; it equals ``[e.at(p) for e in
-      exprs]``;
-    * ``arrays=True``: ``f(P)`` takes an (n, 3) array of points and returns
-      an (n, k) array, filled column by column, so constant outputs are
-      broadcast; column j equals ``exprs[j].eval(P[:, 0], P[:, 1], P[:, 2])``.
-
-    ``math_floats=True`` (scalar mode only) compiles a list with the
-    ``math`` functions of the single scalar kernel instead: ``f(x, y, t)``
-    computes on the numbers as given, with no ``np.float64`` conversion,
-    and returns a k-tuple whose entry j equals ``compiled_cse(exprs[j])(x,
-    y, t)`` bit for bit.  This is the ODE right-hand-side path for many
-    coefficients at once.
+    * ``"numpy"``: ``f(x, y, t)`` takes three numbers, evaluates in
+      ``np.float64`` with numpy functions and returns a k-tuple, entry j
+      equal to ``exprs[j].at((x, y, t))`` bit for bit; x/0 gives inf or nan
+      (callers wrap calls in ``np.errstate`` where that is expected);
+    * ``"math"``: ``f(x, y, t)`` computes on the numbers as given with the
+      ``math`` functions and returns a k-tuple: the ODE right-hand-side
+      path, where x/0 raises ``ZeroDivisionError``;
+    * ``"arrays"``: ``f(P)`` takes an (n, 3) array of points and returns an
+      (n, k) array, filled column by column, so constant outputs are
+      broadcast; column j equals ``exprs[j].eval(P[:, 0], P[:, 1], P[:, 2])``
+      and, as in ``"numpy"`` mode, constants compute in ``np.float64``.
 
     Kernels are cached by the identity of the expressions, which equal
     expressions share; an entry keeps its expressions alive, so the ids in
     its key cannot be reused.
     """
-    single = isinstance(e, Expr)
-    if arrays and math_floats:
-        raise ValueError("math_floats kernels take scalars, not arrays")
-    math_floats = math_floats or (single and not arrays)
-    exprs = (e,) if single else tuple(e)
-    key = (id(e) if single else tuple(map(id, exprs)), arrays, math_floats)
+    if isinstance(exprs, Expr):
+        raise TypeError("compiled_cse takes a list of expressions, not one expression")
+    if mode not in ("numpy", "math", "arrays"):
+        raise ValueError(f"unknown kernel mode {mode!r}")
+    exprs = tuple(exprs)
+    key = (tuple(map(id, exprs)), mode)
     hit = _FAST_CACHE.get(key)
     if hit is not None:
         return hit[1]
-    lines, results = _cse_program(exprs)
-    if single:
-        head, body = "x, y, t", lines + [f"return {results[0]}"]
-    elif arrays:
+    lines, results = _cse_program(exprs, f64=mode != "math")
+    if mode == "arrays":
         head = "P"
         body = (["x, y, t = P[:, 0], P[:, 1], P[:, 2]"] + lines
                 + [f"out = _empty((P.shape[0], {len(exprs)}))"]
@@ -590,9 +587,9 @@ def compiled_cse(e, arrays: bool = False, math_floats: bool = False):
                 + ["return out"])
     else:
         head = "x, y, t"
-        convert = [] if math_floats else ["x, y, t = _f64(x), _f64(y), _f64(t)"]
+        convert = ["x, y, t = _f64(x), _f64(y), _f64(t)"] if mode == "numpy" else []
         body = convert + lines + [f"return ({', '.join(results)},)"]
-    ns = dict(_MATH_NS if math_floats else _NUMPY_NS)
+    ns = dict(_MATH_NS if mode == "math" else _NUMPY_NS)
     exec(f"def _f({head}):\n    " + "\n    ".join(body) + "\n", ns)  # noqa: S102
     fn = ns["_f"]
     _FAST_CACHE[key] = (exprs, fn)

@@ -16,7 +16,7 @@ from .structures import StructureSpec, StructureError, unimodular_structure
 from .curves import (CharState, integrate_characteristic, integrate_geodesic,
                      rt_characteristic_closed_form)
 from .surfaces import (ImplicitSurface, GraphSurface, singular_set_detect,
-                       stationarity_at_singular_curve, SingularPointSignal)
+                       stationarity_at_singular_curve, SingularPointSignal, grid_points)
 from .variation import (CharPatch, ParamPatch, VariationField, index_form,
                         second_variation_numeric, first_variation_formula,
                         first_variation_numeric, stability_quadratic_Q,
@@ -114,15 +114,13 @@ def integrate_curve(st: StructureSpec, init_point, phi, lam, s_range, step,
 
 
 def _surface_sample_points(st, impl, region, grid):
-    axes = [np.linspace(lo, hi, grid) for lo, hi in region]
-    gx, gy, gt = np.meshgrid(*axes, indexing="ij")
-    vals = np.abs(np.broadcast_to(impl.f.eval(gx, gy, gt), gx.shape))
+    grid_pts = grid_points(*(np.linspace(lo, hi, grid) for lo, hi in region))
+    vals = np.abs(ex.compiled_cse([impl.f], "arrays")(grid_pts)[:, 0])
     cell = max(hi - lo for lo, hi in region) / grid
-    idx = np.where(vals < 2 * cell)
     pts = []
-    for i in zip(*idx):
+    for q0 in grid_pts[vals < 2 * cell]:
         try:
-            q = impl.project(np.array([gx[i], gy[i], gt[i]]))
+            q = impl.project(q0)
         except ValueError:
             continue
         if all(lo - 1e-9 <= c <= hi + 1e-9 for c, (lo, hi) in zip(q, region)):

@@ -73,9 +73,6 @@ class TangentVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.components))
 
-    def is_horizontal(self, tol: float = 1e-12) -> bool:
-        return abs(self.components[2]) <= tol
-
     def dot(self, other: "TangentVector") -> float:
         return float(np.dot(self.components, other.components))
 
@@ -183,7 +180,7 @@ class StructureSpec:
         ``frame_matrix(P[k]).T`` against V[k], bit for bit, unless a frame
         coefficient holds a power other than a square root, which numpy may
         round differently on arrays."""
-        kernel = ex.compiled_cse([c for row in self.frame for c in row], arrays=True)
+        kernel = ex.compiled_cse([c for row in self.frame for c in row], "arrays")
         m = kernel(np.asarray(P, dtype=float)).reshape(-1, 3, 3)
         v = np.asarray(V, dtype=float)[..., None]
         return np.linalg.solve(np.swapaxes(m, 1, 2), v)[..., 0]

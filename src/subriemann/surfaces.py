@@ -126,12 +126,10 @@ class GraphSurface:
         self._min_det_check()
 
     def _min_det_check(self, n=9):
-        xs = np.linspace(*self.domain[0], n)
-        ys = np.linspace(*self.domain[1], n)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        g11 = np.broadcast_to(self.metric[0][0].eval(gx, gy, 0.0), gx.shape)
-        g12 = np.broadcast_to(self.metric[0][1].eval(gx, gy, 0.0), gx.shape)
-        g22 = np.broadcast_to(self.metric[1][1].eval(gx, gy, 0.0), gx.shape)
+        g = self.metric
+        kernel = ex.compiled_cse([g[0][0], g[0][1], g[1][1]], "arrays")
+        axes = [np.linspace(lo, hi, n) for lo, hi in self.domain]
+        g11, g12, g22 = kernel(grid_points(*axes, [0.0])).T
         if np.any(g11 <= 0) or np.any(g11 * g22 - g12 ** 2 <= 0):
             raise ValueError("metric matrix is not positive definite on the domain")
 
@@ -162,19 +160,6 @@ class GraphSurface:
         det_m = ex.sub(ex.mul(m[0][0], m[1][1]), ex.mul(m[0][1], m[1][0]))
         return ex.div(ex.mul(ex.sqrt(pbp), ex.sqrt(det_m)),
                       ex.sqrt(ex.add(1.0, pbp)))
-
-    def riemannian_jacobian_expr(self):
-        """dG_u density (Riemannian area of the graph per unit dx dy)."""
-        p = self.p_exprs()
-        g = self.metric
-        det = ex.sub(ex.mul(g[0][0], g[1][1]), ex.mul(g[0][1], g[0][1]))
-        out = sum_exprs([
-            det,
-            ex.mul(g[0][0], ex.mul(p[1], p[1])),
-            ex.mul(g[1][1], ex.mul(p[0], p[0])),
-            ex.neg(ex.mul(2.0, ex.mul(g[0][1], ex.mul(p[0], p[1])))),
-        ])
-        return ex.sqrt(out)
 
     def to_implicit(self) -> ImplicitSurface:
         """Level set u(x,y) - t = 0; orientation +1 is the downward normal.
@@ -345,9 +330,6 @@ class SurfaceGeometry:
 
     # -- pointwise evaluation --------------------------------------------------
 
-    def nh_at(self, p) -> float:
-        return self.nh.at(p)
-
     def frame_point(self, p, eps_sing: float = EPS_SING) -> SurfaceFramePoint:
         p = tuple(float(c) for c in p)
         if self._frame_fn is None:
@@ -448,17 +430,21 @@ def gauss_legendre_grid(domain, order, cells):
     return gx, gy, wx, wy
 
 
+def grid_points(*axes):
+    """The points of the tensor grid of the axes, the first axis slowest: an
+    (n, len(axes)) array.  ``grid_points(xs, ys, [0.0])`` is the plane t = 0."""
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+
 def area_graph(gs: GraphSurface, order: int = 12, cells: int = 64) -> float:
     """Sub-Riemannian area of the graph by composite Gauss-Legendre tensor
     quadrature of the closed-form integrand."""
     (x0, x1), (y0, y1) = gs.domain
     if x0 == x1 or y0 == y1:
         return 0.0
-    integrand = ex.compiled_cse(gs.area_integrand_expr(), arrays=True)
+    integrand = ex.compiled_cse([gs.area_integrand_expr()], "arrays")
     gx, gy, wx, wy = gauss_legendre_grid(gs.domain, order, cells)
-    xx, yy = np.meshgrid(gx, gy, indexing="ij")
-    vals = np.asarray(integrand(xx, yy, 0.0), dtype=float)
-    vals = np.broadcast_to(vals, xx.shape)
+    vals = integrand(grid_points(gx, gy, [0.0]))[:, 0].reshape(len(gx), len(gy))
     return float(wx @ vals @ wy)
 
 
@@ -467,7 +453,7 @@ def mc_area(gs: GraphSurface, n: int = 10_000_000, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     (x0, x1), (y0, y1) = gs.domain
     m = int(np.sqrt(n))
-    integrand = ex.compiled_cse(gs.area_integrand_expr(), arrays=True)
+    integrand = ex.compiled_cse([gs.area_integrand_expr()], "arrays")
     total = 0.0
     # stream in row blocks to bound memory
     ys_base = (np.arange(m) + 0.0) / m
@@ -479,8 +465,8 @@ def mc_area(gs: GraphSurface, n: int = 10_000_000, seed: int = 0) -> float:
         jy = rng.random((i1 - i0, m))
         xs = x0 + (x1 - x0) * (ix[:, None] + jx) / m
         ys = y0 + (y1 - y0) * (ys_base[None, :] + jy / m)
-        vals = np.asarray(integrand(xs, ys, 0.0), dtype=float)
-        total += float(np.sum(np.broadcast_to(vals, xs.shape)))
+        pts = np.column_stack([xs.ravel(), ys.ravel(), np.zeros(xs.size)])
+        total += float(np.sum(integrand(pts)[:, 0].reshape(xs.shape)))
     return total * (x1 - x0) * (y1 - y0) / (m * m)
 
 
@@ -719,7 +705,7 @@ def _detect_graph(gs: GraphSurface, region, grid, step):
     pe = gs.p_exprs()
     exprs = pe + [p.diff(j) for p in pe for j in range(2)]
     point_fn = ex.compiled_cse(exprs)
-    batch_fn = ex.compiled_cse(exprs, arrays=True)
+    batch_fn = ex.compiled_cse(exprs, "arrays")
 
     def system(q):
         with np.errstate(all="ignore"):
@@ -729,10 +715,7 @@ def _detect_graph(gs: GraphSurface, region, grid, step):
     def batch(q):
         return batch_fn(np.column_stack([q, np.zeros(len(q))]))
 
-    xs = np.linspace(*region[0], grid)
-    ys = np.linspace(*region[1], grid)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    pts = grid_points(*(np.linspace(lo, hi, grid) for lo, hi in region[:2]))
     with np.errstate(all="ignore"):
         vals = batch(pts)
     norm = np.hypot(vals[:, 0], vals[:, 1])
@@ -743,9 +726,8 @@ def _detect_graph(gs: GraphSurface, region, grid, step):
 
 def _detect_implicit(structure, surf, region, grid, step):
     geom = surf.geometry(structure)
-    batch_fn = ex.compiled_cse(geom.singular_exprs(), arrays=True)
-    axes = [np.linspace(lo, hi, grid) for lo, hi in region]
-    pts = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    batch_fn = ex.compiled_cse(geom.singular_exprs(), "arrays")
+    pts = grid_points(*(np.linspace(lo, hi, grid) for lo, hi in region))
     with np.errstate(all="ignore"):
         vals = batch_fn(pts)
     norm = np.sqrt(sum(vals[:, i] * vals[:, i] for i in range(3)))

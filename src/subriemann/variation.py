@@ -30,7 +30,7 @@ from .expr import Expr
 from .curves import rk4_step
 from .structures import StructureSpec, sum_exprs
 from .surfaces import (GraphSurface, ImplicitSurface, SurfaceGeometry,
-                       SingularLocus)
+                       SingularLocus, gauss_legendre_grid, grid_points)
 
 MINIMALITY_TOL = 1e-8
 
@@ -42,7 +42,7 @@ class AdmissibilityError(ValueError):
 def _project_batch(surf: ImplicitSurface, q, tol=1e-12, max_iter=30):
     """Vectorized Newton projection of points (n, 3) onto {f = 0}."""
     q = np.array(q, dtype=float)
-    kernel = ex.compiled_cse((surf.f, *surf.grad), arrays=True)
+    kernel = ex.compiled_cse((surf.f, *surf.grad), "arrays")
     for _ in range(max_iter):
         fg = kernel(q)
         v = fg[:, 0]
@@ -82,27 +82,11 @@ class VariationField:
         return VariationField((ex.ZERO, ex.ZERO, w), "vertical")
 
     @staticmethod
-    def normal_vertical(geom: SurfaceGeometry, v: Expr, w: Expr) -> "VariationField":
-        v, w = ex._as_expr(v), ex._as_expr(w)
-        comps = tuple(ex.add(ex.mul(v, c), ex.mul(w, t))
-                      for c, t in zip(geom.N_comps, (ex.ZERO, ex.ZERO, ex.ONE)))
-        return VariationField(comps, "normal-vertical")
-
-    @staticmethod
     def tangent(geom: SurfaceGeometry, l: Expr, h: Expr) -> "VariationField":
         l, h = ex._as_expr(l), ex._as_expr(h)
         comps = tuple(ex.add(ex.mul(l, z), ex.mul(h, s))
                       for z, s in zip(geom.Z, geom.S))
         return VariationField(comps, "tangent")
-
-    @staticmethod
-    def frame_decomposition(geom: SurfaceGeometry, f: Expr, l: Expr, h: Expr):
-        """U = f nu_h + l Z + h T."""
-        f, l, h = ex._as_expr(f), ex._as_expr(l), ex._as_expr(h)
-        comps = tuple(sum_exprs([ex.mul(f, geom.nu[k]), ex.mul(l, geom.Z[k]),
-                                 ex.mul(h, (ex.ZERO, ex.ZERO, ex.ONE)[k])])
-                      for k in range(3))
-        return VariationField(comps, "frame")
 
 
 # ---------------------------------------------------------------------------
@@ -125,31 +109,28 @@ class ParamPatch:
         return ParamPatch(structure, [ex.X, ex.Y, gs.u], gs.domain)
 
     def _nodes(self, order, cells):
-        from .surfaces import gauss_legendre_grid
+        """Gauss-Legendre parameter points (n, 3), as (a, b, 0), and weights."""
         gx, gy, wx, wy = gauss_legendre_grid(self.domain, order, cells)
-        xx, yy = np.meshgrid(gx, gy, indexing="ij")
-        ww = np.outer(wx, wy)
-        return xx, yy, ww
+        return grid_points(gx, gy, [0.0]), np.outer(wx, wy).ravel()
 
-    def _eval_map(self, maps, xx, yy):
-        pts = [np.broadcast_to(np.asarray(ex.compiled_cse(m, arrays=True)(xx, yy, 0.0),
-                                          dtype=float), xx.shape)
-               for m in maps]
-        return pts
+    @staticmethod
+    def _map_values(maps, params):
+        """The map and its two parameter derivatives at the (n, 3) parameter
+        points: an (n, 9) array from the map's one kernel."""
+        kernel = ex.compiled_cse([*maps, *(m.diff(0) for m in maps),
+                                  *(m.diff(1) for m in maps)], "arrays")
+        return kernel(params)
 
-    def _tangent_frames(self, maps, xx, yy):
-        """The map's points on the grid and the frame components of its two
-        parameter derivatives there, each grid-shaped (..., 3)."""
-        pts = self._eval_map(maps, xx, yy)
-        e1 = self._eval_map([m.diff(0) for m in maps], xx, yy)
-        e2 = self._eval_map([m.diff(1) for m in maps], xx, yy)
-        p, v1, v2 = (np.stack(v, -1).reshape(-1, 3) for v in (pts, e1, e2))
-        f1, f2 = (self.structure.frame_components(p, v).reshape(xx.shape + (3,))
-                  for v in (v1, v2))
+    def _tangent_frames(self, maps, params):
+        """The map's (n, 3) points and the frame components of its two
+        parameter derivatives there."""
+        vals = self._map_values(maps, params)
+        pts = vals[:, :3]
+        f1, f2 = (self.structure.frame_components(pts, vals[:, k:k + 3]) for k in (3, 6))
         return pts, f1, f2
 
-    def _area_of_map(self, maps, xx, yy, ww):
-        _, f1, f2 = self._tangent_frames(maps, xx, yy)
+    def _area_of_map(self, maps, params, ww):
+        _, f1, f2 = self._tangent_frames(maps, params)
         t1 = f1[..., 2]
         t2 = f2[..., 2]
         v = t1[..., None] * f2 - t2[..., None] * f1
@@ -158,8 +139,7 @@ class ParamPatch:
 
     def area(self, order=10, cells=24) -> float:
         """Sub-Riemannian area of the undeformed patch."""
-        xx, yy, ww = self._nodes(order, cells)
-        return self._area_of_map(self.map, xx, yy, ww)
+        return self._area_of_map(self.map, *self._nodes(order, cells))
 
     def deformed_map(self, U: VariationField, eps: float):
         """Straight-ray deformation with second-order geodesic correction:
@@ -184,37 +164,25 @@ class ParamPatch:
         return out
 
     def deformed_area(self, U: VariationField, eps: float, order=10, cells=24):
-        xx, yy, ww = self._nodes(order, cells)
-        return self._area_of_map(self.deformed_map(U, eps), xx, yy, ww)
+        return self._area_of_map(self.deformed_map(U, eps), *self._nodes(order, cells))
 
     def integrate_riemannian(self, scalar: Expr, order=10, cells=24) -> float:
         """Integral of an ambient scalar over the patch w.r.t. dSigma."""
-        xx, yy, ww = self._nodes(order, cells)
-        pts, f1, f2 = self._tangent_frames(self.map, xx, yy)
+        params, ww = self._nodes(order, cells)
+        pts, f1, f2 = self._tangent_frames(self.map, params)
         g11 = np.sum(f1 * f1, axis=-1)
         g22 = np.sum(f2 * f2, axis=-1)
         g12 = np.sum(f1 * f2, axis=-1)
         ds = np.sqrt(np.maximum(g11 * g22 - g12 ** 2, 0.0))
-        fn = ex.compiled_cse(scalar, arrays=True)
-        vals = np.broadcast_to(np.asarray(fn(pts[0], pts[1], pts[2]), dtype=float),
-                               xx.shape)
+        vals = ex.compiled_cse([scalar], "arrays")(pts)[:, 0]
         return float(np.sum(vals * ds * ww))
 
-    def _sample_scalar(self, scalar: Expr, n=31):
-        xs = np.linspace(*self.domain[0], n)
-        ys = np.linspace(*self.domain[1], n)
-        xx, yy = np.meshgrid(xs, ys, indexing="ij")
-        pts = self._eval_map(self.map, xx, yy)
-        fn = ex.compiled_cse(scalar, arrays=True)
-        return np.broadcast_to(np.asarray(fn(pts[0], pts[1], pts[2]),
-                                          dtype=float), xx.shape)
-
-    def max_abs(self, scalar: Expr, n=31) -> float:
-        return float(np.max(np.abs(self._sample_scalar(scalar, n))))
-
     def min_scalar(self, scalar: Expr, n=31) -> float:
+        """Least value of an ambient scalar on an n x n grid of the patch."""
         # odd n keeps box midlines on the grid (symmetric singular loci)
-        return float(np.min(self._sample_scalar(scalar, n)))
+        axes = [np.linspace(lo, hi, n) for lo, hi in self.domain]
+        pts = self._map_values(self.map, grid_points(*axes, [0.0]))[:, :3]
+        return float(np.min(ex.compiled_cse([scalar], "arrays")(pts)))
 
 
 def first_variation_numeric(patch: ParamPatch, U: VariationField, eps=1e-4,
@@ -397,7 +365,7 @@ class CharPatch:
         single = p0.ndim == 1
         q0 = p0[None, :] if single else p0
 
-        rhs = ex.compiled_cse(field_coord_exprs, arrays=True)
+        rhs = ex.compiled_cse(field_coord_exprs, "arrays")
         out = np.empty((q0.shape[0], len(s_grid), 3))
         out[:, 0] = q0
         q = q0
@@ -421,23 +389,18 @@ class CharPatch:
         single = p0.ndim == 1
         q0 = p0[None, :] if single else p0
         out = np.empty((q0.shape[0], len(params), 3))
-        pos_idx = np.where(params > 0)[0]
-        neg_idx = np.where(params < 0)[0]
-        zero_idx = np.where(params == 0)[0]
-        for i in zero_idx:
+        for i in np.where(params == 0)[0]:
             out[:, i] = q0
-        if len(pos_idx):
-            order = pos_idx[np.argsort(params[pos_idx])]
-            pts = cls._surface_flow(structure, surf, field, q0,
-                                    np.concatenate([[0.0], params[order]]), n_sub)
-            for k, i in enumerate(order):
-                out[:, i] = pts[:, k + 1]
-        if len(neg_idx):
-            order = neg_idx[np.argsort(params[neg_idx])[::-1]]
-            pts = cls._surface_flow(structure, surf, field, q0,
-                                    np.concatenate([[0.0], params[order]]), n_sub)
-            for k, i in enumerate(order):
-                out[:, i] = pts[:, k + 1]
+        # the positive parameters in increasing order, then the negative ones
+        # in decreasing order, each from p0 outwards
+        for sign in (1, -1):
+            idx = np.where(sign * params > 0)[0]
+            if len(idx):
+                order = idx[np.argsort(params[idx])][::sign]
+                pts = cls._surface_flow(structure, surf, field, q0,
+                                        np.concatenate([[0.0], params[order]]), n_sub)
+                for k, i in enumerate(order):
+                    out[:, i] = pts[:, k + 1]
         return out[0] if single else out
 
     @classmethod
@@ -499,11 +462,9 @@ class CharPatch:
     def scalar(self, e: Expr) -> np.ndarray:
         key = id(e)
         if key not in self._scalars:
-            fn = ex.compiled_cse(e, arrays=True)
-            px, py, pt = (self.points[..., k] for k in range(3))
-            self._scalars[key] = np.broadcast_to(
-                np.asarray(fn(px, py, pt), dtype=float),
-                self.points.shape[:2]).copy()
+            fn = ex.compiled_cse([e], "arrays")
+            self._scalars[key] = fn(self.points.reshape(-1, 3))[:, 0].reshape(
+                self.points.shape[:2])
         return self._scalars[key]
 
     def _area_factor(self):
@@ -785,9 +746,7 @@ def stability_sign_field(geom: SurfaceGeometry, points,
                          tol=1e-10) -> SignFieldReport:
     """Sample W - c1 g(tau(Z), nu_h) over surface points and classify."""
     pts = np.asarray(points, dtype=float)
-    fn = ex.compiled_cse(geom.criterion, arrays=True)
-    vals = np.asarray(fn(pts[:, 0], pts[:, 1], pts[:, 2]), dtype=float)
-    vals = np.broadcast_to(vals, (len(pts),))
+    vals = ex.compiled_cse([geom.criterion], "arrays")(pts)[:, 0]
     mn, mx = float(np.min(vals)), float(np.max(vals))
     if mx <= tol:
         cls = "nonpositive-everywhere"

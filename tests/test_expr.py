@@ -126,19 +126,47 @@ def test_compiled_list_scalar_matches_tree_walk_bit_for_bit():
             assert _same(float(g), e.at(p)), (e, p)
 
 
-def test_compiled_list_math_floats_matches_single_kernels_bit_for_bit():
-    kernel = ex.compiled_cse(_KERNEL_EXPRS, math_floats=True)
+def test_compiled_list_math_mode_matches_one_output_kernels_bit_for_bit():
+    kernel = ex.compiled_cse(_KERNEL_EXPRS, "math")
     assert kernel is not ex.compiled_cse(_KERNEL_EXPRS)   # its own cache entry
-    singles = [ex.compiled_cse(e) for e in _KERNEL_EXPRS]
+    singles = [ex.compiled_cse([e], "math") for e in _KERNEL_EXPRS]
     rng = np.random.default_rng(6)
     for p in rng.uniform(-2.0, 2.0, (40, 3)):
         for args in (tuple(p), tuple(float(c) for c in p)):   # np.float64, float
             got = kernel(*args)
             assert isinstance(got, tuple) and len(got) == len(_KERNEL_EXPRS)
             for g, f in zip(got, singles):
-                assert _same(g, f(*args))
+                assert _same(g, f(*args)[0])
+
+
+def test_compiled_cse_takes_a_list_and_a_known_mode():
+    with pytest.raises(TypeError):
+        ex.compiled_cse(ex.X)
     with pytest.raises(ValueError):
-        ex.compiled_cse(_KERNEL_EXPRS, arrays=True, math_floats=True)
+        ex.compiled_cse([ex.X], "floats")
+
+
+def test_raw_constant_subtrees_compute_in_float64():
+    # smart constructors fold these; raw ones reach the kernels unfolded
+    inv = ex.Div(ex.Const(1.0), ex.Const(0.0))
+    root = ex.Pow(ex.Const(-1.0), 0.5)
+    exprs = [inv, root, ex.add(ex.X, inv), ex.X]
+    with np.errstate(all="ignore"):
+        scalar = ex.compiled_cse(exprs)(0.5, 0.0, 0.0)
+        batch = ex.compiled_cse(exprs, "arrays")(np.full((2, 3), 0.5))
+    for row in (scalar, *batch):
+        assert row[0] == np.inf and np.isnan(row[1]) and row[2] == np.inf
+    with pytest.raises(ZeroDivisionError):   # "math" mode computes in floats
+        ex.compiled_cse(exprs, "math")(0.5, 0.0, 0.0)
+
+
+def test_tree_walk_power_of_a_negative_base_is_nan():
+    # Python floats would make a complex number and keep its real part
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(ex.sin(ex.Pow(ex.T, 0.5)).at((0.0, 0.0, -1.0)))
+        assert np.isnan(ex.pow_(ex.T, 1.5).at((0.0, 0.0, -1.0)))
+        assert np.isnan(ex.Pow(ex.Const(-1.0), 0.5).eval(np.zeros(2), 0.0, 0.0)).all()
+    assert ex.pow_(ex.T, 3.0).at((0.0, 0.0, -2.0)) == -8.0
 
 
 def _nodes(e):
@@ -151,7 +179,7 @@ def _nodes(e):
 
 
 def test_compiled_list_batch_matches_tree_walk_bit_for_bit():
-    kernel = ex.compiled_cse(_KERNEL_EXPRS, arrays=True)
+    kernel = ex.compiled_cse(_KERNEL_EXPRS, "arrays")
     pts = np.random.default_rng(4).uniform(-2.0, 2.0, (64, 3))
     out = kernel(pts)
     assert out.shape == (64, len(_KERNEL_EXPRS))
@@ -229,8 +257,8 @@ def test_node_kinds_and_immutability():
 def test_equal_trees_share_one_kernel():
     a = ex.parse("exp(sin(x) * cos(y)) / (2 + cos(t))")
     b = ex.div(ex.exp(ex.mul(ex.sin(ex.X), ex.cos(ex.Y))), ex.add(2.0, ex.cos(ex.T)))
-    assert ex.compiled_cse(a) is ex.compiled_cse(b)
-    assert ex.compiled_cse([a, ex.X], arrays=True) is ex.compiled_cse([b, ex.X], arrays=True)
+    assert ex.compiled_cse([a], "math") is ex.compiled_cse([b], "math")
+    assert ex.compiled_cse([a, ex.X], "arrays") is ex.compiled_cse([b, ex.X], "arrays")
 
 
 def test_substitute_rebuilds_equal_trees_as_the_same_node():
@@ -258,6 +286,7 @@ def test_a_negative_constant_base_of_a_raw_power_is_bracketed_in_kernels():
     # kernel source once read "-2.0 ** 2.0", which Python binds as -(2.0 ** 2.0)
     e = ex.Pow(ex.Const(-2.0), 2.0)
     assert e.at((0.0, 0.0, 0.0)) == 4.0
-    assert ex.compiled_cse(e)(0.0, 0.0, 0.0) == 4.0
+    assert str(e) == "((-2.0) ^ 2.0)" and ex.parse(str(e)) is ex.Const(4.0)
+    assert ex.compiled_cse([e], "math")(0.0, 0.0, 0.0) == (4.0,)
     assert ex.compiled_cse([e, ex.X])(0.0, 0.0, 0.0)[0] == 4.0
-    assert ex.compiled_cse([e, ex.X], arrays=True)(np.zeros((2, 3)))[:, 0].tolist() == [4.0, 4.0]
+    assert ex.compiled_cse([e, ex.X], "arrays")(np.zeros((2, 3)))[:, 0].tolist() == [4.0, 4.0]

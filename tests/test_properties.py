@@ -4,6 +4,7 @@ Kept apart from test_expr.py, so that a missing hypothesis skips this file
 only.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from subriemann import expr as ex  # noqa: E402
 
@@ -64,18 +65,67 @@ def test_the_same_recipe_builds_one_node_one_derivative_and_one_kernel(recipe):
         return
     for var in range(3):
         assert _attempt(first.diff, var) is _attempt(second.diff, var)
-    assert ex.compiled_cse(first) is ex.compiled_cse(second)
-    assert ex.compiled_cse([first, ex.X], arrays=True) is \
-        ex.compiled_cse([second, ex.X], arrays=True)
+    assert ex.compiled_cse([first], "math") is ex.compiled_cse([second], "math")
+    assert ex.compiled_cse([first, ex.X], "arrays") is \
+        ex.compiled_cse([second, ex.X], "arrays")
+
+
+_FOLD = {_RAW[name]: _SMART[name] for name in _RAW}
+
+
+def _refold(e):
+    """e rebuilt node by node with the smart constructors, as ``parse``
+    builds it."""
+    out = {}
+    for n in ex._postorder((e,)):
+        args = [out[c] for c in n.args]
+        if not args:
+            out[n] = n
+        else:
+            out[n] = _FOLD[n.op](*args) if n.value is None else _FOLD[n.op](*args, n.value)
+    return out[e]
+
+
+def _smart_only(recipe):
+    """Whether every op of the recipe is built by its smart constructor."""
+    if isinstance(recipe, str) or recipe[0] == "const":
+        return True
+    return recipe[1] and all(_smart_only(r) for r in recipe[2:] if isinstance(r, (str, tuple)))
+
+
+def _finite_constants(e):
+    return all(math.isfinite(n.value) for n in ex._postorder((e,)) if n.op is ex.Const)
+
+
+# ``parse`` builds through the smart constructors, which fold constants with
+# the ``math`` functions.  So ``parse(str(e))`` is e itself when e was built
+# with them, and otherwise e refolded by them: e's value up to the rounding
+# of that folding.  str writes a non-finite constant as inf or nan, which the
+# grammar does not read, so such expressions are skipped.
+@settings(max_examples=200, deadline=None)
+@given(_RECIPES)
+@example(("pow", False, ("const", -2.0), 2.0))
+@example(("neg", False, ("pow", False, ("const", -0.5), 3.0)))
+def test_parse_reads_back_what_str_writes(recipe):
+    e = _attempt(_build, recipe)
+    if isinstance(e, type):
+        return
+    folded = _attempt(_refold, e)
+    if not (_finite_constants(e) and (isinstance(folded, type) or _finite_constants(folded))):
+        return
+    assert _attempt(lambda: ex.parse(str(e))) is folded
+    if _smart_only(recipe):
+        assert folded is e
 
 
 # The batched singular-set screen and Newton solves rely on these: the
 # scalar list kernel gives the tree walk ``at`` bit for bit, a column of the
 # array kernel gives ``eval`` on the same columns bit for bit, and ``diff``
 # is the derivative.  Points are np.float64, as the solvers pass them, so
-# that x/0 and a negative base under a fractional power give inf or nan in
-# the tree walk too; a subtree of raw constants still computes in Python
-# floats and may raise or turn complex, and such values are skipped.
+# that x/0 gives inf or nan in the tree walk too; the kernels compute a
+# subtree of raw constants in np.float64 as well, but the tree walk divides
+# such constants as Python floats and may raise, and such values are
+# skipped.
 _POINT = st.tuples(*[st.floats(-2.0, 2.0).map(np.float64)] * 3)
 
 
@@ -122,13 +172,14 @@ def test_an_array_kernel_column_equals_eval(recipe, points):
         return
     P = np.array(points, dtype=float)
     with np.errstate(all="ignore"):
-        got = _attempt(ex.compiled_cse(exprs, arrays=True), P)
+        got = _attempt(ex.compiled_cse(exprs, "arrays"), P)
         if isinstance(got, type):
             return
         for col, expr in zip(got.T, exprs):
-            want = np.broadcast_to(expr.eval(P[:, 0], P[:, 1], P[:, 2]), len(P))
-            if np.iscomplexobj(want):
+            want = _attempt(expr.eval, P[:, 0], P[:, 1], P[:, 2])
+            if isinstance(want, type):
                 continue
+            want = np.broadcast_to(want, len(P))
             finite = np.isfinite(want)
             assert np.array_equal(col[finite], want[finite])
 

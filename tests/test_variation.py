@@ -432,8 +432,7 @@ def test_nongeodesic_variation_invariance(rt, sigma_a):
     def area_straight(e):
         maps = [ex.add(m, ex.mul(e, ex.substitute(c, ppatch.map)))
                 for m, c in zip(ppatch.map, u_coord)]
-        xx, yy, ww = ppatch._nodes(8, 10)
-        return ppatch._area_of_map(maps, xx, yy, ww)
+        return ParamPatch(rt, maps, ppatch.domain).area(8, 10)
 
     a0 = ppatch.area(8, 10)
     straight = (area_straight(1e-3) - 2 * a0 + area_straight(-1e-3)) / 1e-6
@@ -528,10 +527,8 @@ def test_q_validated_on_heisenberg_saddle(heis):
     ppatch = ParamPatch(heis, [ex.X, ex.Y, ex.parse("x*y")],
                         ((0.65, 0.95), (0.15, 0.45)))
     numeric = second_variation_numeric(ppatch, U, eps=1e-3, order=10, cells=12)
-    fn = ex.compiled_cse(u_amb, arrays=True)
-    u_vals = np.broadcast_to(fn(patch.points[..., 0], patch.points[..., 1],
-                                patch.points[..., 2]),
-                             patch.points.shape[:2]).copy()
+    fn = ex.compiled_cse([u_amb], "arrays")
+    u_vals = fn(patch.points.reshape(-1, 3))[:, 0].reshape(patch.points.shape[:2])
     inside = ((patch.points[..., 0] >= 0.65) & (patch.points[..., 0] <= 0.95)
               & (patch.points[..., 1] >= 0.15) & (patch.points[..., 1] <= 0.45))
     u_vals = np.where(inside, u_vals, 0.0)   # kill periodic cosine tails
