@@ -87,9 +87,15 @@ _set = object.__setattr__
 def _intern(op, args, value):
     # Keyed by child ids, so that no key keeps a node alive (the derivative of
     # an exp refers back to it), and by the signed constant, so that 0.0 and
-    # -0.0 stay two nodes (kernels emit repr(value)).
+    # -0.0 stay two nodes (kernels emit repr(value)).  Every nan is one key:
+    # nan != nan, and repr writes each of them as nan.
     ids = map(id, args)
-    key = (op, *ids) if value is None else (op, *ids, value, math.copysign(1.0, value))
+    if value is None:
+        key = (op, *ids)
+    elif math.isnan(value):
+        key = (op, *ids, "nan")
+    else:
+        key = (op, *ids, value, math.copysign(1.0, value))
     node = _NODES.get(key)
     if node is None:
         node = object.__new__(Expr)
@@ -392,7 +398,8 @@ _FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp, "sqrt": sqrt}
 
 
 def parse(text: str) -> Expr:
-    """Parse an expression string over (x, y, t); "alpha" aliases t."""
+    """Parse an expression string over (x, y, t); "alpha" aliases t, and
+    "inf" and "nan" are the non-finite constants."""
     tk = _Tokenizer(text)
     e = _parse_sum(tk)
     trailing = tk.peek()
@@ -448,6 +455,8 @@ def _parse_atom(tk):
         return Const(float(tok))
     if tok == "pi":
         return Const(math.pi)
+    if tok in ("inf", "nan"):   # how str writes non-finite constants
+        return Const(float(tok))
     if tok in _FUNCTIONS:
         if tk.next() != "(":
             raise DomainError(f"function {tok!r} requires parenthesized argument")

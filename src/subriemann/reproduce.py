@@ -257,8 +257,8 @@ def helicoid_q_samples(n_samples=50, seed=0, tube=0.15):
     """Q(u) over a seeded family of admissible bumps on the right helicoid."""
     rt = cat.rt_structure()
     heli = cat.find_entry("sigma_c").make()
-    sp, sm, gpts = CharPatch.fan_from_curve(rt, heli, lambda e: (0.0, 0.0, e),
-                                            (-2.0, 2.0), 3.0, n_eps=41, n_s=121)
+    [(sp, sm, gpts)] = CharPatch.fan_from_curve(
+        rt, heli, [(lambda e: (0.0, 0.0, e), (-2.0, 2.0))], 3.0, n_eps=41, n_s=121)
     rng = np.random.default_rng(seed)
     values = []
     for _ in range(n_samples):
@@ -286,19 +286,21 @@ def plane_q_search(widths=(2.5, 5.0, 10.0, 20.0), tube=0.15):
     characteristic curves, widening x0 per the prescribed schedule."""
     rt = cat.rt_structure()
     plane = cat.find_entry("plane_y0").make()
+    # both singular lines alpha = 0, pi at every width, in one fan flow
+    curves = [(lambda e, a=alpha0: (e, 0.0, a), (-x0, x0))
+              for x0 in widths for alpha0 in (0.0, np.pi)]
+    fans = CharPatch.fan_from_curve(rt, plane, curves, np.pi / 2 - 0.05,
+                                    n_eps=61, n_s=61)
     results = []
-    for x0 in widths:
+    for k, x0 in enumerate(widths):
+
+        def u_fn(e, s, w=x0):
+            arg = np.clip(e / w, -1.0, 1.0)
+            return np.cos(np.pi * arg / 2.0) * np.ones_like(s)
+
         total = 0.0
         parts = []
-        for alpha0 in (0.0, np.pi):
-            sp, sm, gpts = CharPatch.fan_from_curve(
-                rt, plane, lambda e, a=alpha0: (e, 0.0, a), (-x0, x0),
-                np.pi / 2 - 0.05, n_eps=61, n_s=61)
-
-            def u_fn(e, s, w=x0):
-                arg = np.clip(e / w, -1.0, 1.0)
-                return np.cos(np.pi * arg / 2.0) * np.ones_like(s)
-
+        for sp, sm, gpts in fans[2 * k:2 * k + 2]:
             rep = stability_quadratic_Q((sp, sm), gpts, u_fn, tube_radius=tube)
             total += rep.value
             parts.append({"bulk": rep.bulk, "u2": rep.boundary_u2,

@@ -40,17 +40,22 @@ class AdmissibilityError(ValueError):
 
 
 def _project_batch(surf: ImplicitSurface, q, tol=1e-12, max_iter=30):
-    """Vectorized Newton projection of points (n, 3) onto {f = 0}."""
+    """Vectorized Newton projection onto {f = 0} of points (n, 3), or of a
+    stack of groups (g, n, 3).  Each group stops once its own max |f| < tol,
+    so it comes out as a projection of that group alone would give it."""
     q = np.array(q, dtype=float)
+    groups = q.reshape(-1, *q.shape[-2:])
     kernel = ex.compiled_cse((surf.f, *surf.grad), "arrays")
+    active = np.ones(len(groups), dtype=bool)
     for _ in range(max_iter):
-        fg = kernel(q)
-        v = fg[:, 0]
-        if np.max(np.abs(v)) < tol:
+        fg = kernel(groups.reshape(-1, 3)).reshape(*groups.shape[:2], 4)
+        v = fg[..., 0]
+        active &= ~(np.max(np.abs(v), axis=1) < tol)
+        if not active.any():
             break
-        g = fg[:, 1:]
+        g = fg[active, :, 1:]
         n2 = np.sum(g * g, axis=-1)
-        q = q - (v / n2)[:, None] * g
+        groups[active] = groups[active] - (v[active] / n2)[..., None] * g
     return q
 
 
@@ -358,24 +363,29 @@ class CharPatch:
     def _surface_flow(structure, surf, field_coord_exprs, p0, s_grid, n_sub=8):
         """RK4 flow of a surface field with per-step projection onto f = 0.
 
-        ``p0`` may be a single point (3,) or a batch (n, 3); the flow is
-        integrated for the whole batch at once.
+        ``p0`` is a point (3,) or a batch (n, 3) flowed over the grid
+        ``s_grid`` (m,), giving (m, 3) or (n, m, 3); or a stack of groups
+        (g, n, 3) with one grid per group, ``s_grid`` (g, m), giving
+        (g, n, m, 3).  A group whose grid decreases flows backwards.  All
+        groups step in one loop, each projected as if it flowed alone.
         """
         p0 = np.asarray(p0, dtype=float)
-        single = p0.ndim == 1
-        q0 = p0[None, :] if single else p0
-
+        grids = np.atleast_2d(np.asarray(s_grid, dtype=float))
+        q = p0.reshape(len(grids), -1, 3)
         rhs = ex.compiled_cse(field_coord_exprs, "arrays")
-        out = np.empty((q0.shape[0], len(s_grid), 3))
-        out[:, 0] = q0
-        q = q0
-        for j in range(1, len(s_grid)):
-            h = (s_grid[j] - s_grid[j - 1]) / n_sub
+
+        def f(y):
+            return rhs(y.reshape(-1, 3)).reshape(y.shape)
+
+        out = np.empty(q.shape[:2] + (grids.shape[1], 3))
+        out[:, :, 0] = q
+        for j in range(1, grids.shape[1]):
+            h = ((grids[:, j] - grids[:, j - 1]) / n_sub)[:, None, None]
             for _ in range(n_sub):
-                q = rk4_step(rhs, q, h)
+                q = rk4_step(f, q, h)
             q = _project_batch(surf, q)
-            out[:, j] = q
-        return out[0] if single else out
+            out[:, :, j] = q
+        return out.reshape(p0.shape[:-1] + out.shape[2:])
 
     @classmethod
     def _flow_at_params(cls, structure, surf, field, p0, params, n_sub=8):
@@ -386,22 +396,18 @@ class CharPatch:
         """
         params = np.asarray(params, dtype=float)
         p0 = np.asarray(p0, dtype=float)
-        single = p0.ndim == 1
-        q0 = p0[None, :] if single else p0
-        out = np.empty((q0.shape[0], len(params), 3))
-        for i in np.where(params == 0)[0]:
-            out[:, i] = q0
+        out = np.empty(p0.shape[:-1] + (len(params), 3))
+        out[..., params == 0, :] = p0[..., None, :]
         # the positive parameters in increasing order, then the negative ones
         # in decreasing order, each from p0 outwards
         for sign in (1, -1):
             idx = np.where(sign * params > 0)[0]
             if len(idx):
                 order = idx[np.argsort(params[idx])][::sign]
-                pts = cls._surface_flow(structure, surf, field, q0,
+                pts = cls._surface_flow(structure, surf, field, p0,
                                         np.concatenate([[0.0], params[order]]), n_sub)
-                for k, i in enumerate(order):
-                    out[:, i] = pts[:, k + 1]
-        return out[0] if single else out
+                out[..., order, :] = pts[..., 1:, :]
+        return out
 
     @classmethod
     def from_base_point(cls, structure, surf, seed, eps_span, s_span,
@@ -419,43 +425,50 @@ class CharPatch:
         return cls(structure, geom, eps, s, pts)
 
     @classmethod
-    def fan_from_curve(cls, structure, surf, gamma, eps_span, s_max,
+    def fan_from_curve(cls, structure, surf, curves, s_max,
                        n_eps=21, n_s=61, s_min=1e-3):
-        """Two one-sided patches emanating from a singular curve.
+        """Two one-sided patches emanating from each of a list of singular
+        curves.
 
-        ``gamma(e)`` returns the curve point at arc-length parameter e (or
-        pass a traced SingularLocus).  Returns (side_plus, side_minus,
-        gamma_samples).  The rays are parametrized away from the curve along
+        ``curves`` holds (gamma, eps_span) pairs; ``gamma(e)`` returns the
+        curve point at arc-length parameter e (or pass a traced
+        SingularLocus).  Returns one (side_plus, side_minus, gamma_samples)
+        per curve.  The rays are parametrized away from the curve along
         sigma Z with sigma = +-1 chosen per side so the flow leaves the curve;
-        sigma = g(Z, nu_exterior) is recorded as ``z_orientation``.
+        sigma = g(Z, nu_exterior) is recorded as ``z_orientation``.  Every
+        side of every curve is integrated in one flow: a side with sigma = -1
+        flows Z along -s.
         """
         geom = surf.geometry(structure)
-        if isinstance(gamma, SingularLocus):
-            gamma_fn = _locus_interpolator(gamma)
-        else:
-            gamma_fn = gamma
-        eps = np.linspace(eps_span[0], eps_span[1], n_eps)
-        gpts = np.array([surf.project(np.asarray(gamma_fn(e), dtype=float))
-                         for e in eps])
         z_coord = structure.frame_to_coordinate(list(geom.Z))
         s = np.linspace(s_min, s_max, n_s)
-        sides = []
-        ref = np.gradient(gpts, axis=0)
-        for sgn in (+1.0, -1.0):
-            q0 = np.stack([_step_off_curve(structure, geom, surf, gpts[i], sgn,
-                                           s[0], ref_dir=ref[i])
-                           for i in range(n_eps)])
-            # orient the flow away from the curve: compare Z at the stepped
-            # point with the outward step direction
-            mid = n_eps // 2
-            z_at = np.array([c.at(q0[mid]) for c in geom.Z])
-            m = structure.frame_matrix(q0[mid])
-            out_dir = np.linalg.solve(m.T, q0[mid] - gpts[mid])
-            sigma = 1.0 if float(z_at @ out_dir) >= 0 else -1.0
-            field = z_coord if sigma > 0 else [ex.neg(c) for c in z_coord]
-            pts = cls._surface_flow(structure, surf, field, q0, s)
-            sides.append(cls(structure, geom, eps, s, pts, z_orientation=sigma))
-        return sides[0], sides[1], gpts
+        mid = n_eps // 2
+        eps_all, gpts_all, starts, sigmas = [], [], [], []
+        for gamma, eps_span in curves:
+            if isinstance(gamma, SingularLocus):
+                gamma = _locus_interpolator(gamma)
+            eps = np.linspace(eps_span[0], eps_span[1], n_eps)
+            gpts = np.array([surf.project(np.asarray(gamma(e), dtype=float))
+                             for e in eps])
+            ref = np.gradient(gpts, axis=0)
+            eps_all.append(eps)
+            gpts_all.append(gpts)
+            for sgn in (+1.0, -1.0):
+                q0 = np.stack([_step_off_curve(structure, geom, surf, gpts[i], sgn,
+                                               s[0], ref_dir=ref[i])
+                               for i in range(n_eps)])
+                # orient the flow away from the curve: compare Z at the
+                # stepped point with the outward step direction
+                z_at = np.array([c.at(q0[mid]) for c in geom.Z])
+                m = structure.frame_matrix(q0[mid])
+                out_dir = np.linalg.solve(m.T, q0[mid] - gpts[mid])
+                starts.append(q0)
+                sigmas.append(1.0 if float(z_at @ out_dir) >= 0 else -1.0)
+        pts = cls._surface_flow(structure, surf, z_coord, np.stack(starts),
+                                np.outer(sigmas, s))
+        sides = [cls(structure, geom, eps_all[k // 2], s, pts[k], z_orientation=sigma)
+                 for k, sigma in enumerate(sigmas)]
+        return [(sides[2 * c], sides[2 * c + 1], gpts) for c, gpts in enumerate(gpts_all)]
 
     # -- grid data ------------------------------------------------------------
 

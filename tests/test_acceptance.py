@@ -194,8 +194,9 @@ def test_criterion_5_identity_suites(rt, heis, helicoid, plane_y0, sigma_a,
             worst = max(worst, abs(-rtz.at(p) - geom.Z_of(geom.tauZnu).at(p)))
             count += 1
     # intbypart2 and the canonical reduction on the helicoid fan
-    sp, sm, _ = CharPatch.fan_from_curve(rt, helicoid, lambda e: (0.0, 0.0, e),
-                                         (-2.0, 2.0), 3.0, n_eps=41, n_s=121)
+    [(sp, sm, _)] = CharPatch.fan_from_curve(rt, helicoid,
+                                             [(lambda e: (0.0, 0.0, e), (-2.0, 2.0))],
+                                             3.0, n_eps=41, n_s=121)
     geom = sp.geom
     ee, ss = np.meshgrid(sp.eps, sp.s, indexing="ij")
 

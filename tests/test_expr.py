@@ -245,6 +245,15 @@ def test_signed_zero_constants_are_two_nodes():
     assert np.signbit(neg_zero) and not np.signbit(zero)
 
 
+def test_non_finite_constants_round_trip_and_nan_is_one_node():
+    nan = ex.Const(float("nan"))
+    assert nan is ex.Const(float("nan")) and nan is ex.Const(-float("nan"))
+    for e in (ex.Const(np.inf), ex.Const(-np.inf), nan,
+              ex.add(ex.X, ex.mul(1e308, 10.0)), ex.Pow(ex.T, float("nan"))):
+        assert ex.parse(str(e)) is e
+    assert str(ex.mul(ex.Y, ex.Const(-np.inf))) == "(y * -inf)"
+
+
 def test_node_kinds_and_immutability():
     p = ex.parse("x^3")
     assert isinstance(p, ex.Pow) and not isinstance(p, ex.Const)

@@ -15,8 +15,9 @@ from conftest import helicoid_points, plane_points
 
 @pytest.fixture(scope="module")
 def helicoid_fan(rt, helicoid):
-    return CharPatch.fan_from_curve(rt, helicoid, lambda e: (0.0, 0.0, e),
-                                    (-2.0, 2.0), 3.0, n_eps=41, n_s=121)
+    [fan] = CharPatch.fan_from_curve(rt, helicoid, [(lambda e: (0.0, 0.0, e), (-2.0, 2.0))],
+                                     3.0, n_eps=41, n_s=121)
+    return fan
 
 
 @pytest.fixture(scope="module")
@@ -352,9 +353,9 @@ def test_q_plane_never_negative_in_modeled_class(rt, plane_y0):
 
 def test_q_plane_coefficient_zero(rt, plane_y0):
     from subriemann.variation import _limit_coefficient
-    (sp, sm, gpts) = CharPatch.fan_from_curve(rt, plane_y0,
-                                              lambda e: (e, 0.0, 0.0),
-                                              (-2.0, 2.0), 1.2, n_eps=21, n_s=41)
+    [(sp, sm, gpts)] = CharPatch.fan_from_curve(rt, plane_y0,
+                                                [(lambda e: (e, 0.0, 0.0), (-2.0, 2.0))],
+                                                1.2, n_eps=21, n_s=41)
     for patch in (sp, sm):
         assert np.allclose(_limit_coefficient(patch), 0.0, atol=1e-8)
 
@@ -364,8 +365,9 @@ def test_q_plane_coefficient_zero(rt, plane_y0):
 
 
 def test_singular_curve_second_variation_helicoid(rt, helicoid):
-    sp, sm, gpts = CharPatch.fan_from_curve(rt, helicoid, lambda e: (0.0, 0.0, e),
-                                            (-2.0, 2.0), 0.5, n_eps=41, n_s=41)
+    [(sp, sm, gpts)] = CharPatch.fan_from_curve(rt, helicoid,
+                                                [(lambda e: (0.0, 0.0, e), (-2.0, 2.0))],
+                                                0.5, n_eps=41, n_s=41)
     w_fn = lambda e, s: cos2_bump(1.8)(e) * np.ones_like(s)
     val = singular_curve_second_variation((sp, sm), gpts, w_fn)
     assert val >= 0.0
@@ -379,8 +381,9 @@ def test_singular_curve_second_variation_helicoid(rt, helicoid):
 
 
 def test_singular_curve_second_variation_requires_constancy(rt, helicoid):
-    sp, sm, gpts = CharPatch.fan_from_curve(rt, helicoid, lambda e: (0.0, 0.0, e),
-                                            (-1.0, 1.0), 0.4, n_eps=15, n_s=21)
+    [(sp, sm, gpts)] = CharPatch.fan_from_curve(rt, helicoid,
+                                                [(lambda e: (0.0, 0.0, e), (-1.0, 1.0))],
+                                                0.4, n_eps=15, n_s=21)
     with pytest.raises(AdmissibilityError):
         singular_curve_second_variation((sp, sm), gpts,
                                         lambda e, s: np.cos(s) * np.ones_like(e))
@@ -485,8 +488,9 @@ def test_criterion_range_heisenberg():
 
 def test_isolated_point_second_variation_variant(rt, helicoid, heis):
     from subriemann.variation import isolated_point_second_variation
-    sp, sm, gpts = CharPatch.fan_from_curve(rt, helicoid, lambda e: (0.0, 0.0, e),
-                                            (-1.0, 1.0), 0.5, n_eps=15, n_s=21)
+    [(sp, sm, gpts)] = CharPatch.fan_from_curve(rt, helicoid,
+                                                [(lambda e: (0.0, 0.0, e), (-1.0, 1.0))],
+                                                0.5, n_eps=15, n_s=21)
     w_fn = lambda e, s: np.ones_like(np.asarray(e) * np.ones_like(np.asarray(s)))
     val = isolated_point_second_variation((sp, sm), w_fn)
     # same bulk as the curve variant, without the line terms
@@ -539,6 +543,96 @@ def test_q_validated_on_heisenberg_saddle(heis):
     assert abs(val - numeric) / abs(numeric) < 1e-3
 
 
+def _separate_fan(structure, surf, gamma, eps_span, s_max, n_eps, n_s, s_min=1e-3):
+    """One curve, one flow per side, the negated Z field for sigma = -1:
+    the fan construction before the sides of all curves shared one flow."""
+    from subriemann.curves import rk4_step
+    from subriemann.variation import _step_off_curve
+
+    def project(q):
+        q = np.array(q, dtype=float)
+        kernel = ex.compiled_cse((surf.f, *surf.grad), "arrays")
+        for _ in range(30):
+            fg = kernel(q)
+            v = fg[:, 0]
+            if np.max(np.abs(v)) < 1e-12:
+                break
+            g = fg[:, 1:]
+            q = q - (v / np.sum(g * g, axis=-1))[:, None] * g
+        return q
+
+    def flow(field, q, s):
+        rhs = ex.compiled_cse(field, "arrays")
+        out = [q]
+        for j in range(1, len(s)):
+            h = (s[j] - s[j - 1]) / 8
+            for _ in range(8):
+                q = rk4_step(rhs, q, h)
+            q = project(q)
+            out.append(q)
+        return np.stack(out, axis=1)
+
+    geom = surf.geometry(structure)
+    eps = np.linspace(eps_span[0], eps_span[1], n_eps)
+    gpts = np.array([surf.project(np.asarray(gamma(e), dtype=float)) for e in eps])
+    z_coord = structure.frame_to_coordinate(list(geom.Z))
+    s = np.linspace(s_min, s_max, n_s)
+    ref = np.gradient(gpts, axis=0)
+    sides = []
+    for sgn in (+1.0, -1.0):
+        q0 = np.stack([_step_off_curve(structure, geom, surf, gpts[i], sgn, s[0],
+                                       ref_dir=ref[i]) for i in range(n_eps)])
+        mid = n_eps // 2
+        z_at = np.array([c.at(q0[mid]) for c in geom.Z])
+        m = structure.frame_matrix(q0[mid])
+        out_dir = np.linalg.solve(m.T, q0[mid] - gpts[mid])
+        sigma = 1.0 if float(z_at @ out_dir) >= 0 else -1.0
+        field = z_coord if sigma > 0 else [ex.neg(c) for c in z_coord]
+        sides.append(CharPatch(structure, geom, eps, s, flow(field, q0, s),
+                               z_orientation=sigma))
+    return sides[0], sides[1], gpts
+
+
+def _assert_same_fan(fan, oracle):
+    for side, ref in zip(fan[:2], oracle[:2]):
+        assert np.array_equal(side.points, ref.points)
+        assert np.array_equal(side.f_eps, ref.f_eps)
+        assert side.z_orientation == ref.z_orientation
+    assert np.array_equal(fan[2], oracle[2])
+
+
+def test_grouped_fans_match_separate_fans(rt, plane_y0, helicoid, helicoid_fan):
+    # plane_q_search's eight fans in one flow, sides with sigma = -1 flowing Z
+    # along -s, give what one flow per side of the negated field gives
+    curves = [(lambda e, a=a: (e, 0.0, a), (-x0, x0))
+              for x0 in (2.5, 5.0, 10.0, 20.0) for a in (0.0, np.pi)]
+    fans = CharPatch.fan_from_curve(rt, plane_y0, curves, np.pi / 2 - 0.05,
+                                    n_eps=61, n_s=61)
+    assert len(fans) == len(curves)
+    assert {fan[0].z_orientation for fan in fans} | \
+        {fan[1].z_orientation for fan in fans} == {1.0, -1.0}
+    for fan, (gamma, span) in zip(fans, curves):
+        _assert_same_fan(fan, _separate_fan(rt, plane_y0, gamma, span,
+                                            np.pi / 2 - 0.05, 61, 61))
+    # helicoid_q_samples' fan: both sides in one flow
+    _assert_same_fan(helicoid_fan, _separate_fan(rt, helicoid, lambda e: (0.0, 0.0, e),
+                                                 (-2.0, 2.0), 3.0, 41, 121))
+
+
+def test_projection_groups_stop_on_their_own(helicoid):
+    # a group already within tol comes back bit for bit while another group
+    # still iterates, and that one comes back as it would alone
+    from subriemann.variation import _project_batch
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1.0, 1.0, (2, 25, 3))
+    done = _project_batch(helicoid, pts[0])
+    assert 0.0 < np.max(np.abs(helicoid.f.eval(*done.T))) < 1e-12
+    out = _project_batch(helicoid, np.stack([done, pts[1]]))
+    assert out[0].tobytes() == done.tobytes()
+    assert out[1].tobytes() == _project_batch(helicoid, pts[1]).tobytes()
+    assert not np.array_equal(out[1], pts[1])
+
+
 def test_z_derivative_along_integrated_curve_matches_symbolic(rt, helicoid):
     # d/ds of a scalar along an integrated Z-curve equals the symbolic
     # directional derivative Z(h) (the identity suites use the latter)
@@ -560,8 +654,9 @@ def test_singular_curve_second_variation_zero_torsion(heis):
     # orientation g(Z, nu_ext) = -1 is recorded on the patches)
     from subriemann.surfaces import ImplicitSurface
     saddle = ImplicitSurface(ex.parse("x*y - t"), name="saddle")
-    sp, sm, gpts = CharPatch.fan_from_curve(heis, saddle, lambda e: (0.0, e, 0.0),
-                                            (-0.8, 0.8), 0.4, n_eps=21, n_s=31)
+    [(sp, sm, gpts)] = CharPatch.fan_from_curve(heis, saddle,
+                                                [(lambda e: (0.0, e, 0.0), (-0.8, 0.8))],
+                                                0.4, n_eps=21, n_s=31)
     assert sp.z_orientation == -1.0 and sm.z_orientation == -1.0
     w_fn = lambda e, s: np.cos(np.pi * e / 1.6) ** 2 * np.ones_like(s)
     val = singular_curve_second_variation((sp, sm), gpts, w_fn)
