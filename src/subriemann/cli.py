@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -351,8 +352,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_negative_values(argv):
+    """argv with ``--opt -1,0`` as ``--opt=-1,0``: argparse reads a token that
+    starts with '-' and is no plain number (-1,0,0 or -1e-3) as an option."""
+    out = []
+    for tok in argv:
+        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-[\d.]", tok):
+            tok = out.pop() + "=" + tok
+        out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except (StructureError, ex.DomainError, AdmissibilityError, ValueError) as e:

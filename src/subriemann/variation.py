@@ -21,7 +21,7 @@ sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,67 +120,60 @@ class ParamPatch:
 
     @staticmethod
     def _map_values(maps, params):
-        """The map and its two parameter derivatives at the (n, 3) parameter
-        points: an (n, 9) array from the map's one kernel."""
+        """The k maps and their two parameter derivatives at the (n, 3)
+        parameter points: an (n, 3k) array from one kernel, the k values,
+        then the k a-derivatives, then the k b-derivatives."""
         kernel = ex.compiled_cse([*maps, *(m.diff(0) for m in maps),
                                   *(m.diff(1) for m in maps)], "arrays")
         return kernel(params)
 
-    def _tangent_frames(self, maps, params):
-        """The map's (n, 3) points and the frame components of its two
-        parameter derivatives there."""
-        vals = self._map_values(maps, params)
-        pts = vals[:, :3]
-        f1, f2 = (self.structure.frame_components(pts, vals[:, k:k + 3]) for k in (3, 6))
-        return pts, f1, f2
+    def _tangent_frames(self, vals):
+        """Frame components of the two parameter derivatives in (n, 9) map
+        values, each row a point and its a- and b-derivative."""
+        return [self.structure.frame_components(vals[:, :3], vals[:, k:k + 3]) for k in (3, 6)]
 
-    def _area_of_map(self, maps, params, ww):
-        _, f1, f2 = self._tangent_frames(maps, params)
-        t1 = f1[..., 2]
-        t2 = f2[..., 2]
-        v = t1[..., None] * f2 - t2[..., None] * f1
-        dens = np.linalg.norm(v, axis=-1)
-        return float(np.sum(dens * ww))
+    def _areas(self, vals, ww):
+        """Sub-Riemannian areas of maps given by their (m, n, 9) values at
+        the quadrature nodes of weights ww, one area per map."""
+        f1, f2 = self._tangent_frames(vals.reshape(-1, 9))
+        v = f1[..., 2:] * f2 - f2[..., 2:] * f1
+        dens = np.linalg.norm(v, axis=-1).reshape(len(vals), -1)
+        return [float(np.sum(d * ww)) for d in dens]
 
     def area(self, order=10, cells=24) -> float:
         """Sub-Riemannian area of the undeformed patch."""
-        return self._area_of_map(self.map, *self._nodes(order, cells))
+        params, ww = self._nodes(order, cells)
+        return self._areas(self._map_values(self.map, params)[None], ww)[0]
 
-    def deformed_map(self, U: VariationField, eps: float):
-        """Straight-ray deformation with second-order geodesic correction:
-        psi = m + eps U(m) - (eps^2/2) Gamma(U, U)(m)."""
+    def deformed_areas(self, U: VariationField, eps_values, order=10, cells=24) -> list:
+        """Areas of psi = m + eps U(m) - (eps^2/2) Gamma(U, U)(m), straight rays
+        with the second-order geodesic correction, one per eps.  m, U(m),
+        Gamma(U, U)(m) and their parameter derivatives come from one kernel;
+        each eps costs array arithmetic in the order of the symbolic sum."""
         st = self.structure
         u_coord = st.frame_to_coordinate(list(U.comps))
         gamma = st.coordinate_christoffels()
-        corr = []
-        for k in range(3):
-            acc = ex.ZERO
-            for i in range(3):
-                for j in range(3):
-                    acc = ex.add(acc, ex.mul(gamma[k][i][j],
-                                             ex.mul(u_coord[i], u_coord[j])))
-            corr.append(acc)
-        out = []
-        for k in range(3):
-            uk = ex.substitute(u_coord[k], self.map)
-            ck = ex.substitute(corr[k], self.map)
-            out.append(sum_exprs([self.map[k], ex.mul(eps, uk),
-                                  ex.mul(-0.5 * eps * eps, ck)]))
-        return out
-
-    def deformed_area(self, U: VariationField, eps: float, order=10, cells=24):
-        return self._area_of_map(self.deformed_map(U, eps), *self._nodes(order, cells))
+        corr = [sum_exprs(ex.mul(gamma[k][i][j], ex.mul(u_coord[i], u_coord[j]))
+                          for i in range(3) for j in range(3)) for k in range(3)]
+        fields = [ex.substitute(f, self.map) for f in (*u_coord, *corr)]
+        params, ww = self._nodes(order, cells)
+        vals = self._map_values([*self.map, *fields], params)
+        # (n, 27) columns: (value, d_a, d_b) x (m, U(m), Gamma(U, U)(m)) x coordinate
+        m, u, c = np.moveaxis(vals.reshape(-1, 3, 3, 3), 2, 0).reshape(3, -1, 9)
+        psi = np.array([m + e * u + (-0.5 * e * e) * c for e in eps_values])
+        return self._areas(psi, ww)
 
     def integrate_riemannian(self, scalar: Expr, order=10, cells=24) -> float:
         """Integral of an ambient scalar over the patch w.r.t. dSigma."""
         params, ww = self._nodes(order, cells)
-        pts, f1, f2 = self._tangent_frames(self.map, params)
+        vals = self._map_values(self.map, params)
+        f1, f2 = self._tangent_frames(vals)
         g11 = np.sum(f1 * f1, axis=-1)
         g22 = np.sum(f2 * f2, axis=-1)
         g12 = np.sum(f1 * f2, axis=-1)
         ds = np.sqrt(np.maximum(g11 * g22 - g12 ** 2, 0.0))
-        vals = ex.compiled_cse([scalar], "arrays")(pts)[:, 0]
-        return float(np.sum(vals * ds * ww))
+        scalars = ex.compiled_cse([scalar], "arrays")(vals[:, :3])[:, 0]
+        return float(np.sum(scalars * ds * ww))
 
     def min_scalar(self, scalar: Expr, n=31) -> float:
         """Least value of an ambient scalar on an n x n grid of the patch."""
@@ -193,26 +186,19 @@ class ParamPatch:
 def first_variation_numeric(patch: ParamPatch, U: VariationField, eps=1e-4,
                             order=10, cells=24) -> float:
     """Central-difference first variation of the sub-Riemannian area."""
-    ap = patch.deformed_area(U, +eps, order, cells)
-    am = patch.deformed_area(U, -eps, order, cells)
+    ap, am = patch.deformed_areas(U, [+eps, -eps], order, cells)
     return (ap - am) / (2.0 * eps)
 
 
 def second_variation_numeric(patch: ParamPatch, U: VariationField, eps=1e-3,
                              order=10, cells=24, richardson=True) -> float:
     """Central second difference of the area, Richardson-refined by default."""
-
-    def second_diff(e):
-        ap = patch.deformed_area(U, +e, order, cells)
-        am = patch.deformed_area(U, -e, order, cells)
-        a0 = patch.area(order, cells)
-        return (ap - 2.0 * a0 + am) / (e * e)
-
-    d1 = second_diff(eps)
-    if not richardson:
-        return d1
-    d2 = second_diff(eps / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+    steps = [eps, eps / 2.0] if richardson else [eps]
+    # eps = 0 is the undeformed area, from the same kernel evaluation
+    a0, *areas = patch.deformed_areas(U, [0.0, *(s for e in steps for s in (+e, -e))],
+                                      order, cells)
+    d = [(ap - 2.0 * a0 + am) / (e * e) for e, ap, am in zip(steps, areas[::2], areas[1::2])]
+    return (4.0 * d[1] - d[0]) / 3.0 if richardson else d[0]
 
 
 def first_variation_formula(geom: SurfaceGeometry, U: VariationField,

@@ -223,6 +223,32 @@ def test_surface_analyze_rejects_an_empty_sample_grid(args, capsys):
     assert "error: argument --" in err and "Traceback" not in err
 
 
+def test_lists_that_begin_with_a_minus_parse_like_the_equals_form(tmp_path, capsys):
+    written = []
+    for region in (["--region", "-2.8,3.2,-3.1,2.9,-2.9,3.1"],
+                   ["--region=-2.8,3.2,-3.1,2.9,-2.9,3.1"]):
+        csv, summary = tmp_path / "frame.csv", tmp_path / "summary.json"
+        code, _, _ = run_cli(["surface", "analyze", "--surface", "sigma_c", *region,
+                              "--csv-out", str(csv), "--json", "--out", str(summary)], capsys)
+        assert code == 0
+        written.append((csv.read_bytes(), summary.read_bytes()))
+    assert written[0] == written[1]
+
+    # the run config echoes the lists as typed
+    code, _, err = run_cli(_CURVE + ["--init", "-1,0,0", "--range", "-0.05,0",
+                                     "--step", "0.01"], capsys)
+    assert code == 0
+    config = json.loads(err.split("# config: ")[1])
+    assert (config["init"], config["range"]) == ("-1,0,0", "-0.05,0")
+
+    # a value that is really missing is still an input error
+    with pytest.raises(SystemExit) as info:
+        main(_REGION + ["--grid", "3"])
+    assert info.value.code == 2
+    _, err = capsys.readouterr()
+    assert "argument --region: expected one argument" in err and "Traceback" not in err
+
+
 def test_curve_oracle_columns_follow_the_trace_columns(tmp_path, capsys):
     from subriemann import catalog as cat
     from subriemann.cli import _fmt

@@ -1,11 +1,12 @@
 """Fuzz of the command line over argv.
 
 The fast verbs run with their numeric tokens kept or perturbed: nan, inf,
-zero, negative values, text that is no number, and lists with one value too
-few or too many; a token may also go missing.  Whatever the input, the exit
-code keeps its meaning: 0 success, 1 a property failure, 2 an input error,
-and no traceback escapes.  Of these verbs only ``curve integrate --oracle``
-checks a property, so only it may exit 1.
+zero, negative values, text that is no number, lists with one value too
+few or too many, and the token with a '-' in front (a list that begins with
+'-' looks like an option to argparse); a token may also go missing.
+Whatever the input, the exit code keeps its meaning: 0 success, 1 a property
+failure, 2 an input error, and no traceback escapes.  Of these verbs only
+``curve integrate --oracle`` checks a property, so only it may exit 1.
 """
 
 import contextlib
@@ -32,7 +33,7 @@ def _number(base):
     perturbed = st.one_of(
         st.sampled_from(_BAD),
         st.builds(replace, st.integers(0, len(parts) - 1), st.sampled_from(_BAD)),
-        st.sampled_from([",".join(parts[:-1]), base + ",0"]))
+        st.sampled_from([",".join(parts[:-1]), base + ",0", "-" + base]))
     # kept half the time, so that runs with several numeric tokens still pass
     # the parser often enough to reach the verb
     return st.booleans().flatmap(lambda keep: st.just(base) if keep else perturbed)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from subriemann import catalog as cat
 from subriemann import expr as ex
+from subriemann.structures import sum_exprs
 from subriemann.surfaces import GraphSurface, ImplicitSurface
 from subriemann.variation import (VariationField, ParamPatch, CharPatch,
                                   first_variation_formula, first_variation_numeric,
@@ -102,6 +104,83 @@ def test_first_variation_helicoid_normal_bump(rt, helicoid):
     assert abs(val) < 1e-5
     f = first_variation_formula(geom, U, patch, order=8, cells=12)
     assert abs(f) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the deformation kernel of a patch and a field
+
+_EPS = [1e-3, -1e-3, 5e-4, -5e-4, 1e-4, -1e-4]
+
+
+def _deformation_case(name):
+    """A patch and a variation field on it."""
+    rt = cat.rt_structure()
+    bump = ex.parse("(1-x*x)^2*(1-y*y)^2")
+    if name.startswith("rt plane"):
+        geom = cat.find_entry("sigma_a").make().geometry(rt)
+        patch = ParamPatch(rt, [ex.X, ex.Y, 0.0], ((-1, 1), (-1, 1)))
+        return patch, {"rt plane normal": VariationField.normal(geom, bump),
+                       "rt plane vertical": VariationField.vertical(bump),
+                       "rt plane tangent": VariationField.tangent(geom, bump,
+                                                                  ex.mul(0.7, bump))}[name]
+    if name == "rt polar":
+        patch = ParamPatch(rt, [ex.parse("x*cos(y)"), ex.parse("x*sin(y)"), ex.parse("y")],
+                           ((0.5, 2.5), (-1.5, 1.5)))
+        return patch, VariationField.vertical(ex.parse("(x*x + y*y)*(1 - (t/1.5)^2)^2"))
+    gs = GraphSurface(ex.parse("x^3 + y^2"), domain=((0.2, 1.2), (0.2, 1.2)))
+    geom = gs.to_implicit().geometry(gs.structure())
+    u = ex.parse("((x - 0.2)*(1.2 - x)*(y - 0.2)*(1.2 - y))^2")
+    return ParamPatch.from_graph(gs.structure(), gs), VariationField.normal(geom, u)
+
+
+def _symbolic_deformation(patch, U, eps):
+    """Oracle: the patch of psi = m + eps U(m) - (eps^2/2) Gamma(U, U)(m)
+    built as one symbolic map, with eps a constant in its tree."""
+    st = patch.structure
+    u_coord = st.frame_to_coordinate(list(U.comps))
+    gamma = st.coordinate_christoffels()
+    corr = []
+    for k in range(3):
+        acc = ex.ZERO
+        for i in range(3):
+            for j in range(3):
+                acc = ex.add(acc, ex.mul(gamma[k][i][j],
+                                         ex.mul(u_coord[i], u_coord[j])))
+        corr.append(acc)
+    out = []
+    for k in range(3):
+        uk = ex.substitute(u_coord[k], patch.map)
+        ck = ex.substitute(corr[k], patch.map)
+        out.append(sum_exprs([patch.map[k], ex.mul(eps, uk),
+                              ex.mul(-0.5 * eps * eps, ck)]))
+    return ParamPatch(st, out, patch.domain)
+
+
+@pytest.mark.parametrize("name", ["rt plane normal", "rt plane vertical",
+                                  "rt plane tangent", "rt polar", "heisenberg graph"])
+def test_deformed_areas_equal_the_symbolic_deformation(name):
+    patch, U = _deformation_case(name)
+    oracle = {e: _symbolic_deformation(patch, U, e).area(6, 4) for e in _EPS}
+    assert patch.deformed_areas(U, _EPS, 6, 4) == [oracle[e] for e in _EPS]
+    a0 = patch.area(6, 4)
+    assert patch.deformed_areas(U, [0.0], 6, 4) == [a0]
+
+    eps = 1e-4
+    assert (first_variation_numeric(patch, U, eps, 6, 4)
+            == (oracle[eps] - oracle[-eps]) / (2.0 * eps))
+    eps = 1e-3
+    d1, d2 = ((oracle[e] - 2.0 * a0 + oracle[-e]) / (e * e) for e in (eps, eps / 2.0))
+    assert second_variation_numeric(patch, U, eps, 6, 4) == (4.0 * d2 - d1) / 3.0
+
+
+def test_a_new_eps_compiles_no_kernel():
+    patch, U = _deformation_case("rt plane normal")
+    first_variation_numeric(patch, U, eps=1e-4, order=6, cells=4)
+    compiled = len(ex._FAST_CACHE)
+    first_variation_numeric(patch, U, eps=2.5e-4, order=6, cells=4)
+    assert len(ex._FAST_CACHE) == compiled
+    second_variation_numeric(patch, U, eps=7e-4, order=6, cells=4)
+    assert len(ex._FAST_CACHE) == compiled
 
 
 # ---------------------------------------------------------------------------
