@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import expr as ex
-from .structures import StructureSpec, StructureError, TangentVector
+from .structures import StructureSpec, StructureError
 
 
 @dataclass(frozen=True)
@@ -61,14 +61,9 @@ class CurveTrace:
     phi: np.ndarray
     lam: np.ndarray
     truncated: bool = False
-    extra: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.s)
-
-    def tangent(self, i, structure: StructureSpec) -> TangentVector:
-        c, s2 = np.cos(self.phi[i]), np.sin(self.phi[i])
-        return TangentVector(self.points[i], (c, s2, 0.0))
 
     def to_csv(self, jacobi=None, extra=(), extra_fmt=None) -> str:
         """CSV of s, x, y, t, phi, lambda (and g(V,T) with its first two
@@ -242,78 +237,35 @@ def rk4_step(f, y, h):
     return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-# Cash-Karp embedded pair, used by the optional adaptive mode.
-_CK_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [3 / 10, -9 / 10, 6 / 5],
-    [-11 / 54, 5 / 2, -70 / 27, 35 / 27],
-    [1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096],
-]
-_CK_B5 = [37 / 378, 0, 250 / 621, 125 / 594, 0, 512 / 1771]
-_CK_B4 = [2825 / 27648, 0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4]
-
-
-def _ck_step(f, y, h):
-    ks = [f(y)]
-    for i in range(1, 6):
-        yi = y + h * sum(a * k for a, k in zip(_CK_A[i], ks))
-        ks.append(f(yi))
-    y5 = y + h * sum(b * k for b, k in zip(_CK_B5, ks))
-    y4 = y + h * sum(b * k for b, k in zip(_CK_B4, ks))
-    return y5, float(np.max(np.abs(y5 - y4)))
-
-
-def integrate_ode(f, y0, s_span, step, adaptive=False, tol=1e-9):
-    """Fixed-step RK4 (default) or adaptive Cash-Karp integration.
+def integrate_ode(f, y0, s_span, step):
+    """Fixed-step RK4 over ``s_span``, the step shrunk to divide it evenly.
 
     Returns (s_values, states); deterministic for fixed seeds and steps.
     """
     s0, s1 = float(s_span[0]), float(s_span[1])
     if s1 == s0:
         return np.array([s0]), np.array([y0], dtype=float)
-    direction = 1.0 if s1 > s0 else -1.0
-    h = direction * abs(step)
-    ss = [s0]
-    ys = [np.asarray(y0, dtype=float)]
-    s = s0
-    y = ys[0]
-    if not adaptive:
-        n = int(round(abs(s1 - s0) / abs(step)))
-        n = max(n, 1)
-        h = (s1 - s0) / n
-        for _ in range(n):
-            y = rk4_step(f, y, h)
-            s += h
-            ss.append(s)
-            ys.append(y)
-        return np.array(ss), np.array(ys)
-    while (s1 - s) * direction > 1e-15:
-        h = direction * min(abs(h), abs(s1 - s))
-        ynew, err = _ck_step(f, y, h)
-        if err <= tol or abs(h) < 1e-12:
-            s += h
-            y = ynew
-            ss.append(s)
-            ys.append(y)
-            if err > 0:
-                h *= min(2.0, 0.9 * (tol / err) ** 0.2)
-        else:
-            h *= max(0.1, 0.9 * (tol / err) ** 0.25)
+    n = max(int(round(abs(s1 - s0) / abs(step))), 1)
+    h = (s1 - s0) / n
+    s, y = s0, np.asarray(y0, dtype=float)
+    ss, ys = [s], [y]
+    for _ in range(n):
+        y = rk4_step(f, y, h)
+        s += h
+        ss.append(s)
+        ys.append(y)
     return np.array(ss), np.array(ys)
 
 
 def integrate_characteristic(structure: StructureSpec, init: CharState,
-                             s_range=(0.0, 10.0), step=1e-3,
-                             adaptive=False, tol=1e-9) -> CurveTrace:
+                             s_range=(0.0, 10.0), step=1e-3) -> CurveTrace:
     """Integrate a characteristic curve of curvature init.lam."""
     sysm = _char_system(structure)
     structure.check_point(init.point)
     lam = init.lam
     f = lambda y: sysm.char_rhs(y, lam)
     y0 = np.array([*init.point, init.phi])
-    ss, ys = integrate_ode(f, y0, s_range, step, adaptive, tol)
+    ss, ys = integrate_ode(f, y0, s_range, step)
     trunc = _truncate_outside(structure, ys)
     n = trunc if trunc is not None else len(ss)
     return CurveTrace(s=ss[:n], points=ys[:n, :3], phi=ys[:n, 3],

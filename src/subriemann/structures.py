@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,29 +59,8 @@ class TangentVector:
         object.__setattr__(self, "point", tuple(float(v) for v in self.point))
         object.__setattr__(self, "components", tuple(float(v) for v in self.components))
 
-    @property
-    def a(self):
-        return self.components[0]
-
-    @property
-    def b(self):
-        return self.components[1]
-
-    @property
-    def c(self):
-        return self.components[2]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
-
-    def dot(self, other: "TangentVector") -> float:
-        return float(np.dot(self.components, other.components))
-
     def __add__(self, other):
         return TangentVector(self.point, tuple(np.add(self.components, other.components)))
-
-    def __sub__(self, other):
-        return TangentVector(self.point, tuple(np.subtract(self.components, other.components)))
 
     def scale(self, k: float):
         return TangentVector(self.point, tuple(k * np.asarray(self.components)))
@@ -124,7 +104,7 @@ class StructureSpec:
     """
 
     def __init__(self, frame, chart_domain=((-4, 4), (-4, 4), (-4, 4)),
-                 kind="coordinate-frame", name="", meta=None, validate=True):
+                 kind="coordinate-frame", name="", meta=None):
         self.kind = kind
         self.name = name
         self.meta = dict(meta or {})
@@ -140,8 +120,7 @@ class StructureSpec:
 
         self._brackets = self._compute_brackets()
         self._c1_expr = ex.neg(self._brackets[0][1][2])
-        if validate:
-            self._validate()
+        self._validate()
         self._derive_geometry()
 
     # -- construction helpers ---------------------------------------------
@@ -344,24 +323,14 @@ class StructureSpec:
                 raise StructureError(f"point {tuple(p)} outside chart domain {self.chart_domain}")
 
     def _connection(self, table, v, w, p):
-        """Shared covariant-derivative evaluator for D (table=lc) and nabla."""
+        """The field formula _cov_field_exprs evaluated at p; a TangentVector
+        V enters through its components as constants."""
         p = self._require_point(p)
-        if isinstance(v, TangentVector):
-            vcomps = np.asarray(v.components)
-        else:
-            vcomps = np.array([c.at(p) for c in self._field_components(v)])
-        wfield = self._field_components(w)
-        out = np.zeros(3)
-        for k in range(3):
-            acc = 0.0
-            for i in range(3):
-                if vcomps[i] == 0.0:
-                    continue
-                acc += vcomps[i] * self.frame_derivation(i, wfield[k]).at(p)
-                for j in range(3):
-                    acc += vcomps[i] * wfield[j].at(p) * table[i][j][k].at(p)
-            out[k] = acc
-        return TangentVector(p, out)
+        vc = ([ex.Const(c) for c in v.components] if isinstance(v, TangentVector)
+              else self._field_components(v))
+        comps = self._cov_field_exprs(table, vc, self._field_components(w))
+        # 0.0 + c writes a zero sum as +0.0
+        return TangentVector(p, [0.0 + c.at(p) for c in comps])
 
     def connection_lc(self, v, w, p=None) -> TangentVector:
         """Levi-Civita derivative D_V W at p (W a frame name or ambient field)."""
@@ -397,10 +366,6 @@ class StructureSpec:
         ab = m @ np.asarray(v.components[:2])
         return TangentVector(p, [ab[0], ab[1], 0.0])
 
-    def sigma(self, v: TangentVector) -> TangentVector:
-        """sigma(V) = D_V T."""
-        return self.connection_lc(v, "T", v.point)
-
     def curvature_expr(self, a, b, c, d) -> Expr:
         """g(R(E_a,E_b)E_c, E_d) with R(A,B)C = nabla_B nabla_A C
         - nabla_A nabla_B C + nabla_[A,B] C."""
@@ -421,29 +386,6 @@ class StructureSpec:
                 term = ex.add(term, ex.mul(self._brackets[a][b][m], ph[m][c][d]))
             self._r_cache[key] = term
         return self._r_cache[key]
-
-    def curvature(self, va, vb, vc, vd, p) -> float:
-        """g(R(A,B)C, D)(p) for tangent vectors, by tensor multilinearity."""
-        p = self._require_point(p)
-        acc = 0.0
-        for a in range(3):
-            ca = va.components[a] if isinstance(va, TangentVector) else (va == a)
-            if ca == 0:
-                continue
-            for b in range(3):
-                cb = vb.components[b] if isinstance(vb, TangentVector) else (vb == b)
-                if cb == 0:
-                    continue
-                for c in range(3):
-                    cc = vc.components[c] if isinstance(vc, TangentVector) else (vc == c)
-                    if cc == 0:
-                        continue
-                    for d in range(3):
-                        cd = vd.components[d] if isinstance(vd, TangentVector) else (vd == d)
-                        if cd == 0:
-                            continue
-                        acc += ca * cb * cc * cd * self.curvature_expr(a, b, c, d).at(p)
-        return acc
 
     def coordinate_christoffels(self):
         """Christoffel symbols of g in chart coordinates: gamma[k][i][j] Exprs.
@@ -637,28 +579,72 @@ def rotate_tau_matrix(tau: np.ndarray, a1: float, a2: float) -> np.ndarray:
 # JSON interface
 
 
+def json_object(data, what: str) -> dict:
+    """``data`` if it is a JSON object; ``what`` names it in the error."""
+    if not isinstance(data, dict):
+        raise StructureError(f"{what} must be a JSON object, got {data!r}")
+    return data
+
+
+def json_list(value, name: str, n: int) -> list:
+    """The field ``name``: a list of n entries."""
+    if not isinstance(value, (list, tuple)) or len(value) != n:
+        raise StructureError(f"field {name!r} must be a list of {n} entries, got {value!r}")
+    return value
+
+
+def json_float(value, name: str) -> float:
+    """The field ``name`` as a finite float (a number or a numeric string)."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        v = math.nan
+    if not math.isfinite(v):
+        raise StructureError(f"field {name!r} must be a finite number, got {value!r}")
+    return v
+
+
+def json_expr(value, name: str) -> Expr:
+    """The field ``name``: an expression string, parsed."""
+    if not isinstance(value, str):
+        raise StructureError(f"field {name!r} must be an expression string, got {value!r}")
+    return ex.parse(value)
+
+
+def json_box(value, name: str, axes: int) -> tuple:
+    """The field ``name``: ``axes`` [lo, hi] pairs of numbers."""
+    return tuple(tuple(json_float(v, name) for v in json_list(b, name, 2))
+                 for b in json_list(value, name, axes))
+
+
 def structure_from_json(data) -> StructureSpec:
     """Build a StructureSpec from its JSON description.
 
     Accepts {"kind": "coordinate-frame", "chart_domain": ..., "frame": {...}}
     or {"kind": "lie-group", "c2": ..., "c3": ...} /
-    {"kind": "lie-group", "alpha": ..., "gamma": ...}.
+    {"kind": "lie-group", "alpha": ..., "gamma": ...}.  A field of the
+    wrong type raises StructureError naming it.
     """
     if isinstance(data, str):
         data = json.loads(data)
+    data = json_object(data, "a structure spec")
     kind = data.get("kind")
     if kind == "lie-group":
         if "c2" in data and "c3" in data:
-            return unimodular_structure(float(data["c2"]), float(data["c3"]))
+            return unimodular_structure(json_float(data["c2"], "c2"),
+                                        json_float(data["c3"], "c3"))
         if "alpha" in data and "gamma" in data:
-            return nonunimodular_structure(float(data["alpha"]), float(data["gamma"]))
+            return nonunimodular_structure(json_float(data["alpha"], "alpha"),
+                                           json_float(data["gamma"], "gamma"))
         raise StructureError("lie-group spec needs (c2, c3) or (alpha, gamma)")
     if kind != "coordinate-frame":
         raise StructureError(f"unknown structure kind {kind!r}")
     try:
-        box = tuple(tuple(map(float, b)) for b in data["chart_domain"])
-        frame = data["frame"]
-        rows = [[ex.parse(c) for c in frame[name]] for name in _FRAME_NAMES]
+        box = json_box(data["chart_domain"], "chart_domain", 3)
+        frame = json_object(data["frame"], "field 'frame'")
+        rows = [[json_expr(c, f"frame.{name}")
+                 for c in json_list(frame[name], f"frame.{name}", 3)]
+                for name in _FRAME_NAMES]
     except KeyError as e:
         raise StructureError(f"missing field in structure spec: {e}") from e
     return coordinate_structure(rows[0], rows[1], rows[2], box,

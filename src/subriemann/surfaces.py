@@ -23,7 +23,8 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expr
-from .structures import StructureSpec, TangentVector, sum_exprs
+from .structures import (StructureError, StructureSpec, TangentVector, json_box,
+                         json_expr, json_float, json_list, json_object, sum_exprs)
 
 EPS_SING = 1e-10
 
@@ -170,14 +171,10 @@ class GraphSurface:
                                              name=self.name or "graph")
         return self._implicit
 
-    def chart_box(self, t_pad=None):
+    def chart_box(self):
         xs, ys = self.domain
-        if t_pad is None:
-            corners = [self.u.at((x, y, 0.0)) for x in xs for y in ys]
-            lo, hi = min(corners) - 2.0, max(corners) + 2.0
-        else:
-            lo, hi = t_pad
-        return (xs, ys, (lo, hi))
+        corners = [self.u.at((x, y, 0.0)) for x in xs for y in ys]
+        return (xs, ys, (min(corners) - 2.0, max(corners) + 2.0))
 
     def structure(self) -> StructureSpec:
         """Orthonormalized Darboux-chart structure for this graph's metric.
@@ -210,20 +207,27 @@ class GraphSurface:
 
 
 def surface_from_json(data) -> ImplicitSurface | GraphSurface:
+    """An implicit or graph surface from its JSON description; a missing
+    field or one of the wrong type raises StructureError naming it."""
+    data = json_object(data, "a surface spec")
     kind = data.get("kind")
+    if kind not in ("implicit", "graph"):
+        raise ValueError(f"unknown surface kind {kind!r}")
+    try:
+        f = json_expr(data["expr"], "expr")
+        domain = json_box(data["domain"], "domain", 2) if kind == "graph" else None
+    except KeyError as e:
+        raise StructureError(f"missing field in surface spec: {e}") from e
+    name = data.get("name", "")
     if kind == "implicit":
-        return ImplicitSurface(ex.parse(data["expr"]),
-                               orientation=int(data.get("orientation", 1)),
-                               name=data.get("name", ""))
-    if kind == "graph":
-        metric = data.get("metric")
-        if metric is not None:
-            metric = [[ex.parse(e) if isinstance(e, str) else e for e in row]
-                      for row in metric]
-        return GraphSurface(ex.parse(data["expr"]),
-                            domain=tuple(tuple(map(float, b)) for b in data["domain"]),
-                            metric=metric, name=data.get("name", ""))
-    raise ValueError(f"unknown surface kind {kind!r}")
+        orientation = int(json_float(data.get("orientation", 1), "orientation"))
+        return ImplicitSurface(f, orientation=orientation, name=name)
+    metric = data.get("metric")
+    if metric is not None:
+        metric = [[json_expr(e, "metric") if isinstance(e, str)
+                   else json_float(e, "metric") for e in json_list(row, "metric", 2)]
+                  for row in json_list(metric, "metric", 2)]
+    return GraphSurface(f, domain=domain, metric=metric, name=name)
 
 
 class SurfaceGeometry:
@@ -572,9 +576,6 @@ class SingularLocus:
     points: np.ndarray         # (n, d): refined locus samples
     tangents: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
-
-    def representative(self):
-        return self.points[0]
 
 
 def _newton_lstsq(system, q0, tol=1e-10, max_iter=60):

@@ -30,9 +30,17 @@ from .expr import Expr
 from .curves import rk4_step
 from .structures import StructureSpec, sum_exprs
 from .surfaces import (GraphSurface, ImplicitSurface, SurfaceGeometry,
-                       SingularLocus, gauss_legendre_grid, grid_points)
+                       gauss_legendre_grid, grid_points)
 
 MINIMALITY_TOL = 1e-8
+# RK4 substeps per grid interval of a characteristic-patch flow
+FLOW_SUBSTEPS = 8
+# index form vs operator form: the bound is this times (1 + |I(u, u)|)
+INDEX_FORM_AGREEMENT_TOL = 1e-4
+# largest change of u along characteristics inside the tube of Q
+ADMISSIBILITY_TOL = 1e-8
+# largest |Z(w)| of a w required constant along characteristics
+CONSTANCY_TOL = 1e-6
 
 
 class AdmissibilityError(ValueError):
@@ -191,14 +199,14 @@ def first_variation_numeric(patch: ParamPatch, U: VariationField, eps=1e-4,
 
 
 def second_variation_numeric(patch: ParamPatch, U: VariationField, eps=1e-3,
-                             order=10, cells=24, richardson=True) -> float:
-    """Central second difference of the area, Richardson-refined by default."""
-    steps = [eps, eps / 2.0] if richardson else [eps]
+                             order=10, cells=24) -> float:
+    """Central second difference of the area at eps and eps/2, Richardson-refined."""
+    steps = [eps, eps / 2.0]
     # eps = 0 is the undeformed area, from the same kernel evaluation
     a0, *areas = patch.deformed_areas(U, [0.0, *(s for e in steps for s in (+e, -e))],
                                       order, cells)
     d = [(ap - 2.0 * a0 + am) / (e * e) for e, ap, am in zip(steps, areas[::2], areas[1::2])]
-    return (4.0 * d[1] - d[0]) / 3.0 if richardson else d[0]
+    return (4.0 * d[1] - d[0]) / 3.0
 
 
 def first_variation_formula(geom: SurfaceGeometry, U: VariationField,
@@ -244,14 +252,14 @@ class SecondVariationTerms:
     eta: float
 
 
-def second_variation_terms(geom: SurfaceGeometry, p, v: float, w: float,
-                           check_minimal=True) -> SecondVariationTerms:
+def second_variation_terms(geom: SurfaceGeometry, p, v: float,
+                           w: float) -> SecondVariationTerms:
     """Evaluate q, xi, zeta, eta of the second variation at a point for the
     variation U = v N + w T (v, w numbers here: pointwise values)."""
     st = geom.structure
     c1 = st.c1
     p = tuple(float(c) for c in p)
-    if check_minimal and abs(geom.H.at(p)) > MINIMALITY_TOL:
+    if abs(geom.H.at(p)) > MINIMALITY_TOL:
         raise AdmissibilityError(
             f"surface is not minimal at {p}: H = {geom.H.at(p):.3e}")
     nh = geom.nh.at(p)
@@ -346,7 +354,7 @@ class CharPatch:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def _surface_flow(structure, surf, field_coord_exprs, p0, s_grid, n_sub=8):
+    def _surface_flow(structure, surf, field_coord_exprs, p0, s_grid):
         """RK4 flow of a surface field with per-step projection onto f = 0.
 
         ``p0`` is a point (3,) or a batch (n, 3) flowed over the grid
@@ -366,15 +374,15 @@ class CharPatch:
         out = np.empty(q.shape[:2] + (grids.shape[1], 3))
         out[:, :, 0] = q
         for j in range(1, grids.shape[1]):
-            h = ((grids[:, j] - grids[:, j - 1]) / n_sub)[:, None, None]
-            for _ in range(n_sub):
+            h = ((grids[:, j] - grids[:, j - 1]) / FLOW_SUBSTEPS)[:, None, None]
+            for _ in range(FLOW_SUBSTEPS):
                 q = rk4_step(f, q, h)
             q = _project_batch(surf, q)
             out[:, :, j] = q
         return out.reshape(p0.shape[:-1] + out.shape[2:])
 
     @classmethod
-    def _flow_at_params(cls, structure, surf, field, p0, params, n_sub=8):
+    def _flow_at_params(cls, structure, surf, field, p0, params):
         """Flow positions at signed parameters (0 corresponds to p0).
 
         ``p0`` a point (3,) or batch (n, 3); result (len(params), 3) or
@@ -391,7 +399,7 @@ class CharPatch:
             if len(idx):
                 order = idx[np.argsort(params[idx])][::sign]
                 pts = cls._surface_flow(structure, surf, field, p0,
-                                        np.concatenate([[0.0], params[order]]), n_sub)
+                                        np.concatenate([[0.0], params[order]]))
                 out[..., order, :] = pts[..., 1:, :]
         return out
 
@@ -417,13 +425,12 @@ class CharPatch:
         curves.
 
         ``curves`` holds (gamma, eps_span) pairs; ``gamma(e)`` returns the
-        curve point at arc-length parameter e (or pass a traced
-        SingularLocus).  Returns one (side_plus, side_minus, gamma_samples)
-        per curve.  The rays are parametrized away from the curve along
-        sigma Z with sigma = +-1 chosen per side so the flow leaves the curve;
-        sigma = g(Z, nu_exterior) is recorded as ``z_orientation``.  Every
-        side of every curve is integrated in one flow: a side with sigma = -1
-        flows Z along -s.
+        curve point at arc-length parameter e.  Returns one (side_plus,
+        side_minus, gamma_samples) per curve.  The rays are parametrized
+        away from the curve along sigma Z with sigma = +-1 chosen per side so
+        the flow leaves the curve; sigma = g(Z, nu_exterior) is recorded as
+        ``z_orientation``.  Every side of every curve is integrated in one
+        flow: a side with sigma = -1 flows Z along -s.
         """
         geom = surf.geometry(structure)
         z_coord = structure.frame_to_coordinate(list(geom.Z))
@@ -431,8 +438,6 @@ class CharPatch:
         mid = n_eps // 2
         eps_all, gpts_all, starts, sigmas = [], [], [], []
         for gamma, eps_span in curves:
-            if isinstance(gamma, SingularLocus):
-                gamma = _locus_interpolator(gamma)
             eps = np.linspace(eps_span[0], eps_span[1], n_eps)
             gpts = np.array([surf.project(np.asarray(gamma(e), dtype=float))
                              for e in eps])
@@ -509,18 +514,6 @@ class CharPatch:
         return float(np.max(np.abs(self.scalar(self.geom.H))))
 
 
-def _locus_interpolator(locus: SingularLocus):
-    pts = locus.points
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    arcl = np.concatenate([[0.0], np.cumsum(seg)])
-    arcl -= arcl[len(arcl) // 2]
-
-    def gamma(e):
-        return np.array([np.interp(e, arcl, pts[:, k]) for k in range(3)])
-
-    return gamma
-
-
 def _step_off_curve(structure, geom, surf, q, sgn, ds, ref_dir=None):
     """First step from a singular-curve point along the limit characteristic
     direction (J of the curve tangent), then projected back to the surface.
@@ -547,42 +540,37 @@ class IndexFormResult:
     value: float
     operator_value: float
 
-    @property
-    def difference(self):
-        return self.value - self.operator_value
 
-
-def index_form(patch: CharPatch, u_fn, v_fn=None, require_minimal=True,
-               agreement_tol=1e-4) -> IndexFormResult:
-    """I(u, v) = int { |N_h|^-1 Z(u) Z(v) + q u v } dSigma on the patch,
-    together with the operator form -int u L(v) dSigma; the two paths are
-    asserted to agree within ``agreement_tol`` (absolute plus relative)."""
+def index_form(patch: CharPatch, u_fn) -> IndexFormResult:
+    """I(u, u) = int { |N_h|^-1 Z(u)^2 + q u^2 } dSigma on the patch,
+    together with the operator form -int u L(u) dSigma; the two paths are
+    asserted to agree within INDEX_FORM_AGREEMENT_TOL (1 + |I(u, u)|)."""
     geom = patch.geom
     st = patch.structure
-    if require_minimal and patch.max_h() > MINIMALITY_TOL:
+    if patch.max_h() > MINIMALITY_TOL:
         raise AdmissibilityError(
             f"index form requires a minimal patch (max |H| = {patch.max_h():.2e})")
     u = patch.u_grid(u_fn)
-    v = u if v_fn is None else patch.u_grid(v_fn)
     zu = patch.z_derivative(u)
-    zv = patch.z_derivative(v)
     nh = patch.scalar(geom.nh)
     q = patch.scalar(geom.q_expr())
-    value = patch.integrate(zu * zv / nh + q * u * v)
-    # operator path: L(v) = nh^-1 { Z(Z(v)) + gNT nh^-1 (-2 nh thetaS - c1
-    # + 2 nh^2 (c1 + tauZnu)) Z(v) } - q v
-    zzv = patch.z_derivative(zv)
+    value = patch.integrate(zu * zu / nh + q * u * u)
+    # operator path: L(u) = nh^-1 { Z(Z(u)) + gNT nh^-1 (-2 nh thetaS - c1
+    # + 2 nh^2 (c1 + tauZnu)) Z(u) } - q u
+    zzu = patch.z_derivative(zu)
     gnt = patch.scalar(geom.gNT)
     ths = patch.scalar(geom.thetaS)
     tzn = patch.scalar(geom.tauZnu)
     c1 = st.c1
     coeff = gnt / nh * (-2.0 * nh * ths - c1 + 2.0 * nh ** 2 * (c1 + tzn))
-    lv = (zzv + coeff * zv) / nh - q * v
-    op_value = -patch.integrate(u * lv)
-    if abs(value - op_value) > agreement_tol * (1.0 + abs(value)):
+    lu = (zzu + coeff * zu) / nh - q * u
+    op_value = -patch.integrate(u * lu)
+    diff, bound = abs(value - op_value), INDEX_FORM_AGREEMENT_TOL * (1.0 + abs(value))
+    if diff > bound:
         raise AdmissibilityError(
             f"index form and operator form disagree: {value:.6g} vs "
-            f"{op_value:.6g} (patch too coarse?)")
+            f"{op_value:.6g}, difference {diff:.3e} above the tolerance {bound:.3e} = "
+            f"{INDEX_FORM_AGREEMENT_TOL:g} (1 + |I|) (patch too coarse?)")
     return IndexFormResult(value=value, operator_value=op_value)
 
 
@@ -597,7 +585,6 @@ class QReport:
     boundary_u2: float
     boundary_su2: float
     sing_coefficients: list
-    admissible: bool = True
 
 
 def _gamma_weights(gpts):
@@ -618,14 +605,13 @@ def _limit_coefficient(patch: CharPatch):
     ths = patch.scalar(geom.thetaS)
     tzn = patch.scalar(geom.tauZnu)
     f = (nh * ths + c1 * gnt ** 2 + (1.0 + gnt ** 2) * tzn) / gnt
-    # Richardson in the first two s-samples (geometric grid: ratio known)
+    # linear extrapolation to s = 0 through the first two s-samples
     s0, s1 = patch.s[0], patch.s[1]
     w1 = s1 / (s1 - s0)
     return w1 * f[:, 0] - (w1 - 1.0) * f[:, 1]
 
 
-def stability_quadratic_Q(sides, gamma_points, u_fn, tube_radius=0.1,
-                          admissibility_tol=1e-8) -> QReport:
+def stability_quadratic_Q(sides, gamma_points, u_fn, tube_radius=0.1) -> QReport:
     """Pasted stability quadratic
 
         Q(u) = int { |N_h|^-1 Z(u)^2 + q u^2 } dSigma
@@ -633,7 +619,8 @@ def stability_quadratic_Q(sides, gamma_points, u_fn, tube_radius=0.1,
                + int_Gamma S(u)^2 dGamma,
 
     evaluated over a two-sided characteristic fan from a singular curve.
-    ``u_fn(eps, s)`` must have Z(u) = 0 for |s| <= tube_radius (checked).
+    ``u_fn(eps, s)`` must have Z(u) = 0 for |s| <= tube_radius (checked to
+    ADMISSIBILITY_TOL).
     The u^2 boundary term enters with g(Z, nu_exterior) = z_orientation of
     each side; its limit coefficient is sgn(g(N,T)) (c1 + 2 g(tauZ,nu)).
     """
@@ -654,10 +641,11 @@ def stability_quadratic_Q(sides, gamma_points, u_fn, tube_radius=0.1,
             # admissibility: u constant along characteristics inside the tube
             tube_vals = u[:, in_tube]
             worst = float(np.max(np.abs(tube_vals - tube_vals[:, :1])))
-            if worst > admissibility_tol:
+            if worst > ADMISSIBILITY_TOL:
                 raise AdmissibilityError(
                     f"u is not admissible: varies by {worst:.3e} along "
-                    f"characteristics inside the tube of radius {tube_radius}")
+                    f"characteristics inside the tube of radius {tube_radius}, "
+                    f"above the tolerance {ADMISSIBILITY_TOL:.1e}")
             zu[:, in_tube] = 0.0  # exact by admissibility; avoids FD bleed
         nh = patch.scalar(patch.geom.nh)
         q = patch.scalar(patch.geom.q_expr())
@@ -675,8 +663,21 @@ def stability_quadratic_Q(sides, gamma_points, u_fn, tube_radius=0.1,
                    sing_coefficients=[c.tolist() for c in coeffs])
 
 
-def singular_curve_second_variation(sides, gamma_points, w_fn,
-                                    constancy_tol=1e-8) -> float:
+def _constant_w_bulk(patch: CharPatch, w: np.ndarray, where: str) -> float:
+    """int 2 w^2 |N_h| (g(tauZ,nu)^2 + g(tauZ,Z)^2) dSigma over the patch for
+    a grid w that must be constant along characteristics ``where``."""
+    worst = float(np.max(np.abs(patch.z_derivative(w))))
+    if worst > CONSTANCY_TOL:
+        raise AdmissibilityError(
+            f"w must be constant {where} (max |Z(w)| = {worst:.3e}, "
+            f"above the tolerance {CONSTANCY_TOL:.1e})")
+    nh = patch.scalar(patch.geom.nh)
+    tzn = patch.scalar(patch.geom.tauZnu)
+    tzz = patch.scalar(patch.geom.tauZZ)
+    return patch.integrate(2.0 * w * w * nh * (tzn ** 2 + tzz ** 2))
+
+
+def singular_curve_second_variation(sides, gamma_points, w_fn) -> float:
     """Second variation of a vertical variation supported near a singular
     curve:  int 2 w^2 |N_h| (g(tauZ,nu)^2 + g(tauZ,Z)^2) dSigma
     + boundary flux of w^2 g(tauZ,Z) S + int_Gamma S(w)^2 dGamma.
@@ -691,15 +692,7 @@ def singular_curve_second_variation(sides, gamma_points, w_fn,
     w_gamma = np.asarray(w_fn(side_p.eps, np.zeros_like(side_p.eps)), dtype=float)
     for sgn, patch in ((+1.0, side_p), (-1.0, side_m)):
         w = patch.u_grid(lambda e, s: w_fn(e, sgn * s))
-        zw = patch.z_derivative(w)
-        worst = float(np.max(np.abs(zw)))
-        if worst > max(constancy_tol, 1e-6):
-            raise AdmissibilityError(
-                f"w must be constant along characteristics (max |Z(w)| = {worst:.3e})")
-        nh = patch.scalar(patch.geom.nh)
-        tzn = patch.scalar(patch.geom.tauZnu)
-        tzz = patch.scalar(patch.geom.tauZZ)
-        total += patch.integrate(2.0 * w * w * nh * (tzn ** 2 + tzz ** 2))
+        total += _constant_w_bulk(patch, w, "along characteristics")
         # flux of w^2 g(tauZ,Z) S through the far s-edge: conormal there is
         # Z, and g(S, Z) = 0, so the contribution vanishes identically.
     d_eps = side_p.eps[1] - side_p.eps[0]
@@ -708,24 +701,14 @@ def singular_curve_second_variation(sides, gamma_points, w_fn,
     return total
 
 
-def isolated_point_second_variation(sides, w_fn, constancy_tol=1e-8) -> float:
+def isolated_point_second_variation(sides, w_fn) -> float:
     """Isolated-singular-point variant: w constant near the point, so only
     the bulk term int 2 w^2 |N_h| (g(tauZ,nu)^2 + g(tauZ,Z)^2) dSigma remains
     (no curve or divergence contributions).  ``sides`` is any tuple of
     characteristic patches covering the tubular neighborhood."""
     total = 0.0
     for patch in sides:
-        w = patch.u_grid(w_fn)
-        zw = patch.z_derivative(w)
-        worst = float(np.max(np.abs(zw)))
-        if worst > max(constancy_tol, 1e-6):
-            raise AdmissibilityError(
-                f"w must be constant near the singular point "
-                f"(max |Z(w)| = {worst:.3e})")
-        nh = patch.scalar(patch.geom.nh)
-        tzn = patch.scalar(patch.geom.tauZnu)
-        tzz = patch.scalar(patch.geom.tauZZ)
-        total += patch.integrate(2.0 * w * w * nh * (tzn ** 2 + tzz ** 2))
+        total += _constant_w_bulk(patch, patch.u_grid(w_fn), "near the singular point")
     return total
 
 

@@ -50,6 +50,36 @@ def test_structure_info_missing_field(tmp_path, capsys):
     assert "frame" in err
 
 
+_STRUCTURE_VERBS = (["structure", "info", "{}"],
+                    ["surface", "analyze", "--structure", "{}", "--surface", "sigma_c",
+                     "--grid", "3"])
+_SURFACE_VERBS = (["surface", "analyze", "--surface", "{}", "--grid", "3"],
+                  ["variation", "first", "--surface", "{}"])
+_FRAME = {"X": ["1", "0", "y"], "Y": ["0", "1", "-x"], "T": ["0", "0", "1"]}
+_WRONG_SHAPES = [
+    ([1, 2], "JSON object", _STRUCTURE_VERBS + _SURFACE_VERBS),
+    ({"kind": "coordinate-frame", "chart_domain": 5, "frame": _FRAME}, "chart_domain",
+     _STRUCTURE_VERBS),
+    ({"kind": "coordinate-frame", "chart_domain": [[-1, 1]] * 3,
+      "frame": {**_FRAME, "X": [1, 0, "y"]}}, "frame.X", _STRUCTURE_VERBS),
+    ({"kind": "lie-group", "c2": [1], "c3": 0}, "c2", _STRUCTURE_VERBS),
+    ({"kind": "implicit", "expr": 5}, "expr", _SURFACE_VERBS),
+    ({"kind": "implicit"}, "expr", _SURFACE_VERBS),
+    ({"kind": "graph", "expr": "x*y", "domain": 3}, "domain", _SURFACE_VERBS),
+]
+
+
+@pytest.mark.parametrize("spec, field, argv", [
+    (spec, field, argv) for spec, field, verbs in _WRONG_SHAPES for argv in verbs])
+def test_json_of_the_wrong_shape_is_an_input_error(spec, field, argv, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli([a.format(path) for a in argv], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+
+
 def test_curve_integrate_zero_range(tmp_path, capsys):
     out_file = tmp_path / "trace.csv"
     code, _, _ = run_cli(["curve", "integrate", "--structure", "rt",

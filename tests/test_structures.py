@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from subriemann import catalog as cat
 from subriemann import expr as ex
 from subriemann.structures import (StructureSpec, StructureError, TangentVector,
                                    coordinate_structure, unimodular_structure,
@@ -145,6 +146,45 @@ def test_nabla_torsion_matches_definition(rt):
                 jv = rt.j_apply(np.eye(3)[i])
                 rhs = gvt * tau_w - gwt * tau_v + rt.c1 * float(jv @ np.eye(3)[j]) * np.array([0, 0, 1.0])
                 assert np.allclose(lhs, rhs, atol=1e-8)
+
+
+def _pointwise_connection(st, table, v, w, p):
+    """The numeric covariant derivative the connection methods used before
+    they evaluated the symbolic field formula: the bit-for-bit oracle."""
+    if isinstance(v, TangentVector):
+        vcomps = np.asarray(v.components)
+    else:
+        vcomps = np.array([c.at(p) for c in st._field_components(v)])
+    wfield = st._field_components(w)
+    out = np.zeros(3)
+    for k in range(3):
+        acc = 0.0
+        for i in range(3):
+            if vcomps[i] == 0.0:
+                continue
+            acc += vcomps[i] * st.frame_derivation(i, wfield[k]).at(p)
+            for j in range(3):
+                acc += vcomps[i] * wfield[j].at(p) * table[i][j][k].at(p)
+        out[k] = acc
+    return out
+
+
+@pytest.mark.parametrize("name", [e.name for e in cat.catalog_structures()])
+def test_connection_keeps_pointwise_bits(name):
+    st = cat.structure_by_name(name)
+    rng = np.random.default_rng(11)
+    lo, hi = np.array(st.chart_domain).T
+    fields = [*NAMES, [ex.X, ex.ZERO, ex.add(1.0, ex.mul(ex.Y, ex.T))]]
+    for p in (lo + (hi - lo) * rng.uniform(0.2, 0.8, (3, 3))).tolist():
+        p = tuple(p)
+        dirs = [*NAMES, TangentVector(p, rng.normal(size=3)),
+                TangentVector(p, (rng.normal(), 0.0, rng.normal()))]
+        for method, table in ((st.connection_lc, st._lc), (st.connection_ph, st._ph)):
+            for v in dirs:
+                for w in fields:
+                    got = np.array(method(v, w, p).components)
+                    want = _pointwise_connection(st, table, v, w, p)
+                    assert got.tobytes() == want.tobytes(), (name, v, w, p)
 
 
 def test_unimodular_connection_closed_forms():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from subriemann.variation import (VariationField, ParamPatch, CharPatch,
                                   index_form, l_of_nh, stability_quadratic_Q,
                                   singular_curve_second_variation,
                                   stability_sign_field,
-                                  criterion_range_unimodular, AdmissibilityError)
+                                  criterion_range_unimodular, AdmissibilityError,
+                                  ADMISSIBILITY_TOL, CONSTANCY_TOL,
+                                  INDEX_FORM_AGREEMENT_TOL)
 from conftest import helicoid_points, plane_points
 
 
@@ -290,6 +294,20 @@ def test_index_form_nonnegative_sigma_a(rt, sigma_a_patch):
         assert r.value >= -1e-10
 
 
+def test_index_form_disagreement_reports_difference_and_tolerance(rt, sigma_a_patch):
+    # u = 1 + s does not vanish on the s-edges, so the operator form misses
+    # the boundary term of the integration by parts
+    u_fn = lambda e, s: (1.0 + s) * np.ones_like(e)
+    value = _bilinear_index(sigma_a_patch, u_fn, u_fn)
+    with pytest.raises(AdmissibilityError) as info:
+        index_form(sigma_a_patch, u_fn)
+    msg = str(info.value)
+    bound = INDEX_FORM_AGREEMENT_TOL * (1.0 + abs(value))
+    assert msg.startswith(f"index form and operator form disagree: {value:.6g} vs ")
+    diff, shown = re.search(r"difference (\S+) above the tolerance (\S+) =", msg).groups()
+    assert shown == f"{bound:.3e}" and float(diff) > bound
+
+
 def test_index_form_requires_minimal(rt):
     bowl = ImplicitSurface(ex.parse("t - 0.2*(x*x + y*y)"), name="bowl2")
     patch = CharPatch.from_base_point(rt, bowl, (0.4, 0.1, 0.2 * 0.17),
@@ -414,10 +432,13 @@ def test_q_helicoid_singular_coefficient(rt, helicoid_fan):
 
 def test_q_admissibility_rejection(rt, helicoid_fan):
     sp, sm, gpts = helicoid_fan
-    with pytest.raises(AdmissibilityError):
-        stability_quadratic_Q((sp, sm), gpts,
-                              lambda e, s: cos2_bump(1.5)(e) * np.cos(s),
-                              tube_radius=0.15)
+    u_fn = lambda e, s: cos2_bump(1.5)(e) * np.cos(s)
+    tube = sp.u_grid(u_fn)[:, sp.s <= 0.15]
+    worst = np.max(np.abs(tube - tube[:, :1]))
+    with pytest.raises(AdmissibilityError) as info:
+        stability_quadratic_Q((sp, sm), gpts, u_fn, tube_radius=0.15)
+    assert f"varies by {worst:.3e}" in str(info.value)
+    assert f"tolerance {ADMISSIBILITY_TOL:.1e}" in str(info.value)
 
 
 def test_q_plane_never_negative_in_modeled_class(rt, plane_y0):
@@ -463,9 +484,12 @@ def test_singular_curve_second_variation_requires_constancy(rt, helicoid):
     [(sp, sm, gpts)] = CharPatch.fan_from_curve(rt, helicoid,
                                                 [(lambda e: (0.0, 0.0, e), (-1.0, 1.0))],
                                                 0.4, n_eps=15, n_s=21)
-    with pytest.raises(AdmissibilityError):
-        singular_curve_second_variation((sp, sm), gpts,
-                                        lambda e, s: np.cos(s) * np.ones_like(e))
+    w_fn = lambda e, s: np.cos(s) * np.ones_like(e)
+    worst = np.max(np.abs(sp.z_derivative(sp.u_grid(w_fn))))
+    with pytest.raises(AdmissibilityError) as info:
+        singular_curve_second_variation((sp, sm), gpts, w_fn)
+    assert f"max |Z(w)| = {worst:.3e}" in str(info.value)
+    assert f"tolerance {CONSTANCY_TOL:.1e}" in str(info.value)
 
 
 # ---------------------------------------------------------------------------
