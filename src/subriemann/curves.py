@@ -320,15 +320,15 @@ def rt_characteristic_closed_form(init, t):
                      a_t], axis=-1)
 
 
-def characteristic_residual(structure: StructureSpec, trace: CurveTrace,
-                            samples: int = 20) -> float:
-    """Max residual of phi' + |c1| lambda + Gamma along a trace (finite
-    differences); used as the precondition check for the Jacobi solver."""
+def characteristic_residual(structure: StructureSpec, trace: CurveTrace) -> float:
+    """Max residual of phi' + |c1| lambda + Gamma at 20 points of a trace
+    (finite differences); used as the precondition check for the Jacobi
+    solver."""
     sysm = _char_system(structure)
     n = len(trace)
     if n < 3:
         return 0.0
-    idx = np.linspace(1, n - 2, min(samples, n - 2)).astype(int)
+    idx = np.linspace(1, n - 2, min(20, n - 2)).astype(int)
     worst = 0.0
     for i in idx:
         h = trace.s[i + 1] - trace.s[i - 1]

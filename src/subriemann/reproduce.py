@@ -114,20 +114,15 @@ def integrate_curve(st: StructureSpec, init_point, phi, lam, s_range, step,
 
 
 def _surface_sample_points(st, impl, region, grid):
+    """The projections of the grid points near the surface that land inside
+    the region, at most MAX_SURFACE_SAMPLES of them in grid order."""
     grid_pts = grid_points(*(np.linspace(lo, hi, grid) for lo, hi in region))
     vals = np.abs(ex.compiled_cse([impl.f], "arrays")(grid_pts)[:, 0])
     cell = max(hi - lo for lo, hi in region) / grid
-    pts = []
-    for q0 in grid_pts[vals < 2 * cell]:
-        try:
-            q = impl.project(q0)
-        except ValueError:
-            continue
-        if all(lo - 1e-9 <= c <= hi + 1e-9 for c, (lo, hi) in zip(q, region)):
-            pts.append(tuple(q))
-            if len(pts) == MAX_SURFACE_SAMPLES:
-                break
-    return pts
+    q = impl.project(grid_pts[vals < 2 * cell])
+    lo, hi = np.array(region).T
+    inside = np.all((lo - 1e-9 <= q) & (q <= hi + 1e-9), axis=1)
+    return [tuple(p) for p in q[inside][:MAX_SURFACE_SAMPLES]]
 
 
 def surface_analysis(st: StructureSpec, surf, region=None, grid=13):

@@ -159,10 +159,14 @@ class StructureSpec:
         ``frame_matrix(P[k]).T`` against V[k], bit for bit, unless a frame
         coefficient holds a power other than a square root, which numpy may
         round differently on arrays."""
-        kernel = ex.compiled_cse([c for row in self.frame for c in row], "arrays")
-        m = kernel(np.asarray(P, dtype=float)).reshape(-1, 3, 3)
         v = np.asarray(V, dtype=float)[..., None]
-        return np.linalg.solve(np.swapaxes(m, 1, 2), v)[..., 0]
+        return np.linalg.solve(np.swapaxes(self.frame_matrices(P), 1, 2), v)[..., 0]
+
+    def frame_matrices(self, P) -> np.ndarray:
+        """``frame_matrix`` at each row of the (n, 3) points P, from one call
+        of a 9-output kernel: an (n, 3, 3) array."""
+        kernel = ex.compiled_cse([c for row in self.frame for c in row], "arrays")
+        return kernel(np.asarray(P, dtype=float)).reshape(-1, 3, 3)
 
     def frame_derivation(self, i: int, h: Expr) -> Expr:
         """The scalar field E_i(h), symbolically."""
@@ -245,11 +249,13 @@ class StructureSpec:
         return np.array([[e.at(p) for e in row] for row in self._tau])
 
     def j_apply(self, comps):
-        """J on frame components (Exprs or floats): (a,b,c) -> s(-b, a, 0)."""
+        """J on frame components (Exprs, or floats of one vector (3,) or of a
+        stack (..., 3)): (a,b,c) -> s(-b, a, 0)."""
         s = self.sgn_c1
         if isinstance(comps[0], Expr):
             return [ex.mul(-s, comps[1]), ex.mul(s, comps[0]), ex.ZERO]
-        return np.array([-s * comps[1], s * comps[0], 0.0])
+        c = np.asarray(comps, dtype=float)
+        return np.stack([-s * c[..., 1], s * c[..., 0], np.zeros_like(c[..., 0])], axis=-1)
 
     def torsion_tensor_exprs(self, i, j):
         """Tor(E_i, E_j) frame components (Exprs), from tau and J."""

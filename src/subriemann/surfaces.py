@@ -27,6 +27,10 @@ from .structures import (StructureError, StructureSpec, TangentVector, json_box,
                          json_expr, json_float, json_list, json_object, sum_exprs)
 
 EPS_SING = 1e-10
+PROJECT_TOL, PROJECT_MAX_ITER = 1e-13, 40   # Newton projection onto f = 0
+NEWTON_TOL, NEWTON_MAX_ITER = 1e-10, 60     # Gauss-Newton on the singular system
+RANK_TOL_RATIO = 1e-5   # singular values up to this times max(s_max, 1) count as 0
+TRACE_STEP, TRACE_MAX_POINTS = 1e-2, 4000   # singular-curve continuation
 
 
 class SingularPointSignal(Exception):
@@ -78,22 +82,30 @@ class ImplicitSurface:
     def value(self, p) -> float:
         return self.f.at(p)
 
-    def project(self, p, tol=1e-13, max_iter=40):
-        """Newton projection onto the surface along the coordinate gradient."""
-        q = np.asarray(p, dtype=float)
-        kernel = ex.compiled_cse((self.f, *self.grad))
-        for _ in range(max_iter):
-            with np.errstate(all="ignore"):
-                v, *g = kernel(*q)
-            v = float(v)
-            if abs(v) < tol:
-                return q
-            g = np.array(g)
-            n2 = float(g @ g)
-            if n2 < 1e-30:
-                raise ValueError(f"vanishing gradient while projecting near {tuple(q)}")
-            q = q - (v / n2) * g
-        return q
+    def project(self, p):
+        """Newton projection along the coordinate gradient of a point (3,), or
+        of each row of a stack (..., 3) on its own: a row stops once
+        |f| < PROJECT_TOL, after at most PROJECT_MAX_ITER steps.  A row whose
+        gradient vanishes (|grad f|^2 < 1e-30) or is not finite comes back as
+        nan; the caller decides what that means."""
+        shape = np.shape(p)
+        rows = np.array(p, dtype=float).reshape(-1, 3)
+        kernel = ex.compiled_cse((self.f, *self.grad), "arrays")
+        live = np.arange(len(rows))
+        with np.errstate(all="ignore"):
+            for _ in range(PROJECT_MAX_ITER):
+                fg = kernel(rows[live])
+                v, g = fg[:, 0], fg[:, 1:]
+                go = ~(np.abs(v) < PROJECT_TOL)
+                live, v, g = live[go], v[go], g[go]
+                if not len(live):
+                    break
+                n2 = np.vecdot(g, g)
+                flat = ~(n2 >= 1e-30)
+                rows[live[flat]] = np.nan
+                live, v, g, n2 = live[~flat], v[~flat], g[~flat], n2[~flat]
+                rows[live] = rows[live] - (v / n2)[:, None] * g
+        return rows.reshape(shape)
 
     def to_json(self):
         return {"kind": "implicit", "expr": str(self.f), "orientation": self.orientation,
@@ -334,7 +346,7 @@ class SurfaceGeometry:
 
     # -- pointwise evaluation --------------------------------------------------
 
-    def frame_point(self, p, eps_sing: float = EPS_SING) -> SurfaceFramePoint:
+    def frame_point(self, p) -> SurfaceFramePoint:
         p = tuple(float(c) for c in p)
         if self._frame_fn is None:
             # Z(g(N,T)) feeds the independent theta(S) cross-check below
@@ -348,7 +360,7 @@ class SurfaceGeometry:
         fval, nh, gnt, tau_zz, tau_znu, theta_s, h, zg = vals[:8]
         if abs(fval) > 1e-8:
             raise ValueError(f"point {p} is not on the surface (f = {fval:.3e})")
-        if not np.isfinite(nh) or nh <= eps_sing:
+        if not np.isfinite(nh) or nh <= EPS_SING:
             raise SingularPointSignal(p, 0.0 if not np.isfinite(nh) else nh)
         # cross-check theta(S) by solving Lemma conti (v)
         c1 = self.structure.c1
@@ -378,13 +390,12 @@ class SurfaceGeometry:
         return vals[:3], vals[3:].reshape(3, 3)
 
 
-def surface_frame(structure: StructureSpec, surf, p,
-                  eps_sing: float = EPS_SING) -> SurfaceFramePoint:
+def surface_frame(structure: StructureSpec, surf, p) -> SurfaceFramePoint:
     """Adapted frame data at a non-singular surface point."""
     if isinstance(surf, GraphSurface):
         geom = surf.to_implicit().geometry(surf.structure())
-        return geom.frame_point(p, eps_sing)
-    return surf.geometry(structure).frame_point(p, eps_sing)
+        return geom.frame_point(p)
+    return surf.geometry(structure).frame_point(p)
 
 
 def mean_curvature_frame(structure: StructureSpec, surf, p) -> float:
@@ -578,15 +589,15 @@ class SingularLocus:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _newton_lstsq(system, q0, tol=1e-10, max_iter=60):
+def _newton_lstsq(system, q0):
     """Gauss-Newton with minimum-norm least-squares steps capped at 0.5.
 
     ``system(q)`` gives the residual r and its Jacobian J at q, from one
     evaluation.  Returns (q, converged, J at q)."""
     q = np.asarray(q0, dtype=float)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         r, j = system(q)
-        if np.linalg.norm(r) < tol:
+        if np.linalg.norm(r) < NEWTON_TOL:
             return q, True, j
         step, *_ = np.linalg.lstsq(j, -r, rcond=None)
         if not np.all(np.isfinite(step)):
@@ -597,7 +608,7 @@ def _newton_lstsq(system, q0, tol=1e-10, max_iter=60):
             step *= limit / nrm
         q = q + step
     r, j = system(q)
-    return q, np.linalg.norm(r) < tol * 10, j
+    return q, np.linalg.norm(r) < NEWTON_TOL * 10, j
 
 
 def _lstsq_batch(j, b):
@@ -610,12 +621,12 @@ def _lstsq_batch(j, b):
     return np.einsum("nkd,nk->nd", vt, inv * np.einsum("nmk,nm->nk", u, b))
 
 
-def _newton_batch(batch, seeds, dim, tol=1e-10, max_iter=60):
+def _newton_batch(batch, seeds, dim):
     """``_newton_lstsq`` run on every seed at once.
 
     ``batch(Q)`` gives, for each row of the (n, dim) array Q, the dim
     residuals followed by the row-major dim x dim Jacobian.  A seed stops
-    when its residual is below tol (converged), or when its values or its
+    when its residual is below NEWTON_TOL (converged), or when its values or its
     step are not finite (failed).  The iterates may round differently from
     the scalar routine's, so they only say where each seed goes.
     Returns the (n, dim) end points and the converged flags."""
@@ -623,13 +634,13 @@ def _newton_batch(batch, seeds, dim, tol=1e-10, max_iter=60):
     ok = np.zeros(len(q), dtype=bool)
     live = np.arange(len(q))
     with np.errstate(all="ignore"):
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             if not len(live):
                 return q, ok
             vals = batch(q[live])
             rn = np.linalg.norm(vals[:, :dim], axis=1)
-            ok[live[rn < tol]] = True
-            go = (rn >= tol) & np.isfinite(vals).all(axis=1)
+            ok[live[rn < NEWTON_TOL]] = True
+            go = (rn >= NEWTON_TOL) & np.isfinite(vals).all(axis=1)
             live, vals = live[go], vals[go]
             step = _lstsq_batch(vals[:, dim:].reshape(-1, dim, dim), -vals[:, :dim])
             good = np.isfinite(step).all(axis=1)
@@ -639,17 +650,17 @@ def _newton_batch(batch, seeds, dim, tol=1e-10, max_iter=60):
             step[big] *= (0.5 / nrm[big])[:, None]
             q[live] += step
         if len(live):
-            ok[live] = np.linalg.norm(batch(q[live])[:, :dim], axis=1) < tol * 10
+            ok[live] = np.linalg.norm(batch(q[live])[:, :dim], axis=1) < NEWTON_TOL * 10
     return q, ok
 
 
-def _numeric_rank(j, tol_ratio=1e-5):
+def _numeric_rank(j):
     sv = np.linalg.svd(j, compute_uv=False)
     scale = max(sv[0], 1e-12)
-    return int(np.sum(sv > tol_ratio * max(scale, 1.0))), sv
+    return int(np.sum(sv > RANK_TOL_RATIO * max(scale, 1.0))), sv
 
 
-def _trace_curve(system, q0, j0, region, step=1e-2, newton_tol=1e-10, max_steps=4000):
+def _trace_curve(system, q0, j0, region):
     """Predictor-corrector continuation of a rank-deficient zero curve from
     q0, where the Jacobian is j0.  The tangent is the kernel direction of the
     Jacobian of each corrected point."""
@@ -666,9 +677,9 @@ def _trace_curve(system, q0, j0, region, step=1e-2, newton_tol=1e-10, max_steps=
     for direction in (1.0, -1.0):
         q = np.asarray(q0, dtype=float)
         tan = direction * tans[0]
-        while len(pts) < max_steps:
-            q_pred = q + step * tan
-            q_corr, ok, j = _newton_lstsq(system, q_pred, newton_tol)
+        while len(pts) < TRACE_MAX_POINTS:
+            q_pred = q + TRACE_STEP * tan
+            q_corr, ok, j = _newton_lstsq(system, q_pred)
             if not ok or not in_region(q_corr):
                 break
             new_tan = kernel_dir(j)
@@ -681,13 +692,13 @@ def _trace_curve(system, q0, j0, region, step=1e-2, newton_tol=1e-10, max_steps=
             else:
                 pts.insert(0, q)
                 tans.insert(0, tan)
-            if np.linalg.norm(q - q0) < 0.5 * step and len(pts) > 10:
+            if np.linalg.norm(q - q0) < 0.5 * TRACE_STEP and len(pts) > 10:
                 break  # closed loop
     return np.array(pts), np.array(tans)
 
 
 def singular_set_detect(structure: StructureSpec, surf, region=None,
-                        grid: int = 24, step: float = 1e-2) -> list:
+                        grid: int = 24) -> list:
     """Locate and classify the singular set.
 
     Graphs: zeros of p = grad(u) + F in the (x, y) domain, classified by the
@@ -697,12 +708,11 @@ def singular_set_detect(structure: StructureSpec, surf, region=None,
     the grid points where the system is small.
     """
     if isinstance(surf, GraphSurface):
-        return _detect_graph(surf, region or surf.domain, grid, step)
-    return _detect_implicit(structure, surf, region or structure.chart_domain,
-                            grid, step)
+        return _detect_graph(surf, region or surf.domain, grid)
+    return _detect_implicit(structure, surf, region or structure.chart_domain, grid)
 
 
-def _detect_graph(gs: GraphSurface, region, grid, step):
+def _detect_graph(gs: GraphSurface, region, grid):
     pe = gs.p_exprs()
     exprs = pe + [p.diff(j) for p in pe for j in range(2)]
     point_fn = ex.compiled_cse(exprs)
@@ -721,11 +731,10 @@ def _detect_graph(gs: GraphSurface, region, grid, step):
         vals = batch(pts)
     norm = np.hypot(vals[:, 0], vals[:, 1])
     cell = max((region[0][1] - region[0][0]), (region[1][1] - region[1][0])) / grid
-    return _classify_seeds(system, batch, pts[norm < 4 * cell], region, step,
-                           ambient_dim=2)
+    return _classify_seeds(system, batch, pts[norm < 4 * cell], region, ambient_dim=2)
 
 
-def _detect_implicit(structure, surf, region, grid, step):
+def _detect_implicit(structure, surf, region, grid):
     geom = surf.geometry(structure)
     batch_fn = ex.compiled_cse(geom.singular_exprs(), "arrays")
     pts = grid_points(*(np.linspace(lo, hi, grid) for lo, hi in region))
@@ -734,7 +743,7 @@ def _detect_implicit(structure, surf, region, grid, step):
     norm = np.sqrt(sum(vals[:, i] * vals[:, i] for i in range(3)))
     cell = max(hi - lo for lo, hi in region) / grid
     return _classify_seeds(geom.singular_system_at, batch_fn, pts[norm < 4 * cell],
-                           region, step, ambient_dim=3)
+                           region, ambient_dim=3)
 
 
 def _near(points, qs, radius):
@@ -749,7 +758,7 @@ def _near(points, qs, radius):
     return out
 
 
-def _classify_seeds(system, batch, seeds, region, step, ambient_dim):
+def _classify_seeds(system, batch, seeds, region, ambient_dim):
     """Loci of the seeds' Newton limits, in sorted seed order.
 
     All seeds are solved at once by ``_newton_batch``.  A seed whose batched
@@ -765,7 +774,7 @@ def _classify_seeds(system, batch, seeds, region, step, ambient_dim):
 
     def near_existing(q):
         for locus in loci:
-            if np.min(np.linalg.norm(locus.points - q, axis=1)) < 5 * step:
+            if np.min(np.linalg.norm(locus.points - q, axis=1)) < 5 * TRACE_STEP:
                 return True
         return False
 
@@ -782,7 +791,7 @@ def _classify_seeds(system, batch, seeds, region, step, ambient_dim):
             loci.append(SingularLocus("isolated-point", np.array([q]),
                                       diagnostics={"singular_values": sv.tolist()}))
         elif rank == full_rank - 1:
-            pts, tans = _trace_curve(system, q, j, region, step)
+            pts, tans = _trace_curve(system, q, j, region)
             loci.append(SingularLocus("curve", pts, tans,
                                       diagnostics={"singular_values": sv.tolist()}))
         else:
@@ -790,12 +799,17 @@ def _classify_seeds(system, batch, seeds, region, step, ambient_dim):
                                       diagnostics={"singular_values": sv.tolist(),
                                                    "rank": rank}))
         later = k + 1 + np.flatnonzero(converged[k + 1:] & ~covered[k + 1:])
-        covered[later] = _near(loci[-1].points, solved[later], 5 * step)
+        covered[later] = _near(loci[-1].points, solved[later], 5 * TRACE_STEP)
     return loci
 
 
 # ---------------------------------------------------------------------------
 # Stationarity at singular curves
+
+
+# curve points sampled, first approach distance (then half of it), and the
+# largest angle deviation (radians) still counted as orthogonal
+STATIONARITY_SAMPLES, STATIONARITY_DELTA, STATIONARITY_TOL = 5, 1e-3, 1e-6
 
 
 @dataclass
@@ -807,9 +821,7 @@ class StationarityReport:
 
 
 def stationarity_at_singular_curve(structure: StructureSpec, surf,
-                                   locus: SingularLocus, n_samples: int = 5,
-                                   delta: float = 1e-3,
-                                   tol: float = 1e-6) -> StationarityReport:
+                                   locus: SingularLocus) -> StationarityReport:
     """Test whether characteristic curves meet a singular curve orthogonally.
 
     Samples points of the traced curve, approaches the surface from both
@@ -821,7 +833,7 @@ def stationarity_at_singular_curve(structure: StructureSpec, surf,
         raise ValueError("stationarity test requires a singular curve locus")
     geom = surf.geometry(structure)
     n = len(locus.points)
-    idx = np.linspace(0, n - 1, min(n_samples, n)).astype(int)
+    idx = np.linspace(0, n - 1, min(STATIONARITY_SAMPLES, n)).astype(int)
     worst = 0.0
     samples = []
     inconclusive = False
@@ -838,7 +850,7 @@ def stationarity_at_singular_curve(structure: StructureSpec, surf,
         side_coord = side @ m
         for sgn in (+1.0, -1.0):
             zs = []
-            for d in (delta, delta / 2.0):
+            for d in (STATIONARITY_DELTA, STATIONARITY_DELTA / 2.0):
                 try:
                     pq = surf.project(q + sgn * d * side_coord)
                     z = np.array([c.at(pq) for c in geom.Z])
@@ -859,6 +871,6 @@ def stationarity_at_singular_curve(structure: StructureSpec, surf,
             samples.append({"point": tuple(q), "side": sgn, "dot": dev,
                             "angle_dev_rad": ang_dev})
             worst = max(worst, ang_dev)
-    return StationarityReport(orthogonal=(worst <= tol and not inconclusive),
+    return StationarityReport(orthogonal=(worst <= STATIONARITY_TOL and not inconclusive),
                               max_angle_dev=worst, inconclusive=inconclusive,
                               samples=samples)

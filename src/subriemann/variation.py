@@ -29,8 +29,7 @@ from . import expr as ex
 from .expr import Expr
 from .curves import rk4_step
 from .structures import StructureSpec, sum_exprs
-from .surfaces import (GraphSurface, ImplicitSurface, SurfaceGeometry,
-                       gauss_legendre_grid, grid_points)
+from .surfaces import GraphSurface, SurfaceGeometry, gauss_legendre_grid, grid_points
 
 MINIMALITY_TOL = 1e-8
 # RK4 substeps per grid interval of a characteristic-patch flow
@@ -41,30 +40,12 @@ INDEX_FORM_AGREEMENT_TOL = 1e-4
 ADMISSIBILITY_TOL = 1e-8
 # largest |Z(w)| of a w required constant along characteristics
 CONSTANCY_TOL = 1e-6
+FAN_S_MIN = 1e-3   # arc length of a fan's first sample off its singular curve
+SIGN_FIELD_TOL = 1e-10   # sign-field values up to this count as nonpositive
 
 
 class AdmissibilityError(ValueError):
     """A variation function violates the hypotheses of a stability operator."""
-
-
-def _project_batch(surf: ImplicitSurface, q, tol=1e-12, max_iter=30):
-    """Vectorized Newton projection onto {f = 0} of points (n, 3), or of a
-    stack of groups (g, n, 3).  Each group stops once its own max |f| < tol,
-    so it comes out as a projection of that group alone would give it."""
-    q = np.array(q, dtype=float)
-    groups = q.reshape(-1, *q.shape[-2:])
-    kernel = ex.compiled_cse((surf.f, *surf.grad), "arrays")
-    active = np.ones(len(groups), dtype=bool)
-    for _ in range(max_iter):
-        fg = kernel(groups.reshape(-1, 3)).reshape(*groups.shape[:2], 4)
-        v = fg[..., 0]
-        active &= ~(np.max(np.abs(v), axis=1) < tol)
-        if not active.any():
-            break
-        g = fg[active, :, 1:]
-        n2 = np.sum(g * g, axis=-1)
-        groups[active] = groups[active] - (v[active] / n2)[..., None] * g
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +164,10 @@ class ParamPatch:
         scalars = ex.compiled_cse([scalar], "arrays")(vals[:, :3])[:, 0]
         return float(np.sum(scalars * ds * ww))
 
-    def min_scalar(self, scalar: Expr, n=31) -> float:
-        """Least value of an ambient scalar on an n x n grid of the patch."""
-        # odd n keeps box midlines on the grid (symmetric singular loci)
-        axes = [np.linspace(lo, hi, n) for lo, hi in self.domain]
+    def min_scalar(self, scalar: Expr) -> float:
+        """Least value of an ambient scalar on a 31 x 31 grid of the patch."""
+        # an odd count keeps box midlines on the grid (symmetric singular loci)
+        axes = [np.linspace(lo, hi, 31) for lo, hi in self.domain]
         pts = self._map_values(self.map, grid_points(*axes, [0.0]))[:, :3]
         return float(np.min(ex.compiled_cse([scalar], "arrays")(pts)))
 
@@ -304,13 +285,10 @@ def l_of_nh(geom: SurfaceGeometry, p):
 
 
 def _fd4(values, h, axis=-1):
-    """Fourth-order first derivative on a uniform grid (one-sided at ends)."""
+    """Fourth-order first derivative on a uniform grid of at least 7 samples
+    (one-sided at ends)."""
     v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
-    n = v.shape[-1]
     out = np.empty_like(v)
-    if n < 7:
-        out = np.gradient(v, h, axis=-1)
-        return np.moveaxis(out, -1, axis)
     out[..., 2:-2] = (v[..., :-4] - 8 * v[..., 1:-3] + 8 * v[..., 3:-1]
                       - v[..., 4:]) / (12 * h)
     for i in (0, 1):
@@ -320,6 +298,21 @@ def _fd4(values, h, axis=-1):
                              - 36 * v[..., -3 - i] + 16 * v[..., -4 - i]
                              - 3 * v[..., -5 - i]) / (12 * h)
     return np.moveaxis(out, -1, axis)
+
+
+def _uniform_axis(name, grid):
+    """``grid`` as a float array, checked uniform with at least 7 samples."""
+    grid = np.asarray(grid, dtype=float)
+    if len(grid) < 7:
+        raise ValueError(f"the {name} grid of a characteristic patch has {len(grid)} "
+                         "samples; the fourth-order differences need at least 7")
+    h = grid[1] - grid[0]
+    dev = float(np.max(np.abs(np.diff(grid) - h)))
+    if dev > 1e-9 * abs(h):
+        raise ValueError(f"the {name} grid of a characteristic patch is not uniform: "
+                         f"its spacing deviates by {dev:.3e} from the first step "
+                         f"{h:.3e}, above 1e-9 of it")
+    return grid
 
 
 def _trapezoid_weights(grid):
@@ -336,14 +329,15 @@ class CharPatch:
     points[i, j] is the j-th sample along the characteristic curve through
     the i-th base point; s is arc length along characteristics, eps arc
     length along the transverse base curve.  The Riemannian area element is
-    f_eps ds deps.
+    f_eps ds deps.  Both grids are uniform with at least 7 samples, the
+    stencil of the fourth-order differences in eps and s.
     """
 
     def __init__(self, structure, geom, eps, s, points, z_orientation=1.0):
         self.structure = structure
         self.geom = geom
-        self.eps = np.asarray(eps, dtype=float)
-        self.s = np.asarray(s, dtype=float)
+        self.eps = _uniform_axis("eps", eps)
+        self.s = _uniform_axis("s", s)
         self.points = np.asarray(points, dtype=float)
         # +1 when the s-parametrization runs along +Z, -1 along -Z; for fans
         # this equals g(Z, nu_exterior) at the singular curve
@@ -377,7 +371,7 @@ class CharPatch:
             h = ((grids[:, j] - grids[:, j - 1]) / FLOW_SUBSTEPS)[:, None, None]
             for _ in range(FLOW_SUBSTEPS):
                 q = rk4_step(f, q, h)
-            q = _project_batch(surf, q)
+            q = surf.project(q)
             out[:, :, j] = q
         return out.reshape(p0.shape[:-1] + out.shape[2:])
 
@@ -409,7 +403,7 @@ class CharPatch:
         """Patch built on the S-integral curve through ``seed`` (the seed is
         the eps = 0, s = 0 corner of the grid)."""
         geom = surf.geometry(structure)
-        seed = surf.project(np.asarray(seed, dtype=float))
+        seed = surf.project(seed)
         s_coord = structure.frame_to_coordinate(list(geom.S))
         z_coord = structure.frame_to_coordinate(list(geom.Z))
         eps = np.linspace(eps_span[0], eps_span[1], n_eps)
@@ -420,7 +414,7 @@ class CharPatch:
 
     @classmethod
     def fan_from_curve(cls, structure, surf, curves, s_max,
-                       n_eps=21, n_s=61, s_min=1e-3):
+                       n_eps=21, n_s=61):
         """Two one-sided patches emanating from each of a list of singular
         curves.
 
@@ -434,20 +428,17 @@ class CharPatch:
         """
         geom = surf.geometry(structure)
         z_coord = structure.frame_to_coordinate(list(geom.Z))
-        s = np.linspace(s_min, s_max, n_s)
+        s = np.linspace(FAN_S_MIN, s_max, n_s)
         mid = n_eps // 2
         eps_all, gpts_all, starts, sigmas = [], [], [], []
         for gamma, eps_span in curves:
             eps = np.linspace(eps_span[0], eps_span[1], n_eps)
-            gpts = np.array([surf.project(np.asarray(gamma(e), dtype=float))
-                             for e in eps])
+            gpts = surf.project([gamma(e) for e in eps])
             ref = np.gradient(gpts, axis=0)
             eps_all.append(eps)
             gpts_all.append(gpts)
             for sgn in (+1.0, -1.0):
-                q0 = np.stack([_step_off_curve(structure, geom, surf, gpts[i], sgn,
-                                               s[0], ref_dir=ref[i])
-                               for i in range(n_eps)])
+                q0 = _step_off_curve(structure, geom, surf, gpts, sgn, s[0], ref)
                 # orient the flow away from the curve: compare Z at the
                 # stepped point with the outward step direction
                 z_at = np.array([c.at(q0[mid]) for c in geom.Z])
@@ -472,11 +463,7 @@ class CharPatch:
         return self._scalars[key]
 
     def _area_factor(self):
-        if len(self.eps) < 2:
-            raise ValueError("patch needs at least two transverse samples")
-        d_eps = self.eps[1] - self.eps[0]
-        v = _fd4(self.points, d_eps, axis=0) if len(self.eps) >= 7 else \
-            np.gradient(self.points, self.eps, axis=0)
+        v = _fd4(self.points, self.eps[1] - self.eps[0], axis=0)
         comps = self.structure.frame_components(self.points.reshape(-1, 3),
                                                 v.reshape(-1, 3))
         vt = comps[:, 2].reshape(self.points.shape[:2])
@@ -484,10 +471,14 @@ class CharPatch:
         f = -vt / nh
         if np.median(f) < 0:
             f = -f
-        if np.any(f <= 0):
-            bad = float(np.min(f))
-            raise ValueError(f"area factor f_eps not positive (min {bad:.3e}); "
-                             "patch folded or crossed the singular set")
+        bad = np.flatnonzero(~(f > 0))
+        if len(bad):
+            first = np.unravel_index(bad[0], f.shape)
+            raise ValueError(
+                f"area factor f_eps not positive and finite at {len(bad)} of {f.size} "
+                f"grid points, first at (eps, s) index {tuple(map(int, first))} with "
+                f"value {f[first]:.3e}; patch folded, crossed the singular set or "
+                "holds a non-finite point")
         return f
 
     def weights(self):
@@ -503,36 +494,30 @@ class CharPatch:
     def z_derivative(self, grid):
         """True Z-derivative of a grid sampled along the rays (the ray
         parameter runs along z_orientation * Z)."""
-        if len(self.s) >= 2 and np.allclose(np.diff(self.s), self.s[1] - self.s[0],
-                                            rtol=1e-9):
-            d = _fd4(grid, self.s[1] - self.s[0], axis=1)
-        else:
-            d = np.gradient(grid, self.s, axis=1)
-        return self.z_orientation * d
+        return self.z_orientation * _fd4(grid, self.s[1] - self.s[0], axis=1)
 
     def max_h(self) -> float:
         return float(np.max(np.abs(self.scalar(self.geom.H))))
 
 
-def _step_off_curve(structure, geom, surf, q, sgn, ds, ref_dir=None):
-    """First step from a singular-curve point along the limit characteristic
-    direction (J of the curve tangent), then projected back to the surface.
+def _step_off_curve(structure, geom, surf, q, sgn, ds, ref_dir):
+    """First steps from singular-curve points q (n, 3) along the limit
+    characteristic direction (J of the curve tangent), then projected back to
+    the surface.
 
     The curve tangent is the kernel direction of the Jacobian of (f, Xf, Yf);
-    its sign (arbitrary from the SVD) is aligned with ``ref_dir`` when given,
-    so all rays of a fan step off to the same side.
+    its sign (arbitrary from the SVD) is aligned with the row of ``ref_dir``
+    (n, 3), so all rays of a fan step off to the same side.
     """
-    _, j = geom.singular_system_at(q)
-    _, _, vt = np.linalg.svd(j)
-    tan_coord = vt[-1]
-    if ref_dir is not None and float(tan_coord @ ref_dir) < 0:
-        tan_coord = -tan_coord
-    m = structure.frame_matrix(q)
-    w = np.linalg.solve(m.T, tan_coord)
-    w /= np.linalg.norm(w)
+    with np.errstate(all="ignore"):
+        vals = ex.compiled_cse(geom.singular_exprs(), "arrays")(q)
+    tan = np.linalg.svd(vals[:, 3:].reshape(-1, 3, 3))[2][:, -1]
+    tan = np.where((np.vecdot(tan, ref_dir) < 0)[:, None], -tan, tan)
+    w = structure.frame_components(q, tan)
+    w = w / np.sqrt(np.vecdot(w, w))[:, None]
     zdir = structure.j_apply(w)
-    q1 = surf.project(q + sgn * ds * (zdir @ m))
-    return q1
+    step = (zdir[:, None, :] @ structure.frame_matrices(q))[:, 0]
+    return surf.project(q + sgn * ds * step)
 
 
 @dataclass
@@ -724,15 +709,14 @@ class SignFieldReport:
     samples: int
 
 
-def stability_sign_field(geom: SurfaceGeometry, points,
-                         tol=1e-10) -> SignFieldReport:
+def stability_sign_field(geom: SurfaceGeometry, points) -> SignFieldReport:
     """Sample W - c1 g(tau(Z), nu_h) over surface points and classify."""
     pts = np.asarray(points, dtype=float)
     vals = ex.compiled_cse([geom.criterion], "arrays")(pts)[:, 0]
     mn, mx = float(np.min(vals)), float(np.max(vals))
-    if mx <= tol:
+    if mx <= SIGN_FIELD_TOL:
         cls = "nonpositive-everywhere"
-    elif mn > tol:
+    elif mn > SIGN_FIELD_TOL:
         cls = "positive-everywhere"
     else:
         cls = "positive-somewhere"
@@ -740,14 +724,14 @@ def stability_sign_field(geom: SurfaceGeometry, points,
                            samples=len(pts))
 
 
-def criterion_range_unimodular(c2: float, c3: float, n: int = 721):
+def criterion_range_unimodular(c2: float, c3: float):
     """Range of W - c1 g(tau(Z), nu_h) over all horizontal normal directions
     in a unimodular group; a vertical surface realizes some subset of it."""
     from .structures import unimodular_structure
     st = unimodular_structure(c2, c3)
     w = st.meta["webster_closed_form"]
     m = st.tau_matrix((0.0, 0.0, 0.0))
-    psis = np.linspace(0.0, np.pi, n)
+    psis = np.linspace(0.0, np.pi, 721)
     vals = []
     for psi in psis:
         nu = np.array([np.cos(psi), np.sin(psi)])

@@ -192,9 +192,13 @@ def test_cli_determinism(tmp_path, capsys):
 
 
 def test_cli_entrypoint_subprocess():
+    # the child does not inherit pytest's pythonpath, so it is given the
+    # source tree explicitly
+    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-m", "subriemann.cli",
                            "classify", "--c2", "0", "--c3", "0"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
     assert proc.returncode == 0
     assert "Heisenberg" in proc.stdout
 

@@ -808,16 +808,15 @@ def test_frame_point_singular_signal_without_warnings(rt, helicoid, plane_y0):
 
 
 def test_projection_kernels_compile_once_per_surface():
-    from subriemann.variation import _project_batch
     surf = ImplicitSurface(ex.parse("x*sin(t) - y*cos(t) + 0.1*x*x"))
     pts = np.random.default_rng(5).uniform(-1.0, 1.0, (20, 3))
     surf.project(pts[0])
-    _project_batch(surf, pts)
+    surf.project(pts)
     size = len(ex._FAST_CACHE)
     for q in pts:
         assert abs(surf.value(surf.project(q))) < 1e-12
     for _ in range(5):
-        out = _project_batch(surf, pts + 0.01)
+        out = surf.project(pts + 0.01)
     assert np.max(np.abs(surf.f.eval(out[:, 0], out[:, 1], out[:, 2]))) < 1e-12
     assert len(ex._FAST_CACHE) == size
 

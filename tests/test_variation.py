@@ -317,6 +317,45 @@ def test_index_form_requires_minimal(rt):
         index_form(patch, lambda e, s: be(e) * be(s))
 
 
+@pytest.fixture(scope="module")
+def helicoid_patch(rt, helicoid):
+    return CharPatch.from_base_point(rt, helicoid, (1.0, 0.4, np.arctan2(0.4, 1.0)),
+                                     (-0.1, 0.1), (0.0, 0.2), n_eps=9, n_s=11)
+
+
+def test_char_patch_rejects_non_finite_points(rt, helicoid_patch):
+    # one nan point spoils the area factor of its whole s column through the
+    # eps differences; it is an error, not a nan integral
+    p = helicoid_patch
+    pts = p.points.copy()
+    pts[4, 6] = np.nan
+    with pytest.raises(ValueError, match=r"not positive and finite at 9 of 99 grid "
+                                         r"points, first at \(eps, s\) index \(0, 6\)"):
+        CharPatch(rt, p.geom, p.eps, p.s, pts)
+    # a seed whose projection fails (the gradient vanishes on the axis of a
+    # cylinder) gives nan rows, and so the same error
+    cylinder = ImplicitSurface(ex.parse("x*x + y*y - 0.25"), name="cylinder")
+    with pytest.raises(ValueError, match="not positive and finite"):
+        CharPatch.from_base_point(rt, cylinder, (0.0, 0.0, 0.3), (-0.1, 0.1),
+                                  (0.0, 0.2), n_eps=9, n_s=11)
+
+
+def test_char_patch_needs_uniform_grids_of_seven_samples(rt, helicoid_patch):
+    p = helicoid_patch
+    with pytest.raises(ValueError, match="eps grid of a characteristic patch has 5 samples"):
+        CharPatch(rt, p.geom, p.eps[:5], p.s, p.points[:5])
+    with pytest.raises(ValueError, match="s grid of a characteristic patch has 6 samples"):
+        CharPatch(rt, p.geom, p.eps, p.s[:6], p.points[:, :6])
+    eps = p.eps.copy()
+    eps[3] += 1e-3 * (eps[1] - eps[0])
+    with pytest.raises(ValueError, match="eps grid of a characteristic patch is not uniform"):
+        CharPatch(rt, p.geom, eps, p.s, p.points)
+    s = p.s.copy()
+    s[-1] += 1e-6
+    with pytest.raises(ValueError, match="s grid of a characteristic patch is not uniform"):
+        CharPatch(rt, p.geom, p.eps, s, p.points)
+
+
 # ---------------------------------------------------------------------------
 # integration by parts and the canonical reduction
 
@@ -646,11 +685,46 @@ def test_q_validated_on_heisenberg_saddle(heis):
     assert abs(val - numeric) / abs(numeric) < 1e-3
 
 
+def _project_point(surf, p):
+    """Scalar Newton projection of one point from a "numpy" kernel: the
+    per-point reference of ``ImplicitSurface.project``."""
+    q = np.asarray(p, dtype=float)
+    kernel = ex.compiled_cse((surf.f, *surf.grad))
+    for _ in range(40):
+        with np.errstate(all="ignore"):
+            v, *g = kernel(*q)
+        v = float(v)
+        if abs(v) < 1e-13:
+            return q
+        g = np.array(g)
+        n2 = float(g @ g)
+        if n2 < 1e-30:
+            raise ValueError(f"vanishing gradient while projecting near {tuple(q)}")
+        q = q - (v / n2) * g
+    return q
+
+
+def _step_off_point(structure, geom, surf, q, sgn, ds, ref_dir):
+    """One ray's first step off a singular curve, point by point: the
+    reference of the batched ``_step_off_curve``."""
+    _, j = geom.singular_system_at(q)
+    _, _, vt = np.linalg.svd(j)
+    tan_coord = vt[-1]
+    if float(tan_coord @ ref_dir) < 0:
+        tan_coord = -tan_coord
+    m = structure.frame_matrix(q)
+    w = np.linalg.solve(m.T, tan_coord)
+    w /= np.linalg.norm(w)
+    zdir = structure.j_apply(w)
+    return _project_point(surf, q + sgn * ds * (zdir @ m))
+
+
 def _separate_fan(structure, surf, gamma, eps_span, s_max, n_eps, n_s, s_min=1e-3):
-    """One curve, one flow per side, the negated Z field for sigma = -1:
-    the fan construction before the sides of all curves shared one flow."""
+    """One curve, one flow per side, the negated Z field for sigma = -1,
+    each curve point stepped off and projected alone, and each side's flow
+    projected until its largest |f| is below 1e-12: the fan construction
+    before the sides of all curves shared one flow and one projection."""
     from subriemann.curves import rk4_step
-    from subriemann.variation import _step_off_curve
 
     def project(q):
         q = np.array(q, dtype=float)
@@ -677,14 +751,14 @@ def _separate_fan(structure, surf, gamma, eps_span, s_max, n_eps, n_s, s_min=1e-
 
     geom = surf.geometry(structure)
     eps = np.linspace(eps_span[0], eps_span[1], n_eps)
-    gpts = np.array([surf.project(np.asarray(gamma(e), dtype=float)) for e in eps])
+    gpts = np.array([_project_point(surf, gamma(e)) for e in eps])
     z_coord = structure.frame_to_coordinate(list(geom.Z))
     s = np.linspace(s_min, s_max, n_s)
     ref = np.gradient(gpts, axis=0)
     sides = []
     for sgn in (+1.0, -1.0):
-        q0 = np.stack([_step_off_curve(structure, geom, surf, gpts[i], sgn, s[0],
-                                       ref_dir=ref[i]) for i in range(n_eps)])
+        q0 = np.stack([_step_off_point(structure, geom, surf, gpts[i], sgn, s[0], ref[i])
+                       for i in range(n_eps)])
         mid = n_eps // 2
         z_at = np.array([c.at(q0[mid]) for c in geom.Z])
         m = structure.frame_matrix(q0[mid])
@@ -723,17 +797,30 @@ def test_grouped_fans_match_separate_fans(rt, plane_y0, helicoid, helicoid_fan):
 
 
 def test_projection_groups_stop_on_their_own(helicoid):
-    # a group already within tol comes back bit for bit while another group
-    # still iterates, and that one comes back as it would alone
-    from subriemann.variation import _project_batch
+    # a row already within tol comes back bit for bit while other rows still
+    # iterate, and every row of a stack comes back as it would alone
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1.0, 1.0, (2, 25, 3))
-    done = _project_batch(helicoid, pts[0])
-    assert 0.0 < np.max(np.abs(helicoid.f.eval(*done.T))) < 1e-12
-    out = _project_batch(helicoid, np.stack([done, pts[1]]))
+    done = helicoid.project(pts[0])
+    assert 0.0 < np.max(np.abs(helicoid.f.eval(*done.T))) < 1e-13
+    out = helicoid.project(np.stack([done, pts[1]]))
+    assert out.shape == pts.shape
     assert out[0].tobytes() == done.tobytes()
-    assert out[1].tobytes() == _project_batch(helicoid, pts[1]).tobytes()
+    assert out[1].tobytes() == helicoid.project(pts[1]).tobytes()
     assert not np.array_equal(out[1], pts[1])
+    # ... and as the scalar reference projects it
+    for p, q in zip(pts.reshape(-1, 3), out.reshape(-1, 3)):
+        assert helicoid.project(p).tobytes() == q.tobytes()
+        assert _project_point(helicoid, p).tobytes() == q.tobytes()
+    # a row on which the gradient vanishes (the axis x = y = 0 of a cylinder)
+    # comes back nan, and the other rows as they would alone
+    cylinder = ImplicitSurface(ex.parse("x*x + y*y - 0.25"))
+    rows = np.array([[0.5, 0.2, 0.3], [0.0, 0.0, 0.7], [-0.3, 0.4, 1.0]])
+    out = cylinder.project(rows)
+    assert np.isnan(out[1]).all() and np.isfinite(out[[0, 2]]).all()
+    for k in (0, 2):
+        assert out[k].tobytes() == cylinder.project(rows[k]).tobytes()
+    assert np.isnan(cylinder.project(rows[1])).all()
 
 
 def test_z_derivative_along_integrated_curve_matches_symbolic(rt, helicoid):
