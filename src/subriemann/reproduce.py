@@ -23,6 +23,10 @@ from .variation import (CharPatch, ParamPatch, VariationField, index_form,
                         stability_sign_field, l_of_nh)
 
 MAX_SURFACE_SAMPLES = 400   # frame rows of ``surface analyze``
+# the singular-set search region of each rt-report surface check
+RT_REPORT_REGIONS = {"sigma_c": ((-2, 2), (-2, 2), (-2, 2)),
+                     "plane_y0": ((-2, 2), (-2, 2), (-0.8, 4.0)),
+                     "x_plus_sin": ((-2, 2), (-2, 2), (0.3, 5.9))}
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +420,7 @@ def _rt_sigma_b(rt) -> dict:
 
 def _rt_sigma_c(rt, q_samples, seed) -> dict:
     surf = cat.find_entry("sigma_c").make()
-    loci = singular_set_detect(rt, surf, region=((-2, 2), (-2, 2), (-2, 2)),
-                               grid=13)
+    loci = singular_set_detect(rt, surf, region=RT_REPORT_REGIONS["sigma_c"], grid=13)
     curves = [l for l in loci if l.kind == "curve"]
     stat = stationarity_at_singular_curve(rt, surf, curves[0]) if curves else None
     q_vals = helicoid_q_samples(n_samples=q_samples, seed=seed)
@@ -432,8 +435,7 @@ def _rt_sigma_c(rt, q_samples, seed) -> dict:
 
 def _rt_plane(rt) -> dict:
     surf = cat.find_entry("plane_y0").make()
-    loci = singular_set_detect(rt, surf, region=((-2, 2), (-2, 2), (-0.8, 4.0)),
-                               grid=13)
+    loci = singular_set_detect(rt, surf, region=RT_REPORT_REGIONS["plane_y0"], grid=13)
     curves = [l for l in loci if l.kind == "curve"]
     stat_ok = bool(curves)
     devs = []
@@ -454,8 +456,7 @@ def _rt_plane(rt) -> dict:
 
 def _rt_x_plus_sin(rt) -> dict:
     surf = cat.find_entry("x_plus_sin").make()
-    loci = singular_set_detect(rt, surf, region=((-2, 2), (-2, 2), (0.3, 5.9)),
-                               grid=13)
+    loci = singular_set_detect(rt, surf, region=RT_REPORT_REGIONS["x_plus_sin"], grid=13)
     curves = [l for l in loci if l.kind == "curve"]
     not_orth = []
     for c in curves:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class CurvatureSample:
     point: tuple
     webster: float
     tau_matrix: np.ndarray
-    r_components: dict = field(default_factory=dict)
 
 
 def _det3(m):
@@ -440,12 +439,8 @@ class StructureSpec:
 
     def curvature_sample(self, p) -> CurvatureSample:
         p = self._require_point(p)
-        rc = {}
-        for (a, b, c, d) in [(0, 1, 1, 0), (0, 2, 0, 1), (1, 2, 1, 0), (2, 0, 1, 0)]:
-            label = "R({},{}){},{}".format(*(_FRAME_NAMES[i] for i in (a, b, c, d)))
-            rc[label] = self.curvature_expr(a, b, c, d).at(p)
         return CurvatureSample(point=tuple(p), webster=self.webster_curvature(p),
-                               tau_matrix=self.tau_matrix(p), r_components=rc)
+                               tau_matrix=self.tau_matrix(p))
 
     def tau_norm(self, p) -> float:
         """Operator norm of tau on the horizontal plane."""

@@ -17,7 +17,7 @@ times the declared orientation sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class SurfaceFramePoint:
     nh: float
     gNT: float
     thetaS: float
-    thetaZ: float
     H: float
     tauZZ: float
     tauZnu: float
@@ -291,6 +290,7 @@ class SurfaceGeometry:
         self._shape_cache = {}
         self._frame_fn = None
         self._singular_fn = None
+        self._singular = None
 
     # -- derivations ---------------------------------------------------------
 
@@ -371,15 +371,18 @@ class SurfaceGeometry:
             nu_h=TangentVector(p, vals[11:14]),
             Z=TangentVector(p, vals[14:17]),
             S=TangentVector(p, vals[17:20]),
-            nh=nh, gNT=gnt, thetaS=theta_s, thetaZ=-h, H=h,
+            nh=nh, gNT=gnt, thetaS=theta_s, H=h,
             tauZZ=tau_zz, tauZnu=tau_znu, thetaS_conti=theta_conti)
 
     def singular_exprs(self) -> list:
         """(f, Xf, Yf) and their coordinate derivatives d/dx, d/dy, d/dt.
 
-        The singular set of the surface is the zero set of (f, Xf, Yf)."""
-        funcs = [self.surface.f, self.Xf, self.Yf]
-        return funcs + [fn.diff(j) for fn in funcs for j in range(3)]
+        The singular set of the surface is the zero set of (f, Xf, Yf).
+        Built once per geometry."""
+        if self._singular is None:
+            funcs = [self.surface.f, self.Xf, self.Yf]
+            self._singular = funcs + [fn.diff(j) for fn in funcs for j in range(3)]
+        return self._singular
 
     def singular_system_at(self, q):
         """(f, Xf, Yf) at q and their 3x3 coordinate Jacobian, from one kernel."""
@@ -586,7 +589,6 @@ class SingularLocus:
     kind: str                  # "isolated-point" | "curve" | "unclassified"
     points: np.ndarray         # (n, d): refined locus samples
     tangents: np.ndarray | None = None
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _newton_lstsq(system, q0):
@@ -657,13 +659,15 @@ def _newton_batch(batch, seeds, dim):
 def _numeric_rank(j):
     sv = np.linalg.svd(j, compute_uv=False)
     scale = max(sv[0], 1e-12)
-    return int(np.sum(sv > RANK_TOL_RATIO * max(scale, 1.0))), sv
+    return int(np.sum(sv > RANK_TOL_RATIO * max(scale, 1.0)))
 
 
 def _trace_curve(system, q0, j0, region):
     """Predictor-corrector continuation of a rank-deficient zero curve from
     q0, where the Jacobian is j0.  The tangent is the kernel direction of the
-    Jacobian of each corrected point."""
+    Jacobian of each corrected point.  A curve that closes on itself is
+    traced once round: the backward march only runs when the forward one
+    stopped short of q0."""
 
     def kernel_dir(j):
         _, _, vt = np.linalg.svd(j)
@@ -693,7 +697,7 @@ def _trace_curve(system, q0, j0, region):
                 pts.insert(0, q)
                 tans.insert(0, tan)
             if np.linalg.norm(q - q0) < 0.5 * TRACE_STEP and len(pts) > 10:
-                break  # closed loop
+                return np.array(pts), np.array(tans)  # closed loop
     return np.array(pts), np.array(tans)
 
 
@@ -747,14 +751,15 @@ def _detect_implicit(structure, surf, region, grid):
 
 
 def _near(points, qs, radius):
-    """Whether each row of qs lies within radius of some row of points,
-    measured as ``np.linalg.norm(points - q, axis=1)``, a block of rows at a
-    time so that the distance table stays small."""
+    """Whether each row of qs lies within radius of some row of points: the
+    squared distances, summed coordinate by coordinate, against radius^2, a
+    block of rows at a time so that the distance table stays small."""
     out = np.zeros(len(qs), dtype=bool)
     rows = max(1, 4096 // len(points))
     for lo in range(0, len(qs), rows):
-        d = np.linalg.norm(points[None, :, :] - qs[lo:lo + rows, None, :], axis=2)
-        out[lo:lo + rows] = d.min(axis=1) < radius
+        d2 = sum((points[None, :, k] - qs[lo:lo + rows, None, k]) ** 2
+                 for k in range(points.shape[1]))
+        out[lo:lo + rows] = d2.min(axis=1) < radius * radius
     return out
 
 
@@ -771,33 +776,21 @@ def _classify_seeds(system, batch, seeds, region, ambient_dim):
     seeds = sorted(seeds, key=tuple)
     solved, converged = _newton_batch(batch, seeds, ambient_dim)
     covered = np.zeros(len(seeds), dtype=bool)
-
-    def near_existing(q):
-        for locus in loci:
-            if np.min(np.linalg.norm(locus.points - q, axis=1)) < 5 * TRACE_STEP:
-                return True
-        return False
-
     for k, seed in enumerate(seeds):
         if covered[k]:
             continue
         q, ok, j = _newton_lstsq(system, seed)
-        if not ok or near_existing(q):
+        if not ok or any(_near(l.points, q[None], 5 * TRACE_STEP)[0] for l in loci):
             continue
         if not all(lo - 1e-7 <= c <= hi + 1e-7 for c, (lo, hi) in zip(q, region)):
             continue
-        rank, sv = _numeric_rank(j)
+        rank = _numeric_rank(j)
         if rank >= full_rank:
-            loci.append(SingularLocus("isolated-point", np.array([q]),
-                                      diagnostics={"singular_values": sv.tolist()}))
+            loci.append(SingularLocus("isolated-point", np.array([q])))
         elif rank == full_rank - 1:
-            pts, tans = _trace_curve(system, q, j, region)
-            loci.append(SingularLocus("curve", pts, tans,
-                                      diagnostics={"singular_values": sv.tolist()}))
+            loci.append(SingularLocus("curve", *_trace_curve(system, q, j, region)))
         else:
-            loci.append(SingularLocus("unclassified", np.array([q]),
-                                      diagnostics={"singular_values": sv.tolist(),
-                                                   "rank": rank}))
+            loci.append(SingularLocus("unclassified", np.array([q])))
         later = k + 1 + np.flatnonzero(converged[k + 1:] & ~covered[k + 1:])
         covered[later] = _near(loci[-1].points, solved[later], 5 * TRACE_STEP)
     return loci
@@ -812,12 +805,26 @@ def _classify_seeds(system, batch, seeds, region, ambient_dim):
 STATIONARITY_SAMPLES, STATIONARITY_DELTA, STATIONARITY_TOL = 5, 1e-3, 1e-6
 
 
+def step_off_curve(structure: StructureSpec, surf: ImplicitSurface, points, tangents,
+                   offsets):
+    """Steps off a curve along J(w), w the unit frame tangent at each curve
+    point, projected back to the surface.
+
+    ``points`` and their coordinate tangents ``tangents`` are (n, 3); each of
+    the k signed ``offsets`` moves every point by that multiple of J(w), in
+    coordinates.  Returns w (n, 3) and the k x n projections (k, n, 3), all
+    from one projection call."""
+    w = structure.frame_components(points, tangents)
+    w = w / np.sqrt(np.vecdot(w, w))[:, None]
+    step = (structure.j_apply(w)[:, None, :] @ structure.frame_matrices(points))[:, 0]
+    return w, surf.project(points + np.multiply.outer(offsets, step))
+
+
 @dataclass
 class StationarityReport:
     orthogonal: bool
     max_angle_dev: float       # radians, worst |pi/2 - angle(Z, curve tangent)|
     inconclusive: bool = False
-    samples: list = field(default_factory=list)
 
 
 def stationarity_at_singular_curve(structure: StructureSpec, surf,
@@ -827,50 +834,28 @@ def stationarity_at_singular_curve(structure: StructureSpec, surf,
     Samples points of the traced curve, approaches the surface from both
     sides along the horizontal direction J(tangent), extrapolates the limit
     characteristic direction and measures its Riemannian angle against the
-    curve tangent.
+    curve tangent.  A side of a sample counts when the tangent is horizontal
+    (|w_T| <= 1e-4), Z is finite at both approach points and the
+    extrapolated Z has length at least 0.5; the test is inconclusive when
+    some side does not count.
     """
     if locus.kind != "curve":
         raise ValueError("stationarity test requires a singular curve locus")
     geom = surf.geometry(structure)
     n = len(locus.points)
     idx = np.linspace(0, n - 1, min(STATIONARITY_SAMPLES, n)).astype(int)
-    worst = 0.0
-    samples = []
-    inconclusive = False
-    for i in idx:
-        q = locus.points[i]
-        tan_coord = locus.tangents[i]
-        m = structure.frame_matrix(q)
-        w = np.linalg.solve(m.T, tan_coord)
-        w /= np.linalg.norm(w)
-        if abs(w[2]) > 1e-4:
-            inconclusive = True
-            continue
-        side = structure.j_apply(w)
-        side_coord = side @ m
-        for sgn in (+1.0, -1.0):
-            zs = []
-            for d in (STATIONARITY_DELTA, STATIONARITY_DELTA / 2.0):
-                try:
-                    pq = surf.project(q + sgn * d * side_coord)
-                    z = np.array([c.at(pq) for c in geom.Z])
-                except Exception:
-                    z = np.full(3, np.nan)
-                zs.append(z)
-            if not np.all(np.isfinite(zs)):
-                inconclusive = True
-                continue
-            z_lim = 2.0 * zs[1] - zs[0]
-            nz = np.linalg.norm(z_lim)
-            if nz < 0.5:
-                inconclusive = True
-                continue
-            z_lim /= nz
-            dev = abs(float(np.dot(z_lim, w)))
-            ang_dev = abs(np.arcsin(min(1.0, dev)))
-            samples.append({"point": tuple(q), "side": sgn, "dot": dev,
-                            "angle_dev_rad": ang_dev})
-            worst = max(worst, ang_dev)
+    d = STATIONARITY_DELTA
+    w, pq = step_off_curve(structure, surf, locus.points[idx], locus.tangents[idx],
+                           (d, d / 2.0, -d, -d / 2.0))
+    with np.errstate(all="ignore"):
+        # (side, approach distance, sample, 3)
+        z = ex.compiled_cse(geom.Z, "arrays")(pq.reshape(-1, 3)).reshape(2, 2, -1, 3)
+        z_lim = 2.0 * z[:, 1] - z[:, 0]
+        nz = np.sqrt(np.vecdot(z_lim, z_lim))
+        dev = np.abs(np.vecdot(z_lim / nz[..., None], w))
+        ang_dev = np.abs(np.arcsin(np.minimum(1.0, dev)))
+    counts = (np.abs(w[:, 2]) <= 1e-4) & np.isfinite(z).all(axis=(1, 3)) & (nz >= 0.5)
+    worst = float(np.max(ang_dev[counts], initial=0.0))
+    inconclusive = not counts.all()
     return StationarityReport(orthogonal=(worst <= STATIONARITY_TOL and not inconclusive),
-                              max_angle_dev=worst, inconclusive=inconclusive,
-                              samples=samples)
+                              max_angle_dev=worst, inconclusive=inconclusive)

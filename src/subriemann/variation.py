@@ -29,7 +29,8 @@ from . import expr as ex
 from .expr import Expr
 from .curves import rk4_step
 from .structures import StructureSpec, sum_exprs
-from .surfaces import GraphSurface, SurfaceGeometry, gauss_legendre_grid, grid_points
+from .surfaces import (GraphSurface, SurfaceGeometry, gauss_legendre_grid, grid_points,
+                       step_off_curve)
 
 MINIMALITY_TOL = 1e-8
 # RK4 substeps per grid interval of a characteristic-patch flow
@@ -400,8 +401,9 @@ class CharPatch:
     @classmethod
     def from_base_point(cls, structure, surf, seed, eps_span, s_span,
                         n_eps=21, n_s=81):
-        """Patch built on the S-integral curve through ``seed`` (the seed is
-        the eps = 0, s = 0 corner of the grid)."""
+        """Patch built on the S-integral curve through ``seed``.  The seed is
+        parameter 0 of both signed grids, eps over ``eps_span`` and s over
+        ``s_span``: the middle of the grid when both spans are symmetric."""
         geom = surf.geometry(structure)
         seed = surf.project(seed)
         s_coord = structure.frame_to_coordinate(list(geom.S))
@@ -429,25 +431,23 @@ class CharPatch:
         geom = surf.geometry(structure)
         z_coord = structure.frame_to_coordinate(list(geom.Z))
         s = np.linspace(FAN_S_MIN, s_max, n_s)
-        mid = n_eps // 2
-        eps_all, gpts_all, starts, sigmas = [], [], [], []
+        eps_all, gpts_all, starts = [], [], []
         for gamma, eps_span in curves:
             eps = np.linspace(eps_span[0], eps_span[1], n_eps)
             gpts = surf.project([gamma(e) for e in eps])
-            ref = np.gradient(gpts, axis=0)
             eps_all.append(eps)
             gpts_all.append(gpts)
-            for sgn in (+1.0, -1.0):
-                q0 = _step_off_curve(structure, geom, surf, gpts, sgn, s[0], ref)
-                # orient the flow away from the curve: compare Z at the
-                # stepped point with the outward step direction
-                z_at = np.array([c.at(q0[mid]) for c in geom.Z])
-                m = structure.frame_matrix(q0[mid])
-                out_dir = np.linalg.solve(m.T, q0[mid] - gpts[mid])
-                starts.append(q0)
-                sigmas.append(1.0 if float(z_at @ out_dir) >= 0 else -1.0)
-        pts = cls._surface_flow(structure, surf, z_coord, np.stack(starts),
-                                np.outer(sigmas, s))
+            starts.extend(_fan_starts(structure, geom, surf, gpts, s[0]))
+        starts = np.stack(starts)
+        # orient each side's flow away from its curve: compare Z at the middle
+        # stepped point with the outward step direction
+        mid = n_eps // 2
+        q_mid = starts[:, mid]
+        g_mid = np.repeat([g[mid] for g in gpts_all], 2, axis=0)
+        z_mid = ex.compiled_cse(geom.Z, "arrays")(q_mid)
+        out_dir = structure.frame_components(q_mid, q_mid - g_mid)
+        sigmas = np.where(np.vecdot(z_mid, out_dir) >= 0, 1.0, -1.0)
+        pts = cls._surface_flow(structure, surf, z_coord, starts, np.outer(sigmas, s))
         sides = [cls(structure, geom, eps_all[k // 2], s, pts[k], z_orientation=sigma)
                  for k, sigma in enumerate(sigmas)]
         return [(sides[2 * c], sides[2 * c + 1], gpts) for c, gpts in enumerate(gpts_all)]
@@ -500,24 +500,20 @@ class CharPatch:
         return float(np.max(np.abs(self.scalar(self.geom.H))))
 
 
-def _step_off_curve(structure, geom, surf, q, sgn, ds, ref_dir):
-    """First steps from singular-curve points q (n, 3) along the limit
-    characteristic direction (J of the curve tangent), then projected back to
-    the surface.
+def _fan_starts(structure, geom, surf, gpts, ds):
+    """First points of both sides of a fan off the singular-curve points gpts
+    (n, 3): steps of +ds and -ds along the limit characteristic direction (J
+    of the curve tangent), projected back to the surface; a (2, n, 3) array.
 
     The curve tangent is the kernel direction of the Jacobian of (f, Xf, Yf);
-    its sign (arbitrary from the SVD) is aligned with the row of ``ref_dir``
-    (n, 3), so all rays of a fan step off to the same side.
+    its sign (arbitrary from the SVD) is aligned with ``np.gradient`` of the
+    points, so the rays of each side all step off to one side of the curve.
     """
     with np.errstate(all="ignore"):
-        vals = ex.compiled_cse(geom.singular_exprs(), "arrays")(q)
+        vals = ex.compiled_cse(geom.singular_exprs(), "arrays")(gpts)
     tan = np.linalg.svd(vals[:, 3:].reshape(-1, 3, 3))[2][:, -1]
-    tan = np.where((np.vecdot(tan, ref_dir) < 0)[:, None], -tan, tan)
-    w = structure.frame_components(q, tan)
-    w = w / np.sqrt(np.vecdot(w, w))[:, None]
-    zdir = structure.j_apply(w)
-    step = (zdir[:, None, :] @ structure.frame_matrices(q))[:, 0]
-    return surf.project(q + sgn * ds * step)
+    tan = np.where((np.vecdot(tan, np.gradient(gpts, axis=0)) < 0)[:, None], -tan, tan)
+    return step_off_curve(structure, surf, gpts, tan, (ds, -ds))[1]
 
 
 @dataclass
@@ -569,7 +565,6 @@ class QReport:
     bulk: float
     boundary_u2: float
     boundary_su2: float
-    sing_coefficients: list
 
 
 def _gamma_weights(gpts):
@@ -611,7 +606,6 @@ def stability_quadratic_Q(sides, gamma_points, u_fn, tube_radius=0.1) -> QReport
     """
     side_p, side_m = sides
     bulk = 0.0
-    coeffs = []
     boundary_u2 = 0.0
     gw = _gamma_weights(gamma_points)
     u_gamma = np.asarray(u_fn(side_p.eps, np.zeros_like(side_p.eps)), dtype=float)
@@ -636,7 +630,6 @@ def stability_quadratic_Q(sides, gamma_points, u_fn, tube_radius=0.1) -> QReport
         q = patch.scalar(patch.geom.q_expr())
         bulk += patch.integrate(zu * zu / nh + q * u * u)
         cf = _limit_coefficient(patch) * patch.z_orientation
-        coeffs.append(cf)
         boundary_u2 += float(np.sum(cf * u_gamma ** 2 * gw))
     # S(u)^2 along the curve: S is tangent to Gamma at the singular curve
     d_eps = side_p.eps[1] - side_p.eps[0]
@@ -644,8 +637,7 @@ def stability_quadratic_Q(sides, gamma_points, u_fn, tube_radius=0.1) -> QReport
     boundary_su2 = float(np.sum(su ** 2 * gw))
     value = bulk + boundary_u2 + boundary_su2
     return QReport(value=value, bulk=bulk, boundary_u2=boundary_u2,
-                   boundary_su2=boundary_su2,
-                   sing_coefficients=[c.tolist() for c in coeffs])
+                   boundary_su2=boundary_su2)
 
 
 def _constant_w_bulk(patch: CharPatch, w: np.ndarray, where: str) -> float:

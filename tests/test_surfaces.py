@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from subriemann import expr as ex
+from subriemann.reproduce import RT_REPORT_REGIONS
 from subriemann.structures import TangentVector, sum_exprs
-from subriemann.surfaces import (GraphSurface, ImplicitSurface, surface_frame,
+from subriemann.surfaces import (GraphSurface, ImplicitSurface, SingularLocus, surface_frame,
                                  mean_curvature_frame, mean_curvature_graph,
                                  horizontal_jacobian, area_graph, mc_area,
                                  rt_minimal_residual, singular_set_detect,
@@ -571,7 +572,7 @@ def _oracle_trace(fun, jac, q0, region, step=1e-2, newton_tol=1e-10, max_steps=4
                 pts.insert(0, q)
                 tans.insert(0, tan)
             if np.linalg.norm(q - q0) < 0.5 * step and len(pts) > 10:
-                break
+                return np.array(pts), np.array(tans)
     return np.array(pts), np.array(tans)
 
 
@@ -637,12 +638,6 @@ def _oracle_detect(structure, surf, region, grid, step=1e-2):
     return _oracle_classify(fun, jac, seeds, region, step, 3)
 
 
-# the regions of the rt-report checks
-_RT_REPORT_REGIONS = {"helicoid": ((-2, 2), (-2, 2), (-2, 2)),
-                      "plane_y0": ((-2, 2), (-2, 2), (-0.8, 4.0)),
-                      "x_plus_sin": ((-2, 2), (-2, 2), (0.3, 5.9))}
-
-
 def _assert_same_loci(loci, oracle):
     assert [l.kind for l in loci] == [o[0] for o in oracle]
     for locus, (_, pts, tans) in zip(loci, oracle):
@@ -653,10 +648,14 @@ def _assert_same_loci(loci, oracle):
             assert np.array_equal(locus.tangents, tans)
 
 
-@pytest.mark.parametrize("name", sorted(_RT_REPORT_REGIONS))
+# fixtures of the rt-report surfaces; their names key RT_REPORT_REGIONS
+_RT_REPORT_SURFACES = ["helicoid", "plane_y0", "x_plus_sin"]
+
+
+@pytest.mark.parametrize("name", _RT_REPORT_SURFACES)
 def test_batched_detection_equals_the_per_seed_loop(name, rt, request):
     surf = request.getfixturevalue(name)
-    region = _RT_REPORT_REGIONS[name]
+    region = RT_REPORT_REGIONS[surf.name]
     loci = singular_set_detect(rt, surf, region=region, grid=13)
     assert loci
     _assert_same_loci(loci, _oracle_detect(rt, surf, region, 13))
@@ -682,7 +681,7 @@ def test_scalar_newton_runs_only_for_founding_seeds_and_the_tracer(rt, plane_y0,
         return newton(*args, **kwargs)
 
     monkeypatch.setattr(surfaces, "_newton_lstsq", counted)
-    loci = singular_set_detect(rt, plane_y0, region=_RT_REPORT_REGIONS["plane_y0"], grid=13)
+    loci = singular_set_detect(rt, plane_y0, region=RT_REPORT_REGIONS["plane_y0"], grid=13)
     assert [l.kind for l in loci] == ["curve", "curve"]
     assert callers.count("_classify_seeds") == len(loci)
     # one corrector per traced point after the first, plus at most one
@@ -706,12 +705,124 @@ def test_batched_lstsq_matches_numpy_lstsq():
         assert np.allclose(got[k], want, rtol=1e-9, atol=1e-9)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_near_agrees_with_the_norm_definition(dim):
+    from subriemann.surfaces import _near
+    rng = np.random.default_rng(dim)
+    points = rng.uniform(-1, 1, size=(700, dim))
+    qs = rng.uniform(-1.2, 1.2, size=(400, dim))
+    radius = 0.05 if dim == 2 else 0.12
+    dmin = np.array([np.min(np.linalg.norm(points - q, axis=1)) for q in qs])
+    qs, dmin = qs[np.abs(dmin - radius) > 1e-6], dmin[np.abs(dmin - radius) > 1e-6]
+    got = _near(points, qs, radius)
+    assert np.array_equal(got, dmin < radius)
+    assert 0 < got.sum() < len(got)
+
+
+def test_closed_singular_curve_is_traced_once_round():
+    from subriemann.surfaces import TRACE_STEP, _trace_curve
+
+    def system(q):
+        x, y, t = q
+        return (np.array([x * x + y * y - 1.0, t, 0.0]),
+                np.array([[2 * x, 2 * y, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+
+    q0 = np.array([1.0, 0.0, 0.0])
+    pts, tans = _trace_curve(system, q0, system(q0)[1], ((-2, 2), (-2, 2), (-1, 1)))
+    assert len(pts) == len(tans) <= 2 * np.pi / TRACE_STEP + 2
+    # one lap: the angle moves one way and never comes back to an earlier value
+    angle = np.unwrap(np.arctan2(pts[:, 1], pts[:, 0]))
+    steps = np.diff(angle)
+    assert np.all(steps > 0) or np.all(steps < 0)
+    assert 2 * np.pi - 2 * TRACE_STEP < abs(angle[-1] - angle[0]) < 2 * np.pi
+
+
+def test_singular_exprs_are_built_once(rt, helicoid):
+    geom = helicoid.geometry(rt)
+    first = geom.singular_exprs()
+    assert len(first) == 12
+    assert geom.singular_exprs() is first
+
+
 # ---------------------------------------------------------------------------
 # stationarity at singular curves
 
 
+def _stationarity_oracle(structure, surf, locus, n_samples=5, delta=1e-3, tol=1e-6):
+    """The per-sample stationarity loop: frame matrix, solve, one projection
+    per approach point and Z by tree walks.  Returns (orthogonal,
+    max_angle_dev, inconclusive)."""
+    geom = surf.geometry(structure)
+    n = len(locus.points)
+    idx = np.linspace(0, n - 1, min(n_samples, n)).astype(int)
+    worst = 0.0
+    inconclusive = False
+    for i in idx:
+        q = locus.points[i]
+        tan_coord = locus.tangents[i]
+        m = structure.frame_matrix(q)
+        w = np.linalg.solve(m.T, tan_coord)
+        w /= np.linalg.norm(w)
+        if abs(w[2]) > 1e-4:
+            inconclusive = True
+            continue
+        side = structure.j_apply(w)
+        side_coord = side @ m
+        for sgn in (+1.0, -1.0):
+            zs = []
+            for d in (delta, delta / 2.0):
+                pq = surf.project(q + sgn * d * side_coord)
+                zs.append(np.array([c.at(pq) for c in geom.Z]))
+            if not np.all(np.isfinite(zs)):
+                inconclusive = True
+                continue
+            z_lim = 2.0 * zs[1] - zs[0]
+            nz = np.linalg.norm(z_lim)
+            if nz < 0.5:
+                inconclusive = True
+                continue
+            z_lim /= nz
+            dev = abs(float(np.dot(z_lim, w)))
+            worst = max(worst, abs(np.arcsin(min(1.0, dev))))
+    return worst <= tol and not inconclusive, worst, inconclusive
+
+
+def _assert_same_stationarity(rep, oracle):
+    orthogonal, worst, inconclusive = oracle
+    assert np.float64(rep.max_angle_dev).tobytes() == np.float64(worst).tobytes()
+    assert rep.orthogonal == orthogonal
+    assert rep.inconclusive == inconclusive
+
+
+@pytest.mark.parametrize("name,region", [
+    *((name, None) for name in _RT_REPORT_SURFACES),
+    ("plane_y0", ((-1.5, 1.5), (-1.5, 1.5), (-0.9, 4.0)))],
+    ids=[*_RT_REPORT_SURFACES, "plane_y0-small"])
+def test_batched_stationarity_equals_the_per_sample_loop(name, region, rt, request):
+    surf = request.getfixturevalue(name)
+    loci = singular_set_detect(rt, surf, region=region or RT_REPORT_REGIONS[surf.name],
+                               grid=13)
+    curves = [l for l in loci if l.kind == "curve"]
+    assert curves
+    for curve in curves:
+        _assert_same_stationarity(stationarity_at_singular_curve(rt, surf, curve),
+                                  _stationarity_oracle(rt, surf, curve))
+
+
+def test_stationarity_is_inconclusive_along_a_vertical_tangent(rt, helicoid):
+    # the axis x = y = 0 of sigma_c, given the Reeb field as its tangent
+    ts = np.linspace(-1.0, 1.0, 11)
+    pts = np.column_stack([np.zeros_like(ts), np.zeros_like(ts), ts])
+    tans = np.column_stack([np.sin(ts), -np.cos(ts), np.zeros_like(ts)])
+    curve = SingularLocus("curve", pts, tans)
+    rep = stationarity_at_singular_curve(rt, helicoid, curve)
+    assert rep.inconclusive and not rep.orthogonal
+    with np.errstate(all="ignore"):
+        _assert_same_stationarity(rep, _stationarity_oracle(rt, helicoid, curve))
+
+
 def test_stationarity_helicoid(rt, helicoid):
-    loci = singular_set_detect(rt, helicoid, region=((-2, 2), (-2, 2), (-2, 2)),
+    loci = singular_set_detect(rt, helicoid, region=RT_REPORT_REGIONS["sigma_c"],
                                grid=13)
     curve = [l for l in loci if l.kind == "curve"][0]
     rep = stationarity_at_singular_curve(rt, helicoid, curve)
@@ -729,8 +840,8 @@ def test_stationarity_plane(rt, plane_y0):
 
 
 def test_stationarity_fails_x_plus_sin(rt, x_plus_sin):
-    loci = singular_set_detect(rt, x_plus_sin,
-                               region=((-2, 2), (-2, 2), (0.3, 5.9)), grid=13)
+    loci = singular_set_detect(rt, x_plus_sin, region=RT_REPORT_REGIONS["x_plus_sin"],
+                               grid=13)
     for curve in [l for l in loci if l.kind == "curve"]:
         rep = stationarity_at_singular_curve(rt, x_plus_sin, curve)
         assert not rep.orthogonal

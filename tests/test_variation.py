@@ -706,7 +706,7 @@ def _project_point(surf, p):
 
 def _step_off_point(structure, geom, surf, q, sgn, ds, ref_dir):
     """One ray's first step off a singular curve, point by point: the
-    reference of the batched ``_step_off_curve``."""
+    reference of the batched ``_fan_starts``."""
     _, j = geom.singular_system_at(q)
     _, _, vt = np.linalg.svd(j)
     tan_coord = vt[-1]
