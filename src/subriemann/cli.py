@@ -135,7 +135,7 @@ def cmd_curve_integrate(args) -> int:
         geodesic=args.geodesic, oracle=args.oracle)
     extra = () if closed is None else [
         (name, closed[:, j]) for j, name in enumerate(("x_oracle", "y_oracle", "t_oracle"))]
-    csv = trace.to_csv(extra=extra, extra_fmt=_fmt)
+    csv = trace.to_csv(extra=extra)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(csv)

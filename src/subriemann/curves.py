@@ -65,27 +65,19 @@ class CurveTrace:
     def __len__(self):
         return len(self.s)
 
-    def to_csv(self, jacobi=None, extra=(), extra_fmt=None) -> str:
-        """CSV of s, x, y, t, phi, lambda (and g(V,T) with its first two
-        derivatives if ``jacobi`` is given), each value as ``%.17g``.
-        ``extra`` adds (name, values) columns, formatted by ``extra_fmt``."""
+    def to_csv(self, extra=()) -> str:
+        """CSV of s, x, y, t, phi, lambda and the (name, values) columns of
+        ``extra``, each value as ``%.17g`` with a negative zero written as 0."""
         cols = ["s", "x", "y", "t", "phi", "lambda"]
         data = [self.s, self.points[:, 0], self.points[:, 1], self.points[:, 2],
                 self.phi, self.lam]
-        if jacobi is not None:
-            cols += ["gVT", "gVT_prime", "gVT_second"]
-            data += [jacobi.vt, jacobi.vt_prime, jacobi.vt_second]
-        n_main = len(data)
         for name, values in extra:
             cols.append(name)
             data.append(values)
         buf = io.StringIO()
         buf.write(",".join(cols) + "\n")
         for row in zip(*data):
-            line = ",".join("%.17g" % v for v in row[:n_main])
-            if extra:
-                line += "," + ",".join(extra_fmt(v) for v in row[n_main:])
-            buf.write(line + "\n")
+            buf.write(",".join("%.17g" % (v + 0.0) for v in row) + "\n")
         return buf.getvalue()
 
 
@@ -95,8 +87,6 @@ class JacobiTrace:
     vt: np.ndarray
     vt_prime: np.ndarray
     vt_second: np.ndarray
-    beta1: np.ndarray
-    beta2: np.ndarray
     base: CurveTrace | None = None
     gVZ: np.ndarray | None = None
     gVJZ: np.ndarray | None = None
@@ -257,33 +247,15 @@ def integrate_ode(f, y0, s_span, step):
     return np.array(ss), np.array(ys)
 
 
-def integrate_characteristic(structure: StructureSpec, init: CharState,
-                             s_range=(0.0, 10.0), step=1e-3) -> CurveTrace:
-    """Integrate a characteristic curve of curvature init.lam."""
-    sysm = _char_system(structure)
-    structure.check_point(init.point)
-    lam = init.lam
-    f = lambda y: sysm.char_rhs(y, lam)
-    y0 = np.array([*init.point, init.phi])
-    ss, ys = integrate_ode(f, y0, s_range, step)
-    trunc = _truncate_outside(structure, ys)
-    n = trunc if trunc is not None else len(ss)
-    return CurveTrace(s=ss[:n], points=ys[:n, :3], phi=ys[:n, 3],
-                      lam=np.full(n, lam), truncated=trunc is not None)
+def _integrate(structure, point, rhs, y0, s_range, step):
+    """RK4 of ``rhs`` from ``y0`` (whose first three entries are ``point``),
+    cut before the first state outside the chart.
 
-
-def integrate_geodesic(structure: StructureSpec, init: CharState,
-                       s_range=(0.0, 10.0), step=1e-3) -> CurveTrace:
-    """Integrate a sub-Riemannian geodesic: characteristic system plus
-    dlambda/ds = -(1/c1) g(tau(Z), Z)."""
-    sysm = _char_system(structure)
-    structure.check_point(init.point)
-    y0 = np.array([*init.point, init.phi, init.lam])
-    ss, ys = integrate_ode(sysm.geodesic_rhs, y0, s_range, step)
-    trunc = _truncate_outside(structure, ys)
-    n = trunc if trunc is not None else len(ss)
-    return CurveTrace(s=ss[:n], points=ys[:n, :3], phi=ys[:n, 3],
-                      lam=ys[:n, 4], truncated=trunc is not None)
+    Returns (s_values, states, truncated)."""
+    structure.check_point(point)
+    ss, ys = integrate_ode(rhs, y0, s_range, step)
+    cut = _truncate_outside(structure, ys)
+    return ss[:cut], ys[:cut], cut is not None
 
 
 def _truncate_outside(structure, ys):
@@ -293,6 +265,27 @@ def _truncate_outside(structure, ys):
     p = ys[:, :3]
     outside = np.flatnonzero(~np.all((lo - 1e-9 <= p) & (p <= hi + 1e-9), axis=1))
     return max(int(outside[0]), 1) if len(outside) else None
+
+
+def integrate_characteristic(structure: StructureSpec, init: CharState,
+                             s_range=(0.0, 10.0), step=1e-3) -> CurveTrace:
+    """Integrate a characteristic curve of curvature init.lam."""
+    sysm = _char_system(structure)
+    lam = init.lam
+    ss, ys, cut = _integrate(structure, init.point, lambda y: sysm.char_rhs(y, lam),
+                             np.array([*init.point, init.phi]), s_range, step)
+    return CurveTrace(s=ss, points=ys[:, :3], phi=ys[:, 3],
+                      lam=np.full(len(ss), lam), truncated=cut)
+
+
+def integrate_geodesic(structure: StructureSpec, init: CharState,
+                       s_range=(0.0, 10.0), step=1e-3) -> CurveTrace:
+    """Integrate a sub-Riemannian geodesic: characteristic system plus
+    dlambda/ds = -(1/c1) g(tau(Z), Z)."""
+    sysm = _char_system(structure)
+    ss, ys, cut = _integrate(structure, init.point, sysm.geodesic_rhs,
+                             np.array([*init.point, init.phi, init.lam]), s_range, step)
+    return CurveTrace(s=ss, points=ys[:, :3], phi=ys[:, 3], lam=ys[:, 4], truncated=cut)
 
 
 def rt_characteristic_closed_form(init, t):
@@ -320,51 +313,25 @@ def rt_characteristic_closed_form(init, t):
                      a_t], axis=-1)
 
 
-def characteristic_residual(structure: StructureSpec, trace: CurveTrace) -> float:
-    """Max residual of phi' + |c1| lambda + Gamma at 20 points of a trace
-    (finite differences); used as the precondition check for the Jacobi
-    solver."""
-    sysm = _char_system(structure)
-    n = len(trace)
-    if n < 3:
-        return 0.0
-    idx = np.linspace(1, n - 2, min(20, n - 2)).astype(int)
-    worst = 0.0
-    for i in idx:
-        h = trace.s[i + 1] - trace.s[i - 1]
-        dphi = (trace.phi[i + 1] - trace.phi[i - 1]) / h
-        target = sysm.char_rhs((*trace.points[i], trace.phi[i]), trace.lam[i])[3]
-        worst = max(worst, abs(dphi - target))
-    return worst
-
-
 def jacobi_vertical_ode(structure: StructureSpec, init: CharState,
-                        jacobi_init, s_range=(0.0, 10.0), step=1e-3,
-                        base_trace: CurveTrace | None = None) -> JacobiTrace:
+                        jacobi_init, s_range=(0.0, 10.0), step=1e-3) -> JacobiTrace:
     """Integrate the vertical Jacobi equation along a characteristic curve.
 
     ``jacobi_init`` is (g(V,T), g(V,T)', g(V,T)'') at s = 0.  The curve and
     the third-order scalar equation are integrated jointly so the
-    coefficients beta1, beta2 are evaluated exactly along the curve.  If a
-    precomputed ``base_trace`` is supplied it is only used for a precondition
-    check that it really is a characteristic curve.
+    coefficients beta1, beta2 are evaluated exactly along the curve; the run
+    stops at the chart edge like the curve alone would, recorded in
+    ``base.truncated``.
     """
     sysm = _char_system(structure)
-    structure.check_point(init.point)
-    if base_trace is not None:
-        res = characteristic_residual(structure, base_trace)
-        if res > 1e-6:
-            raise ValueError(f"base curve is not characteristic (residual {res:.2e})")
     lam = init.lam
-    y0 = np.array([*init.point, init.phi, *jacobi_init])
-    ss, ys = integrate_ode(lambda y: sysm.jacobi_rhs(y, lam), y0, s_range, step)
-    b1s = np.empty(len(ss))
-    b2s = np.empty(len(ss))
-    for i in range(len(ss)):
-        b1s[i], b2s[i] = sysm.beta_coeffs(ys[i, :3], ys[i, 3], lam)
-    base = CurveTrace(s=ss, points=ys[:, :3], phi=ys[:, 3], lam=np.full(len(ss), lam))
+    ss, ys, cut = _integrate(structure, init.point, lambda y: sysm.jacobi_rhs(y, lam),
+                             np.array([*init.point, init.phi, *jacobi_init]),
+                             s_range, step)
+    base = CurveTrace(s=ss, points=ys[:, :3], phi=ys[:, 3], lam=np.full(len(ss), lam),
+                      truncated=cut)
     return JacobiTrace(s=ss, vt=ys[:, 4], vt_prime=ys[:, 5], vt_second=ys[:, 6],
-                       beta1=b1s, beta2=b2s, base=base)
+                       base=base)
 
 
 def jacobi_from_curve_family(structure: StructureSpec, transverse,
@@ -373,8 +340,9 @@ def jacobi_from_curve_family(structure: StructureSpec, transverse,
     """Finite-difference Jacobi oracle.
 
     ``transverse(e)`` returns the CharState of the family member at parameter
-    e; the field V = dF/de at e = 0 is approximated by central differences of
-    the integrated curves and expressed in the frame along the base curve.
+    e, curvature included; ``lam`` is not read.  The field V = dF/de at e = 0
+    is approximated by central differences of the integrated curves and
+    expressed in the frame along the base curve.
     """
     base = integrate_characteristic(structure, transverse(0.0), s_range, step)
     plus = integrate_characteristic(structure, transverse(+eps), s_range, step)
@@ -386,17 +354,12 @@ def jacobi_from_curve_family(structure: StructureSpec, transverse,
     vt = comps[:, 2]
     gvz = comps[:, 0] * c + comps[:, 1] * s2
     gvjz = structure.sgn_c1 * (-comps[:, 0] * s2 + comps[:, 1] * c)
-    sysm = _char_system(structure)
-    b1s = np.empty(n)
-    b2s = np.empty(n)
-    for i in range(n):
-        b1s[i], b2s[i] = sysm.beta_coeffs(base.points[i], base.phi[i], lam)
     vt_prime = np.gradient(vt, base.s[:n])
     vt_second = np.gradient(vt_prime, base.s[:n])
     trimmed = CurveTrace(s=base.s[:n], points=base.points[:n], phi=base.phi[:n],
                          lam=base.lam[:n])
     return JacobiTrace(s=base.s[:n], vt=vt, vt_prime=vt_prime, vt_second=vt_second,
-                       beta1=b1s, beta2=b2s, base=trimmed, gVZ=gvz, gVJZ=gvjz)
+                       base=trimmed, gVZ=gvz, gVJZ=gvjz)
 
 
 def first_integral(trace: JacobiTrace) -> np.ndarray:

@@ -349,7 +349,7 @@ class CharPatch:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def _surface_flow(structure, surf, field_coord_exprs, p0, s_grid):
+    def _surface_flow(surf, field_coord_exprs, p0, s_grid):
         """RK4 flow of a surface field with per-step projection onto f = 0.
 
         ``p0`` is a point (3,) or a batch (n, 3) flowed over the grid
@@ -377,7 +377,7 @@ class CharPatch:
         return out.reshape(p0.shape[:-1] + out.shape[2:])
 
     @classmethod
-    def _flow_at_params(cls, structure, surf, field, p0, params):
+    def _flow_at_params(cls, surf, field, p0, params):
         """Flow positions at signed parameters (0 corresponds to p0).
 
         ``p0`` a point (3,) or batch (n, 3); result (len(params), 3) or
@@ -393,7 +393,7 @@ class CharPatch:
             idx = np.where(sign * params > 0)[0]
             if len(idx):
                 order = idx[np.argsort(params[idx])][::sign]
-                pts = cls._surface_flow(structure, surf, field, p0,
+                pts = cls._surface_flow(surf, field, p0,
                                         np.concatenate([[0.0], params[order]]))
                 out[..., order, :] = pts[..., 1:, :]
         return out
@@ -410,8 +410,8 @@ class CharPatch:
         z_coord = structure.frame_to_coordinate(list(geom.Z))
         eps = np.linspace(eps_span[0], eps_span[1], n_eps)
         s = np.linspace(s_span[0], s_span[1], n_s)
-        base = cls._flow_at_params(structure, surf, s_coord, seed, eps)
-        pts = cls._flow_at_params(structure, surf, z_coord, base, s)
+        base = cls._flow_at_params(surf, s_coord, seed, eps)
+        pts = cls._flow_at_params(surf, z_coord, base, s)
         return cls(structure, geom, eps, s, pts)
 
     @classmethod
@@ -447,7 +447,7 @@ class CharPatch:
         z_mid = ex.compiled_cse(geom.Z, "arrays")(q_mid)
         out_dir = structure.frame_components(q_mid, q_mid - g_mid)
         sigmas = np.where(np.vecdot(z_mid, out_dir) >= 0, 1.0, -1.0)
-        pts = cls._surface_flow(structure, surf, z_coord, starts, np.outer(sigmas, s))
+        pts = cls._surface_flow(surf, z_coord, starts, np.outer(sigmas, s))
         sides = [cls(structure, geom, eps_all[k // 2], s, pts[k], z_orientation=sigma)
                  for k, sigma in enumerate(sigmas)]
         return [(sides[2 * c], sides[2 * c + 1], gpts) for c, gpts in enumerate(gpts_all)]

@@ -25,7 +25,7 @@ from subriemann.variation import (CharPatch, ParamPatch, VariationField,
                                   first_variation_formula,
                                   first_variation_numeric,
                                   stability_sign_field)
-from subriemann.reproduce import helicoid_q_samples, plane_q_search
+from subriemann.reproduce import RT_REPORT_REGIONS, helicoid_q_samples, plane_q_search
 
 from conftest import random_cubic
 from test_surfaces import _conti_residuals, _divergence_residuals
@@ -341,7 +341,7 @@ def test_criterion_8b_left_helicoids(rt, sigma_b):
 
 
 def test_criterion_8c_right_helicoid(rt, helicoid):
-    loci = singular_set_detect(rt, helicoid, region=((-2, 2), (-2, 2), (-2, 2)),
+    loci = singular_set_detect(rt, helicoid, region=RT_REPORT_REGIONS["sigma_c"],
                                grid=13)
     curve = [l for l in loci if l.kind == "curve"][0]
     stat = stationarity_at_singular_curve(rt, helicoid, curve)
@@ -371,7 +371,7 @@ def test_criterion_8d_plane_negative_direction():
 
 def test_criterion_8e_x_plus_sin_not_stationary(rt, x_plus_sin):
     loci = singular_set_detect(rt, x_plus_sin,
-                               region=((-2, 2), (-2, 2), (0.3, 5.9)), grid=13)
+                               region=RT_REPORT_REGIONS["x_plus_sin"], grid=13)
     curves = [l for l in loci if l.kind == "curve"]
     reports = [stationarity_at_singular_curve(rt, x_plus_sin, c) for c in curves]
     ok = len(curves) == 2 and all(not r.orthogonal for r in reports)

@@ -146,6 +146,15 @@ def test_json_output_writes_no_negative_zero(capsys):
         '{"a": 0.0, "b": [0.0, [1.5, -2.0]], "c": [0.0, 3.0], "d": 7, "e": "x"}'
 
 
+def test_curve_csv_writes_no_negative_zero(capsys):
+    code, out, _ = run_cli(["curve", "integrate", "--structure", "rt", "--init=-0.0,0,0",
+                            "--phi=-0.0", "--range", "0,0.002", "--step", "0.001"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert rows[0] == ["0"] * 6
+    assert len(rows) == 3 and all("-0" not in row for row in rows)
+
+
 def test_surface_analyze_graph(tmp_path, capsys):
     spec = tmp_path / "graph.json"
     spec.write_text(json.dumps({"kind": "graph", "expr": "0",

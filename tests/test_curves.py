@@ -6,7 +6,7 @@ from subriemann.structures import StructureError
 from subriemann.curves import (CharState, integrate_characteristic,
                                integrate_geodesic, rt_characteristic_closed_form,
                                jacobi_vertical_ode, jacobi_from_curve_family,
-                               first_integral, characteristic_residual)
+                               first_integral, _char_system)
 from subriemann.structures import unimodular_structure
 
 
@@ -110,13 +110,26 @@ def test_lie_group_kind_rejected_for_integration():
         integrate_characteristic(st, CharState((0, 0, 0), 0.0, 0.0), (0, 1), 1e-2)
 
 
+def _characteristic_residual(structure, trace):
+    """Max residual of phi' + |c1| lambda + Gamma at 20 interior points of a
+    trace, phi' by central differences."""
+    sysm = _char_system(structure)
+    idx = np.linspace(1, len(trace) - 2, 20).astype(int)
+    worst = 0.0
+    for i in idx:
+        dphi = (trace.phi[i + 1] - trace.phi[i - 1]) / (trace.s[i + 1] - trace.s[i - 1])
+        target = sysm.char_rhs((*trace.points[i], trace.phi[i]), trace.lam[i])[3]
+        worst = max(worst, abs(dphi - target))
+    return worst
+
+
 def test_characteristic_residual_flags_noncharacteristic(rt):
     trace = integrate_characteristic(rt, CharState((0, 0, 0), 0.4, 0.2),
                                      (0.0, 2.0), 1e-3)
-    assert characteristic_residual(rt, trace) < 1e-8
+    assert _characteristic_residual(rt, trace) < 1e-8
     bad = trace
     bad.phi = bad.phi + 0.05 * bad.s  # corrupt the angle signal
-    assert characteristic_residual(rt, bad) > 1e-3
+    assert _characteristic_residual(rt, bad) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +161,14 @@ def test_rt_geodesic_lambda_rate(rt):
 # Jacobi vertical equation
 
 
+def _betas_along(structure, jt):
+    """(beta1, beta2) at every state of a Jacobi trace's base curve."""
+    sysm = _char_system(structure)
+    b = [sysm.beta_coeffs(p, phi, lam)
+         for p, phi, lam in zip(jt.base.points, jt.base.phi, jt.base.lam)]
+    return np.array(b).T
+
+
 def test_jacobi_zero_init_stays_zero(rt):
     jt = jacobi_vertical_ode(rt, CharState((0, 0, 0), 0.0, 0.0), (0, 0, 0),
                              (0.0, 5.0), 1e-3)
@@ -159,8 +180,9 @@ def test_jacobi_rt_plane_closed_form(rt):
     # init (0, -1, 0) has the closed form -sin(s)
     jt = jacobi_vertical_ode(rt, CharState((0, 0, 0), 0.0, 0.0), (0.0, -1.0, 0.0),
                              (0.0, 6.0), 1e-3)
-    assert np.allclose(jt.beta1, 1.0, atol=1e-12)
-    assert np.allclose(jt.beta2, 0.0, atol=1e-12)
+    beta1, beta2 = _betas_along(rt, jt)
+    assert np.allclose(beta1, 1.0, atol=1e-12)
+    assert np.allclose(beta2, 0.0, atol=1e-12)
     assert np.max(np.abs(jt.vt + np.sin(jt.s))) < 1e-9
 
 
@@ -169,7 +191,8 @@ def test_jacobi_rt_k_quarter(rt):
     k = 0.25
     jt = jacobi_vertical_ode(rt, CharState((0, 0, 0), np.pi / 3, 0.0),
                              (0.0, -1.0, 0.0), (0.0, 8.0), 1e-3)
-    assert np.allclose(jt.beta1, k, atol=1e-12)
+    beta1, _ = _betas_along(rt, jt)
+    assert np.allclose(beta1, k, atol=1e-12)
     expect = -np.sin(np.sqrt(k) * jt.s) / np.sqrt(k)
     assert np.max(np.abs(jt.vt - expect)) < 1e-9
 
@@ -179,8 +202,9 @@ def test_jacobi_heisenberg_k4(heis):
     k = 4.0
     jt = jacobi_vertical_ode(heis, CharState((0, 0, 0), 0.2, 1.0),
                              (0.0, -1.0, 0.0), (0.0, 6.0), 1e-3)
-    assert np.allclose(jt.beta1, k, atol=1e-12)
-    assert np.allclose(jt.beta2, 0.0, atol=1e-12)
+    beta1, beta2 = _betas_along(heis, jt)
+    assert np.allclose(beta1, k, atol=1e-12)
+    assert np.allclose(beta2, 0.0, atol=1e-12)
     expect = -np.sin(np.sqrt(k) * jt.s) / np.sqrt(k)
     assert np.max(np.abs(jt.vt - expect)) < 1e-9
 
@@ -194,15 +218,17 @@ def test_jacobi_heisenberg_lambda0_cubic(heis):
     assert np.max(np.abs(jt.vt - expect)) < 1e-10
 
 
-def test_jacobi_base_trace_precondition(rt):
-    trace = integrate_characteristic(rt, CharState((0, 0, 0), 0.4, 0.2),
-                                     (0.0, 2.0), 1e-3)
-    jacobi_vertical_ode(rt, CharState((0, 0, 0), 0.4, 0.2), (0, -1, 0),
-                        (0.0, 2.0), 1e-3, base_trace=trace)
-    trace.phi = trace.phi + 0.1 * trace.s
-    with pytest.raises(ValueError):
-        jacobi_vertical_ode(rt, CharState((0, 0, 0), 0.4, 0.2), (0, -1, 0),
-                            (0.0, 2.0), 1e-3, base_trace=trace)
+def test_jacobi_stops_at_the_chart_edge(heis):
+    # from the origin at phi = 0.3 the curve leaves the chart x <= 8 after
+    # 838 states; the joint Jacobi run keeps exactly the curve's states
+    init = CharState((0, 0, 0), 0.3, 0.0)
+    ch = integrate_characteristic(heis, init, (0.0, 10.0), 1e-2)
+    jt = jacobi_vertical_ode(heis, init, (0.0, -1.0, 0.0), (0.0, 10.0), 1e-2)
+    assert ch.truncated and jt.base.truncated
+    assert len(ch) == len(jt.s) == len(jt.vt) == 838
+    assert jt.base.points.tobytes() == ch.points.tobytes()
+    assert jt.base.phi.tobytes() == ch.phi.tobytes()
+    assert np.all(jt.base.points[:, 0] <= heis.chart_domain[0][1])
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +335,6 @@ def test_csv_trace_format(rt):
     assert lines[0] == "s,x,y,t,phi,lambda"
     assert len(lines) == len(trace) + 1
     assert "," in lines[1] and "e" not in lines[0]
-
-
-def test_csv_with_jacobi_columns(rt):
-    jt = jacobi_vertical_ode(rt, CharState((0, 0, 0), 0.0, 0.0), (0, -1, 0),
-                             (0.0, 0.01), 1e-3)
-    csv = jt.base.to_csv(jacobi=jt)
-    header = csv.split("\n")[0]
-    assert header == "s,x,y,t,phi,lambda,gVT,gVT_prime,gVT_second"
 
 
 # ---------------------------------------------------------------------------

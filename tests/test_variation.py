@@ -830,7 +830,7 @@ def test_z_derivative_along_integrated_curve_matches_symbolic(rt, helicoid):
     z_coord = rt.frame_to_coordinate(list(geom.Z))
     p0 = helicoid.project(np.array([1.0, 0.4, np.arctan2(0.4, 1.0)]))
     ss = np.linspace(0, 0.5, 501)
-    pts = CharPatch._surface_flow(rt, helicoid, z_coord, p0, ss)
+    pts = CharPatch._surface_flow(helicoid, z_coord, p0, ss)
     h_vals = np.array([geom.nh.at(p) for p in pts])
     mid = len(ss) // 2
     num = (h_vals[mid + 1] - h_vals[mid - 1]) / (ss[mid + 1] - ss[mid - 1])
