@@ -193,7 +193,7 @@ class _CharSystem:
         """(x, y, t, phi)' on a characteristic curve of curvature lam."""
         x, y, t, phi = state
         _, _, dp, dphi = self._char_terms(x, y, t, phi, lam)
-        return np.array([dp[0], dp[1], dp[2], dphi])
+        return (*dp, dphi)
 
     def geodesic_rhs(self, state):
         """(x, y, t, phi, lam)' on a geodesic: lam' = -(1/c1) g(tau(Z), Z)."""
@@ -201,7 +201,7 @@ class _CharSystem:
         c, s2, dp, dphi = self._char_terms(x, y, t, phi, lam)
         m00, m01, m11 = self._jacobi_kernel(x, y, t)[:3]
         tzz = m00 * c * c + 2 * m01 * c * s2 + m11 * s2 * s2
-        return np.array([dp[0], dp[1], dp[2], dphi, -tzz / self.c1])
+        return (*dp, dphi, -tzz / self.c1)
 
     def jacobi_rhs(self, state, lam):
         """(x, y, t, phi, v, v', v'')' for a characteristic curve of
@@ -210,7 +210,7 @@ class _CharSystem:
         c, s2, dp, dphi = self._char_terms(x, y, t, phi, lam)
         b1, b2 = self._betas(self._jacobi_kernel(x, y, t), c, s2, lam, dp, dphi)
         vtppp = -b1 * vtp - self.c1 * b2 * vt
-        return np.array([dp[0], dp[1], dp[2], dphi, vtp, vtpp, vtppp])
+        return (*dp, dphi, vtp, vtpp, vtppp)
 
     def beta_coeffs(self, p, phi, lam):
         """(beta1, beta2) at the point p and angle phi."""
@@ -220,31 +220,58 @@ class _CharSystem:
 
 
 def rk4_step(f, y, h):
+    """One RK4 step of y' = f(y) on a sequence of floats, as a list.
+
+    Each entry takes the operations, in the order, that numpy takes for the
+    same step on a float64 array, so the result has the same bits; on the
+    few entries of a curve state, plain floats save numpy's per-call cost.
+    """
     k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    hh = 0.5 * h
+    k2 = f([a + hh * b for a, b in zip(y, k1)])
+    k3 = f([a + hh * b for a, b in zip(y, k2)])
+    k4 = f([a + h * b for a, b in zip(y, k3)])
+    h6 = h / 6.0
+    return [a + h6 * (((b1 + 2 * b2) + 2 * b3) + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+
+
+def _rk4_states(f, y, h, n):
+    ys = [y]
+    for _ in range(n):
+        y = rk4_step(f, y, h)
+        ys.append(y)
+    return np.array(ys)
 
 
 def integrate_ode(f, y0, s_span, step):
     """Fixed-step RK4 over ``s_span``, the step shrunk to divide it evenly.
 
-    Returns (s_values, states); deterministic for fixed seeds and steps.
+    The state steps as plain floats, which round as float64 arrays do.
+    They differ only where a coefficient kernel divides by zero or raises a
+    negative base to a fractional power: a float raises or turns complex
+    where float64 gives inf or nan.  Such a run is stepped again from the
+    start in np.float64 scalars, so every run gives the states a float64
+    array state would.
+
+    Returns (s_values, states) as arrays; deterministic for fixed seeds and
+    steps.
     """
     s0, s1 = float(s_span[0]), float(s_span[1])
     if s1 == s0:
         return np.array([s0]), np.array([y0], dtype=float)
     n = max(int(round(abs(s1 - s0) / abs(step))), 1)
     h = (s1 - s0) / n
-    s, y = s0, np.asarray(y0, dtype=float)
-    ss, ys = [s], [y]
+    ss = [s0]
     for _ in range(n):
-        y = rk4_step(f, y, h)
-        s += h
-        ss.append(s)
-        ys.append(y)
-    return np.array(ss), np.array(ys)
+        ss.append(ss[-1] + h)
+    try:
+        ys = _rk4_states(f, tuple(float(v) for v in y0), h, n)
+    except (ArithmeticError, TypeError):   # TypeError: a complex into math.sin
+        ys = None
+    if ys is None or ys.dtype.kind == "c":
+        ys = _rk4_states(f, tuple(np.float64(v) for v in y0), h, n)
+    return np.array(ss), ys
 
 
 def _integrate(structure, point, rhs, y0, s_range, step):
@@ -273,7 +300,7 @@ def integrate_characteristic(structure: StructureSpec, init: CharState,
     sysm = _char_system(structure)
     lam = init.lam
     ss, ys, cut = _integrate(structure, init.point, lambda y: sysm.char_rhs(y, lam),
-                             np.array([*init.point, init.phi]), s_range, step)
+                             (*init.point, init.phi), s_range, step)
     return CurveTrace(s=ss, points=ys[:, :3], phi=ys[:, 3],
                       lam=np.full(len(ss), lam), truncated=cut)
 
@@ -284,7 +311,7 @@ def integrate_geodesic(structure: StructureSpec, init: CharState,
     dlambda/ds = -(1/c1) g(tau(Z), Z)."""
     sysm = _char_system(structure)
     ss, ys, cut = _integrate(structure, init.point, sysm.geodesic_rhs,
-                             np.array([*init.point, init.phi, init.lam]), s_range, step)
+                             (*init.point, init.phi, init.lam), s_range, step)
     return CurveTrace(s=ss, points=ys[:, :3], phi=ys[:, 3], lam=ys[:, 4], truncated=cut)
 
 
@@ -326,7 +353,7 @@ def jacobi_vertical_ode(structure: StructureSpec, init: CharState,
     sysm = _char_system(structure)
     lam = init.lam
     ss, ys, cut = _integrate(structure, init.point, lambda y: sysm.jacobi_rhs(y, lam),
-                             np.array([*init.point, init.phi, *jacobi_init]),
+                             (*init.point, init.phi, *jacobi_init),
                              s_range, step)
     base = CurveTrace(s=ss, points=ys[:, :3], phi=ys[:, 3], lam=np.full(len(ss), lam),
                       truncated=cut)
@@ -357,7 +384,8 @@ def jacobi_from_curve_family(structure: StructureSpec, transverse,
     vt_prime = np.gradient(vt, base.s[:n])
     vt_second = np.gradient(vt_prime, base.s[:n])
     trimmed = CurveTrace(s=base.s[:n], points=base.points[:n], phi=base.phi[:n],
-                         lam=base.lam[:n])
+                         lam=base.lam[:n],
+                         truncated=base.truncated or plus.truncated or minus.truncated)
     return JacobiTrace(s=base.s[:n], vt=vt, vt_prime=vt_prime, vt_second=vt_second,
                        base=trimmed, gVZ=gvz, gVJZ=gvjz)
 

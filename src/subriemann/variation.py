@@ -27,7 +27,6 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expr
-from .curves import rk4_step
 from .structures import StructureSpec, sum_exprs
 from .surfaces import (GraphSurface, SurfaceGeometry, gauss_legendre_grid, grid_points,
                        step_off_curve)
@@ -55,33 +54,27 @@ class AdmissibilityError(ValueError):
 
 @dataclass(frozen=True)
 class VariationField:
-    """Ambient variation field given by frame-component expressions.
-
-    ``support`` is an optional descriptor (e.g. a compact sub-region box or a
-    distance floor to the singular set) carried for reporting; the effective
-    support is whatever the coefficient expressions vanish outside of.
-    """
+    """Ambient variation field given by frame-component expressions; its
+    support is whatever the coefficient expressions vanish outside of."""
 
     comps: tuple
-    kind: str = "generic"
-    support: dict | None = None
 
     @staticmethod
     def normal(geom: SurfaceGeometry, u: Expr) -> "VariationField":
         u = ex._as_expr(u)
-        return VariationField(tuple(ex.mul(u, c) for c in geom.N_comps), "normal")
+        return VariationField(tuple(ex.mul(u, c) for c in geom.N_comps))
 
     @staticmethod
     def vertical(w: Expr) -> "VariationField":
         w = ex._as_expr(w)
-        return VariationField((ex.ZERO, ex.ZERO, w), "vertical")
+        return VariationField((ex.ZERO, ex.ZERO, w))
 
     @staticmethod
     def tangent(geom: SurfaceGeometry, l: Expr, h: Expr) -> "VariationField":
         l, h = ex._as_expr(l), ex._as_expr(h)
         comps = tuple(ex.add(ex.mul(l, z), ex.mul(h, s))
                       for z, s in zip(geom.Z, geom.S))
-        return VariationField(comps, "tangent")
+        return VariationField(comps)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +315,16 @@ def _trapezoid_weights(grid):
     w[0] = (grid[1] - grid[0]) / 2.0
     w[-1] = (grid[-1] - grid[-2]) / 2.0
     return w
+
+
+def rk4_step(f, y, h):
+    """One RK4 step of y' = f(y) on arrays; ``h`` broadcasts against ``y``,
+    so a stack of groups can take one step size each."""
+    k1 = f(y)
+    k2 = f(y + 0.5 * h * k1)
+    k3 = f(y + 0.5 * h * k2)
+    k4 = f(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 class CharPatch:

@@ -4,7 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to get one pass/fail line
 per criterion.  Criterion 8(d) (an explicit negative direction of the pasted
 quadratic on the plane y = 0) is expected to fail: the engine's consistently
 derived coefficient field makes the quadratic nonnegative on the modeled
-variation class; see the decisions ledger for the blocking analysis.
+variation class; ROADMAP.md items 1-2 give the blocking analysis.
 """
 
 import numpy as np
@@ -358,15 +358,15 @@ def test_criterion_8d_plane_negative_direction():
     a direct second-variation computation) and the singular-curve coefficient
     c1 + 2 g(tau(Z), nu_h) = 0, so the modeled quadratic is a sum of squares;
     the prescribed widening cosine ansatz never goes negative.  This
-    criterion is therefore expected to FAIL; see /root/notes/decisions.md.
+    criterion is therefore expected to FAIL; see ROADMAP.md items 1-2.
     """
     search = plane_q_search(widths=(2.5, 5.0, 10.0, 20.0))
     found = search["negative_direction_found"]
     report("criterion 8d (plane negative direction)", found,
            f"min Q over widths = {search['min_Q']:.6e} "
-           "(engine finds no negative direction; see decisions ledger)")
+           "(engine finds no negative direction; see ROADMAP.md items 1-2)")
     assert found, ("no negative Q direction exists in the modeled class; "
-                   "blocking analysis recorded in /root/notes/decisions.md")
+                   "blocking analysis recorded in ROADMAP.md items 1-2")
 
 
 def test_criterion_8e_x_plus_sin_not_stationary(rt, x_plus_sin):

@@ -291,6 +291,16 @@ def test_family_reparametrization_direction(rt):
     assert np.max(np.abs(fam.vt)) < 1e-9
 
 
+def test_family_keeps_the_chart_edge_cut(heis):
+    # the members leave the chart x <= 8 after 838 states, as the curve of
+    # test_jacobi_stops_at_the_chart_edge does; the trimmed base keeps the cut
+    fam = jacobi_from_curve_family(heis, lambda e: CharState((0, e, 0), 0.3, 0.0),
+                                   0.0, (0.0, 10.0), 1e-2)
+    assert len(fam.s) == len(fam.base) == 838
+    assert fam.base.points[-1, 0] == pytest.approx(7.996, abs=1e-3)
+    assert fam.base.truncated
+
+
 def test_vt1_bracket_identity(rt):
     # g(V,T)' = c1 g(J(gamma'), V) along the family
     fam = jacobi_from_curve_family(
@@ -418,3 +428,106 @@ def test_jacobi_rhs_agrees_with_beta_coeffs(name, request):
         tzj = st.sgn_c1 * (tau[0, 1] * (c * c - s * s) + (tau[1, 1] - tau[0, 0]) * c * s)
         w = st.webster_expr().at(state[:3])
         assert b1 == pytest.approx(w + st.c1 * tzj + st.c1 ** 2 * lam ** 2, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# float states against the numpy-array stepping they replaced
+
+
+def _array_rk4_step(f, y, h):
+    k1 = f(y)
+    k2 = f(y + 0.5 * h * k1)
+    k3 = f(y + 0.5 * h * k2)
+    k4 = f(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _array_integrate(structure, rhs, y0, s_range, step):
+    """(s, states) of fixed-step RK4 on a float64 array state, each
+    right-hand side wrapped in np.array, cut at the chart edge."""
+    from subriemann.curves import _truncate_outside
+    s0, s1 = float(s_range[0]), float(s_range[1])
+    n = max(int(round(abs(s1 - s0) / abs(step))), 1)
+    h = (s1 - s0) / n
+    s, y = s0, np.asarray(y0, dtype=float)
+    ss, ys = [s], [y]
+    for _ in range(n):
+        y = _array_rk4_step(lambda v: np.array(rhs(v)), y, h)
+        s += h
+        ss.append(s)
+        ys.append(y)
+    ss, ys = np.array(ss), np.array(ys)
+    cut = _truncate_outside(structure, ys)
+    return ss[:cut], ys[:cut], cut is not None
+
+
+def _run_both(structure, kind, init, s_range, step):
+    """(library s, library states, reference s, reference states, library
+    truncated, reference truncated) of one characteristic, geodesic or
+    Jacobi run."""
+    sysm = _char_system(structure)
+    lam = init.lam
+    if kind == "char":
+        tr = integrate_characteristic(structure, init, s_range, step)
+        got = np.column_stack([tr.points, tr.phi])
+        rhs, y0 = (lambda y: sysm.char_rhs(y, lam)), [*init.point, init.phi]
+    elif kind == "geodesic":
+        tr = integrate_geodesic(structure, init, s_range, step)
+        got = np.column_stack([tr.points, tr.phi, tr.lam])
+        rhs, y0 = sysm.geodesic_rhs, [*init.point, init.phi, init.lam]
+    else:
+        jt = jacobi_vertical_ode(structure, init, (0.2, -1.0, 0.3), s_range, step)
+        tr = jt.base
+        got = np.column_stack([tr.points, tr.phi, jt.vt, jt.vt_prime, jt.vt_second])
+        rhs, y0 = (lambda y: sysm.jacobi_rhs(y, lam)), [*init.point, init.phi, 0.2, -1.0, 0.3]
+    s, ys, cut = _array_integrate(structure, rhs, y0, s_range, step)
+    return tr.s, got, s, ys, tr.truncated, cut
+
+
+@pytest.mark.parametrize("name, kind, init, s_range, step, truncated", [
+    ("rt", "char", CharState((0, 0, 0.4), 0.7, 0.0), (0.0, 3.0), 1e-3, False),
+    ("rt", "char", CharState((0.1, -0.2, 0.4), 0.7, 0.8), (0.0, 3.0), 1e-3, False),
+    ("heis", "char", CharState((0, 0, 0), 0.3, 1.0), (0.0, 3.0), 1e-3, False),
+    ("heis", "char", CharState((0, 0, 0), 0.3, 0.0), (0.0, 10.0), 1e-2, True),
+    ("rt", "geodesic", CharState((0, 0, 0.4), 0.7, 0.3), (0.0, 3.0), 1e-3, False),
+    ("heis", "geodesic", CharState((0.1, 0.2, 0.3), 0.4, 0.5), (0.0, 3.0), 1e-3, False),
+    ("rt", "jacobi", CharState((0, 0, 0.4), 0.7, 0.0), (0.0, 2.0), 1e-3, False),
+    ("heis", "jacobi", CharState((0, 0, 0), 1.1, 1.0), (0.0, 2.0), 1e-3, False),
+    ("heis", "jacobi", CharState((0, 0, 0), 0.3, 0.0), (0.0, 10.0), 1e-2, True),
+])
+def test_float_states_equal_array_states_bit_for_bit(name, kind, init, s_range, step,
+                                                     truncated, request):
+    st = request.getfixturevalue(name)
+    s, got, ref_s, ref, cut, ref_cut = _run_both(st, kind, init, s_range, step)
+    assert cut is ref_cut is truncated
+    assert np.array_equal(s, ref_s) and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("height, init, phi", [
+    ("1/(y - 0.1)", (0.0, 0.1, 0.0), 0.0),          # a divisor vanishes on the curve
+    ("(y - 0.1)^(-1)", (0.0, 0.1, 0.0), 0.0),       # 0.0 to a negative power
+    ("(y - 0.1)^1.5", (0.0, 0.5, 0.0), -1.5707),    # a negative base, fractional power
+])
+def test_float_states_fall_back_to_float64_where_floats_raise(height, init, phi):
+    # plain floats raise, or turn complex, where float64 gives inf or nan;
+    # the run then stops at its first non-finite state, as it did on arrays
+    from subriemann.structures import structure_from_json
+    st = structure_from_json({"kind": "coordinate-frame",
+                              "chart_domain": [[-1, 1], [-1, 1], [-1, 1]],
+                              "frame": {"X": ["1", "0", "y"],
+                                        "Y": ["0", "1", "-x + " + height],
+                                        "T": ["0", "0", "1"]}})
+    with np.errstate(all="ignore"):
+        s, got, ref_s, ref, cut, ref_cut = _run_both(st, "char", CharState(init, phi),
+                                                     (0.0, 1.0), 1e-3)
+    assert got.dtype == float and cut is ref_cut is True
+    assert np.array_equal(s, ref_s) and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("name", ["rt", "heis"])
+def test_right_hand_sides_are_tuples_of_floats(name, request):
+    sysm = _char_system(request.getfixturevalue(name))
+    state = (0.1, -0.2, 0.3, 0.4)
+    for out in (sysm.char_rhs(state, 0.5), sysm.geodesic_rhs((*state, 0.5)),
+                sysm.jacobi_rhs((*state, 0.1, 0.2, 0.3), 0.5)):
+        assert type(out) is tuple and all(type(v) is float for v in out)

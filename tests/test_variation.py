@@ -724,7 +724,7 @@ def _separate_fan(structure, surf, gamma, eps_span, s_max, n_eps, n_s, s_min=1e-
     each curve point stepped off and projected alone, and each side's flow
     projected until its largest |f| is below 1e-12: the fan construction
     before the sides of all curves shared one flow and one projection."""
-    from subriemann.curves import rk4_step
+    from subriemann.variation import rk4_step
 
     def project(q):
         q = np.array(q, dtype=float)
