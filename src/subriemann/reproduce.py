@@ -16,7 +16,7 @@ from .structures import StructureSpec, StructureError, unimodular_structure
 from .curves import (CharState, integrate_characteristic, integrate_geodesic,
                      rt_characteristic_closed_form)
 from .surfaces import (ImplicitSurface, GraphSurface, singular_set_detect,
-                       stationarity_at_singular_curve, SingularPointSignal, grid_points)
+                       stationarity_at_singular_curve, grid_points)
 from .variation import (CharPatch, ParamPatch, VariationField, index_form,
                         second_variation_numeric, first_variation_formula,
                         first_variation_numeric, stability_quadratic_Q,
@@ -117,7 +117,7 @@ def integrate_curve(st: StructureSpec, init_point, phi, lam, s_range, step,
 # surface analyze
 
 
-def _surface_sample_points(st, impl, region, grid):
+def _surface_sample_points(impl, region, grid):
     """The projections of the grid points near the surface that land inside
     the region, at most MAX_SURFACE_SAMPLES of them in grid order."""
     grid_pts = grid_points(*(np.linspace(lo, hi, grid) for lo, hi in region))
@@ -147,14 +147,11 @@ def surface_analysis(st: StructureSpec, surf, region=None, grid=13):
     else:
         region = tuple(zip(region[0::2], region[1::2]))
     loci = singular_set_detect(st, surf, region=None if graph else region, grid=grid)
-    rows = []
-    for p in _surface_sample_points(st, impl, region, grid):
-        try:
-            fp = geom.frame_point(p)
-        except SingularPointSignal:
-            continue
-        rows.append((p[0], p[1], p[2], fp.nh, fp.gNT, fp.H, fp.thetaS,
-                     fp.tauZZ, fp.tauZnu))
+    pts = np.reshape(_surface_sample_points(impl, region, grid), (-1, 3))
+    fields, regular = geom.frame_values(pts)
+    table = np.column_stack([pts] + [fields[k] for k in (
+        "nh", "gNT", "H", "thetaS", "tauZZ", "tauZnu")])
+    rows = [tuple(r) for r in table[regular].tolist()]
     summary = {
         "surface": getattr(surf, "name", ""), "samples": len(rows),
         "singular_loci": [{"kind": l.kind, "n_points": len(l.points),
@@ -313,10 +310,9 @@ def plane_q_search(widths=(2.5, 5.0, 10.0, 20.0), tube=0.15):
 def _surface_stability_samples(rt, surf, points) -> dict:
     """q, L(|N_h|) and the sign criterion sampled over surface points."""
     geom = surf.geometry(rt)
-    qs, ls = [], []
-    for p in points:
-        qs.append(geom.q_expr().at(p))
-        ls.append(l_of_nh(geom, p)[0])
+    q_fn = ex.compiled_cse([geom.q_expr()])
+    qs = [float(q_fn(*p)[0]) for p in points]
+    ls = [l_of_nh(geom, p)[0] for p in points]
     sign = stability_sign_field(geom, np.asarray(points))
     return {"q_samples": qs, "L_nh_samples": ls,
             "criterion_minmax": [sign.minimum, sign.maximum]}

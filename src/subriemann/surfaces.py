@@ -31,6 +31,9 @@ PROJECT_TOL, PROJECT_MAX_ITER = 1e-13, 40   # Newton projection onto f = 0
 NEWTON_TOL, NEWTON_MAX_ITER = 1e-10, 60     # Gauss-Newton on the singular system
 RANK_TOL_RATIO = 1e-5   # singular values up to this times max(s_max, 1) count as 0
 TRACE_STEP, TRACE_MAX_POINTS = 1e-2, 4000   # singular-curve continuation
+# the fields of SurfaceGeometry.frame_values; Z_gNT is Z(g(N,T))
+FRAME_SCALARS = ("f", "nh", "gNT", "tauZZ", "tauZnu", "thetaS", "H", "Z_gNT")
+FRAME_VECTORS = ("N", "nu_h", "Z", "S")
 
 
 class SingularPointSignal(Exception):
@@ -289,7 +292,6 @@ class SurfaceGeometry:
         self._q = None
         self._shape_cache = {}
         self._frame_fn = None
-        self._singular_fn = None
         self._singular = None
 
     # -- derivations ---------------------------------------------------------
@@ -346,33 +348,46 @@ class SurfaceGeometry:
 
     # -- pointwise evaluation --------------------------------------------------
 
-    def frame_point(self, p) -> SurfaceFramePoint:
-        p = tuple(float(c) for c in p)
+    def frame_values(self, P):
+        """(fields, regular) at the rows of the (n, 3) points P, from one
+        ``"arrays"`` kernel: ``fields`` maps FRAME_SCALARS to (n,) arrays and
+        FRAME_VECTORS to (n, 3) frame components (0/0 on the singular set is
+        nan); ``regular`` marks |N_h| finite and above EPS_SING.  Raises
+        ValueError naming the first point with |f| > 1e-8."""
+        P = np.asarray(P, dtype=float).reshape(-1, 3)
         if self._frame_fn is None:
-            # Z(g(N,T)) feeds the independent theta(S) cross-check below
+            # Z(g(N,T)) feeds the independent theta(S) cross-check of frame_point
             self._frame_fn = ex.compiled_cse([
                 self.surface.f, self.nh, self.gNT, self.tauZZ, self.tauZnu,
                 self.thetaS, self.H, self.Z_of(self.gNT),
-                *self.N_comps, *self.nu, *self.Z, *self.S])
-        # every field is evaluated before the singular check: 0/0 there is nan
+                *self.N_comps, *self.nu, *self.Z, *self.S], "arrays")
         with np.errstate(all="ignore"):
-            vals = [float(v) for v in self._frame_fn(*p)]
-        fval, nh, gnt, tau_zz, tau_znu, theta_s, h, zg = vals[:8]
-        if abs(fval) > 1e-8:
-            raise ValueError(f"point {p} is not on the surface (f = {fval:.3e})")
-        if not np.isfinite(nh) or nh <= EPS_SING:
+            vals = self._frame_fn(P)
+        off = np.flatnonzero(np.abs(vals[:, 0]) > 1e-8)
+        if len(off):
+            p = tuple(float(c) for c in P[off[0]])
+            raise ValueError(f"point {p} is not on the surface (f = {vals[off[0], 0]:.3e})")
+        k = len(FRAME_SCALARS)
+        fields = dict(zip(FRAME_SCALARS, vals[:, :k].T))
+        fields.update((name, vals[:, k + 3 * i:k + 3 * i + 3])
+                      for i, name in enumerate(FRAME_VECTORS))
+        nh = fields["nh"]
+        return fields, np.isfinite(nh) & (nh > EPS_SING)
+
+    def frame_point(self, p) -> SurfaceFramePoint:
+        p = tuple(float(c) for c in p)
+        fields, regular = self.frame_values([p])
+        v = {name: float(fields[name][0]) for name in FRAME_SCALARS}
+        nh, gnt = v["nh"], v["gNT"]
+        if not regular[0]:
             raise SingularPointSignal(p, 0.0 if not np.isfinite(nh) else nh)
         # cross-check theta(S) by solving Lemma conti (v)
         c1 = self.structure.c1
-        theta_conti = (-c1 * gnt * gnt + nh * nh * tau_znu - zg / nh) / nh
+        theta_conti = (-c1 * gnt * gnt + nh * nh * v["tauZnu"] - v["Z_gNT"] / nh) / nh
+        vec = {name: TangentVector(p, fields[name][0]) for name in FRAME_VECTORS}
         return SurfaceFramePoint(
-            point=p,
-            N=TangentVector(p, vals[8:11]),
-            nu_h=TangentVector(p, vals[11:14]),
-            Z=TangentVector(p, vals[14:17]),
-            S=TangentVector(p, vals[17:20]),
-            nh=nh, gNT=gnt, thetaS=theta_s, H=h,
-            tauZZ=tau_zz, tauZnu=tau_znu, thetaS_conti=theta_conti)
+            point=p, **vec, nh=nh, gNT=gnt, thetaS=v["thetaS"], H=v["H"],
+            tauZZ=v["tauZZ"], tauZnu=v["tauZnu"], thetaS_conti=theta_conti)
 
     def singular_exprs(self) -> list:
         """(f, Xf, Yf) and their coordinate derivatives d/dx, d/dy, d/dt.
@@ -383,14 +398,6 @@ class SurfaceGeometry:
             funcs = [self.surface.f, self.Xf, self.Yf]
             self._singular = funcs + [fn.diff(j) for fn in funcs for j in range(3)]
         return self._singular
-
-    def singular_system_at(self, q):
-        """(f, Xf, Yf) at q and their 3x3 coordinate Jacobian, from one kernel."""
-        if self._singular_fn is None:
-            self._singular_fn = ex.compiled_cse(self.singular_exprs())
-        with np.errstate(all="ignore"):
-            vals = np.array(self._singular_fn(*q))
-        return vals[:3], vals[3:].reshape(3, 3)
 
 
 def surface_frame(structure: StructureSpec, surf, p) -> SurfaceFramePoint:
@@ -595,12 +602,15 @@ def _newton_lstsq(system, q0):
     """Gauss-Newton with minimum-norm least-squares steps capped at 0.5.
 
     ``system(q)`` gives the residual r and its Jacobian J at q, from one
-    evaluation.  Returns (q, converged, J at q)."""
+    evaluation.  A non-finite iterate fails before LAPACK sees it, as in
+    ``_newton_batch``.  Returns (q, converged, J at q)."""
     q = np.asarray(q0, dtype=float)
     for _ in range(NEWTON_MAX_ITER):
         r, j = system(q)
         if np.linalg.norm(r) < NEWTON_TOL:
             return q, True, j
+        if not (np.isfinite(r).all() and np.isfinite(j).all()):
+            return q, False, j
         step, *_ = np.linalg.lstsq(j, -r, rcond=None)
         if not np.all(np.isfinite(step)):
             return q, False, j
@@ -712,42 +722,37 @@ def singular_set_detect(structure: StructureSpec, surf, region=None,
     the grid points where the system is small.
     """
     if isinstance(surf, GraphSurface):
-        return _detect_graph(surf, region or surf.domain, grid)
-    return _detect_implicit(structure, surf, region or structure.chart_domain, grid)
+        pe = surf.p_exprs()
+        return _detect(pe + [p.diff(j) for p in pe for j in range(2)],
+                       region or surf.domain, grid, 2)
+    return _detect(surf.geometry(structure).singular_exprs(),
+                   region or structure.chart_domain, grid, 3)
 
 
-def _detect_graph(gs: GraphSurface, region, grid):
-    pe = gs.p_exprs()
-    exprs = pe + [p.diff(j) for p in pe for j in range(2)]
+def _detect(exprs, region, grid, dim):
+    """Loci of the zeros of dim residuals in the first dim coordinates (t = 0
+    when dim is 2); ``exprs`` holds the residuals, then the row-major Jacobian.
+    A ``"numpy"`` kernel serves the scalar Newton, an ``"arrays"`` kernel the
+    grid screen (seeds: residual norm below 4 cells) and the batched Newton."""
+    region = tuple(region)[:dim]
     point_fn = ex.compiled_cse(exprs)
     batch_fn = ex.compiled_cse(exprs, "arrays")
+    pad = (0.0,) * (3 - dim)
 
     def system(q):
         with np.errstate(all="ignore"):
-            vals = np.array(point_fn(q[0], q[1], 0.0))
-        return vals[:2], vals[2:].reshape(2, 2)
+            vals = np.array(point_fn(*q, *pad))
+        return vals[:dim], vals[dim:].reshape(dim, dim)
 
     def batch(q):
-        return batch_fn(np.column_stack([q, np.zeros(len(q))]))
+        return batch_fn(np.column_stack([q, np.zeros((len(q), 3 - dim))]))
 
-    pts = grid_points(*(np.linspace(lo, hi, grid) for lo, hi in region[:2]))
-    with np.errstate(all="ignore"):
-        vals = batch(pts)
-    norm = np.hypot(vals[:, 0], vals[:, 1])
-    cell = max((region[0][1] - region[0][0]), (region[1][1] - region[1][0])) / grid
-    return _classify_seeds(system, batch, pts[norm < 4 * cell], region, ambient_dim=2)
-
-
-def _detect_implicit(structure, surf, region, grid):
-    geom = surf.geometry(structure)
-    batch_fn = ex.compiled_cse(geom.singular_exprs(), "arrays")
     pts = grid_points(*(np.linspace(lo, hi, grid) for lo, hi in region))
     with np.errstate(all="ignore"):
-        vals = batch_fn(pts)
-    norm = np.sqrt(sum(vals[:, i] * vals[:, i] for i in range(3)))
+        vals = batch(pts)
+    norm = np.sqrt(sum(vals[:, i] * vals[:, i] for i in range(dim)))
     cell = max(hi - lo for lo, hi in region) / grid
-    return _classify_seeds(geom.singular_system_at, batch_fn, pts[norm < 4 * cell],
-                           region, ambient_dim=3)
+    return _classify_seeds(system, batch, pts[norm < 4 * cell], region, dim)
 
 
 def _near(points, qs, radius):
@@ -763,7 +768,7 @@ def _near(points, qs, radius):
     return out
 
 
-def _classify_seeds(system, batch, seeds, region, ambient_dim):
+def _classify_seeds(system, batch, seeds, region, dim):
     """Loci of the seeds' Newton limits, in sorted seed order.
 
     All seeds are solved at once by ``_newton_batch``.  A seed whose batched
@@ -772,9 +777,8 @@ def _classify_seeds(system, batch, seeds, region, ambient_dim):
     ``_newton_lstsq``, so a locus is always founded, ranked and traced from
     the scalar solution."""
     loci = []
-    full_rank = ambient_dim
     seeds = sorted(seeds, key=tuple)
-    solved, converged = _newton_batch(batch, seeds, ambient_dim)
+    solved, converged = _newton_batch(batch, seeds, dim)
     covered = np.zeros(len(seeds), dtype=bool)
     for k, seed in enumerate(seeds):
         if covered[k]:
@@ -785,9 +789,9 @@ def _classify_seeds(system, batch, seeds, region, ambient_dim):
         if not all(lo - 1e-7 <= c <= hi + 1e-7 for c, (lo, hi) in zip(q, region)):
             continue
         rank = _numeric_rank(j)
-        if rank >= full_rank:
+        if rank >= dim:
             loci.append(SingularLocus("isolated-point", np.array([q])))
-        elif rank == full_rank - 1:
+        elif rank == dim - 1:
             loci.append(SingularLocus("curve", *_trace_curve(system, q, j, region)))
         else:
             loci.append(SingularLocus("unclassified", np.array([q])))
@@ -813,10 +817,12 @@ def step_off_curve(structure: StructureSpec, surf: ImplicitSurface, points, tang
     ``points`` and their coordinate tangents ``tangents`` are (n, 3); each of
     the k signed ``offsets`` moves every point by that multiple of J(w), in
     coordinates.  Returns w (n, 3) and the k x n projections (k, n, 3), all
-    from one projection call."""
-    w = structure.frame_components(points, tangents)
+    from one projection call and one evaluation of the frame matrices."""
+    m = structure.frame_matrices(points)   # w is solved as in frame_components
+    w = np.linalg.solve(np.swapaxes(m, 1, 2),
+                        np.asarray(tangents, dtype=float)[..., None])[..., 0]
     w = w / np.sqrt(np.vecdot(w, w))[:, None]
-    step = (structure.j_apply(w)[:, None, :] @ structure.frame_matrices(points))[:, 0]
+    step = (structure.j_apply(w)[:, None, :] @ m)[:, 0]
     return w, surf.project(points + np.multiply.outer(offsets, step))
 
 

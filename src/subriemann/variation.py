@@ -231,25 +231,19 @@ def second_variation_terms(geom: SurfaceGeometry, p, v: float,
                            w: float) -> SecondVariationTerms:
     """Evaluate q, xi, zeta, eta of the second variation at a point for the
     variation U = v N + w T (v, w numbers here: pointwise values)."""
-    st = geom.structure
-    c1 = st.c1
+    c1 = geom.structure.c1
     p = tuple(float(c) for c in p)
-    if abs(geom.H.at(p)) > MINIMALITY_TOL:
-        raise AdmissibilityError(
-            f"surface is not minimal at {p}: H = {geom.H.at(p):.3e}")
-    nh = geom.nh.at(p)
-    gnt = geom.gNT.at(p)
-    tzn = geom.tauZnu.at(p)
-    tzz = geom.tauZZ.at(p)
-    ths = geom.thetaS.at(p)
+    kernel = ex.compiled_cse([geom.H, geom.nh, geom.gNT, geom.tauZnu, geom.tauZZ,
+                              geom.thetaS, geom.shape_dot(geom.Z, geom.S), geom.q_expr()])
+    h, nh, gnt, tzn, tzz, ths, b_zs, q = map(float, kernel(*p))
+    if abs(h) > MINIMALITY_TOL:
+        raise AdmissibilityError(f"surface is not minimal at {p}: H = {h:.3e}")
     u = v + gnt * w
     coeff = nh * ths + c1 * gnt ** 2 + (1.0 + gnt ** 2) * tzn
     xi = gnt * coeff * u * u
-    b_zs = geom.shape_dot(geom.Z, geom.S).at(p)
     zeta = nh * nh * (gnt * coeff * w * w - 2.0 * b_zs * v * w)
     eta = (nh * nh * v * v - (gnt * v + w) ** 2) * tzz
-    return SecondVariationTerms(point=p, q=geom.q_expr().at(p), xi=xi,
-                                zeta=zeta, eta=eta)
+    return SecondVariationTerms(point=p, q=q, xi=xi, zeta=zeta, eta=eta)
 
 
 def l_of_nh(geom: SurfaceGeometry, p):
@@ -261,15 +255,12 @@ def l_of_nh(geom: SurfaceGeometry, p):
     st = geom.structure
     c1 = st.c1
     p = tuple(float(c) for c in p)
-    w = st.webster_curvature_tensor(p)
-    nh = geom.nh.at(p)
-    gnt = geom.gNT.at(p)
-    tzn = geom.tauZnu.at(p)
-    ths = geom.thetaS.at(p)
+    st.check_point(p)
+    kernel = ex.compiled_cse([st.webster_expr(), geom.nh, geom.gNT, geom.tauZnu,
+                              geom.thetaS, geom.Z_of(ex.div(geom.gNT, geom.nh))])
+    w, nh, gnt, tzn, ths, z_ratio = map(float, kernel(*p))
     a = (w - c1 * tzn - 2.0 * c1 * (nh * ths - nh * nh * tzn) / nh ** 2
          - c1 ** 2 * gnt ** 2 / nh ** 2)
-    ratio = ex.div(geom.gNT, geom.nh)
-    z_ratio = geom.Z_of(ratio).at(p)
     b = w - c1 * tzn + 2.0 * c1 * z_ratio + c1 ** 2 * gnt ** 2 / nh ** 2
     return a, b, a - b
 

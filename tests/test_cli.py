@@ -315,13 +315,12 @@ def test_curve_oracle_columns_follow_the_trace_columns(tmp_path, capsys):
 def test_surface_sample_points_stop_at_the_cap():
     from subriemann import catalog as cat
     from subriemann.reproduce import MAX_SURFACE_SAMPLES, _surface_sample_points
-    rt = cat.rt_structure()
     surf = cat.find_entry("sigma_c").make()
     region = ((-3.0, 3.0),) * 3
     calls = []
     project = surf.project
     surf.project = lambda q: calls.append(1) or project(q)
-    pts = _surface_sample_points(rt, surf, region, 13)
+    pts = _surface_sample_points(surf, region, 13)
     del surf.project
     # reference: project every candidate, keep those in the region, cut
     axes = [np.linspace(lo, hi, 13) for lo, hi in region]

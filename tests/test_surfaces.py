@@ -1,3 +1,5 @@
+import json
+import re
 import sys
 import warnings
 
@@ -600,6 +602,14 @@ def _oracle_classify(fun, jac, seeds, region, step, ambient_dim):
     return loci
 
 
+def _singular_system(geom, q):
+    """(f, Xf, Yf) at q and their 3x3 coordinate Jacobian, from one "numpy"
+    kernel of ``singular_exprs()``."""
+    with np.errstate(all="ignore"):
+        vals = np.array(ex.compiled_cse(geom.singular_exprs())(*q))
+    return vals[:3], vals[3:].reshape(3, 3)
+
+
 def _oracle_detect(structure, surf, region, grid, step=1e-2):
     if isinstance(surf, GraphSurface):
         pe = surf.p_exprs()
@@ -623,10 +633,10 @@ def _oracle_detect(structure, surf, region, grid, step=1e-2):
     geom = surf.geometry(structure)
 
     def fun(q):
-        return geom.singular_system_at(q)[0]
+        return _singular_system(geom, q)[0]
 
     def jac(q):
-        return geom.singular_system_at(q)[1]
+        return _singular_system(geom, q)[1]
 
     gx, gy, gt = np.meshgrid(*(np.linspace(lo, hi, grid) for lo, hi in region),
                              indexing="ij")
@@ -689,6 +699,26 @@ def test_scalar_newton_runs_only_for_founding_seeds_and_the_tracer(rt, plane_y0,
     traced = sum(len(l.points) - 1 for l in loci)
     assert traced <= callers.count("_trace_curve") <= traced + 2 * len(loci)
     assert set(callers) == {"_classify_seeds", "_trace_curve"}
+
+
+def test_scalar_newton_fails_on_non_finite_values_before_lstsq(monkeypatch):
+    # LAPACK may not return from a nan or inf matrix, so none may reach it
+    from subriemann.surfaces import _newton_lstsq
+    lstsq = np.linalg.lstsq
+
+    def finite_only(j, b, **kwargs):
+        assert np.isfinite(j).all() and np.isfinite(b).all()
+        return lstsq(j, b, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", finite_only)
+    q0 = np.array([0.3, -0.2])
+    for r, j in ((np.array([np.nan, 1.0]), np.eye(2)),
+                 (np.array([1.0, 0.5]), np.array([[np.inf, 0.0], [0.0, 1.0]]))):
+        q, ok, j_end = _newton_lstsq(lambda q: (r, j), q0)
+        assert not ok and np.array_equal(q, q0) and j_end is j
+    # a finite system still converges through lstsq
+    q, ok, _ = _newton_lstsq(lambda q: (q - 1.0, np.eye(2)), q0)
+    assert ok and np.allclose(q, 1.0)
 
 
 def test_batched_lstsq_matches_numpy_lstsq():
@@ -916,6 +946,113 @@ def test_frame_point_singular_signal_without_warnings(rt, helicoid, plane_y0):
         for surf, p in ((helicoid, (0.0, 0.0, 0.3)), (plane_y0, (0.4, 0.0, 0.0))):
             with pytest.raises(SingularPointSignal):
                 surf.geometry(rt).frame_point(p)
+
+
+def _frame_field_exprs(geom):
+    """The expressions behind each field of ``frame_values``, by name."""
+    return {"f": geom.surface.f, "nh": geom.nh, "gNT": geom.gNT, "tauZZ": geom.tauZZ,
+            "tauZnu": geom.tauZnu, "thetaS": geom.thetaS, "H": geom.H,
+            "Z_gNT": geom.Z_of(geom.gNT), "N": geom.N_comps, "nu_h": geom.nu,
+            "Z": geom.Z, "S": geom.S}
+
+
+def test_frame_values_equal_frame_point_row_by_row(rt, helicoid, x_plus_sin, plane_y0):
+    rng = np.random.default_rng(19)
+    xs_pts = [x_plus_sin.project(q) for q in rng.uniform(-1.5, 1.5, (8, 3)) + (0, 0, 3.1)]
+    # one singular row each on the helicoid axis and on the plane's line alpha = 0
+    for surf, pts, singular in ((helicoid, helicoid_points(rng, 8), (0.0, 0.0, 0.3)),
+                                (x_plus_sin, xs_pts, None),
+                                (plane_y0, plane_points(rng, 8), (0.4, 0.0, 0.0))):
+        pts = [tuple(float(c) for c in p) for p in pts]
+        if singular is not None:
+            pts.insert(3, singular)
+        geom = surf.geometry(rt)
+        fields, regular = geom.frame_values(pts)
+        assert set(fields) == set(_frame_field_exprs(geom))
+        assert regular.tolist() == [p != singular for p in pts]
+        for k, p in enumerate(pts):
+            if not regular[k]:
+                with pytest.raises(SingularPointSignal):
+                    geom.frame_point(p)
+                continue
+            fp = geom.frame_point(p)
+            for name in ("nh", "gNT", "thetaS", "H", "tauZZ", "tauZnu"):
+                assert fields[name][k] == getattr(fp, name), name
+            for name in ("N", "nu_h", "Z", "S"):
+                assert tuple(fields[name][k]) == getattr(fp, name).components, name
+
+
+def test_frame_rows_of_a_cubic_graph_equal_eval_on_the_point_columns():
+    # x^3 is an array power: frame rows follow eval on arrays, bit for bit
+    gs = GraphSurface(ex.parse("x^3*y - 0.3*x + 0.2*y^2"), domain=((-1, 1), (-1, 1)))
+    geom = gs.to_implicit().geometry(gs.structure())
+    xy = np.random.default_rng(4).uniform(-0.9, 0.9, (50, 2))
+    pts = np.column_stack([xy, gs.u.eval(xy[:, 0], xy[:, 1], 0.0)])
+    fields, regular = geom.frame_values(pts)
+    assert regular.all()
+    cols = pts[:, 0], pts[:, 1], pts[:, 2]
+    for name, e in _frame_field_exprs(geom).items():
+        want = ([np.broadcast_to(c.eval(*cols), len(pts)) for c in e]
+                if isinstance(e, list) else np.broadcast_to(e.eval(*cols), len(pts)))
+        assert np.array_equal(np.transpose(want), fields[name]), name
+
+
+def test_frame_values_name_the_first_off_surface_row(rt, helicoid):
+    pts = helicoid_points(np.random.default_rng(5), 4)
+    pts[2] = (1.0, 1.0, 0.0)
+    pts.append((2.0, 1.0, 0.0))
+    with pytest.raises(ValueError, match=re.escape("point (1.0, 1.0, 0.0) is not on")):
+        helicoid.geometry(rt).frame_values(pts)
+
+
+def test_surface_analyze_on_a_region_that_misses_the_surface(tmp_path, capsys):
+    from subriemann.cli import main
+    csv = tmp_path / "rows.csv"
+    code = main(["surface", "analyze", "--surface", "sigma_c", "--json",
+                 "--region=2,3,2,3,0.1,0.2", "--csv-out", str(csv)])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out)["samples"] == 0
+    assert csv.read_text() == "x,y,t,nh,gNT,H,thetaS,tauZZ,tauZnu\n\n"
+
+
+def _l_of_nh_tree(geom, p):
+    """``l_of_nh`` by ``Expr.at`` tree walks."""
+    st, c1 = geom.structure, geom.structure.c1
+    w = st.webster_curvature_tensor(p)
+    nh, gnt = geom.nh.at(p), geom.gNT.at(p)
+    tzn, ths = geom.tauZnu.at(p), geom.thetaS.at(p)
+    a = (w - c1 * tzn - 2.0 * c1 * (nh * ths - nh * nh * tzn) / nh ** 2
+         - c1 ** 2 * gnt ** 2 / nh ** 2)
+    z_ratio = geom.Z_of(ex.div(geom.gNT, geom.nh)).at(p)
+    b = w - c1 * tzn + 2.0 * c1 * z_ratio + c1 ** 2 * gnt ** 2 / nh ** 2
+    return a, b, a - b
+
+
+def _second_variation_terms_tree(geom, p, v, w):
+    """(q, xi, zeta, eta) of ``second_variation_terms`` by ``Expr.at`` tree walks."""
+    c1 = geom.structure.c1
+    nh, gnt = geom.nh.at(p), geom.gNT.at(p)
+    tzn, tzz, ths = geom.tauZnu.at(p), geom.tauZZ.at(p), geom.thetaS.at(p)
+    u = v + gnt * w
+    coeff = nh * ths + c1 * gnt ** 2 + (1.0 + gnt ** 2) * tzn
+    b_zs = geom.shape_dot(geom.Z, geom.S).at(p)
+    return (geom.q_expr().at(p), gnt * coeff * u * u,
+            nh * nh * (gnt * coeff * w * w - 2.0 * b_zs * v * w),
+            (nh * nh * v * v - (gnt * v + w) ** 2) * tzz)
+
+
+def test_pointwise_stability_terms_equal_tree_walks(rt, helicoid, plane_y0):
+    from subriemann.variation import l_of_nh, second_variation_terms
+    rng = np.random.default_rng(7)
+    for surf, pts in ((helicoid, helicoid_points(rng, 6)),
+                      (plane_y0, plane_points(rng, 6))):
+        geom = surf.geometry(rt)
+        for p in pts:
+            p = tuple(float(c) for c in p)
+            assert l_of_nh(geom, p) == _l_of_nh_tree(geom, p)
+            t = second_variation_terms(geom, p, v=0.7, w=0.3)
+            assert (t.q, t.xi, t.zeta, t.eta) == _second_variation_terms_tree(geom, p, 0.7, 0.3)
 
 
 def test_projection_kernels_compile_once_per_surface():

@@ -707,7 +707,8 @@ def _project_point(surf, p):
 def _step_off_point(structure, geom, surf, q, sgn, ds, ref_dir):
     """One ray's first step off a singular curve, point by point: the
     reference of the batched ``_fan_starts``."""
-    _, j = geom.singular_system_at(q)
+    with np.errstate(all="ignore"):
+        j = np.array(ex.compiled_cse(geom.singular_exprs())(*q)[3:]).reshape(3, 3)
     _, _, vt = np.linalg.svd(j)
     tan_coord = vt[-1]
     if float(tan_coord @ ref_dir) < 0:
