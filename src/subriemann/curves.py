@@ -54,6 +54,11 @@ class CharState:
         object.__setattr__(self, "lam", float(self.lam))
 
 
+# rows per block of CurveTrace.to_csv: a 10^4-row table formatted whole
+# raises the peak memory of `curve integrate` by about 10 %
+_CSV_BLOCK = 512
+
+
 @dataclass
 class CurveTrace:
     s: np.ndarray
@@ -74,10 +79,12 @@ class CurveTrace:
         for name, values in extra:
             cols.append(name)
             data.append(values)
+        row = ",".join(["%.17g"] * len(cols)) + "\n"
         buf = io.StringIO()
         buf.write(",".join(cols) + "\n")
-        for row in zip(*data):
-            buf.write(",".join("%.17g" % (v + 0.0) for v in row) + "\n")
+        for i in range(0, len(self.s), _CSV_BLOCK):
+            block = np.column_stack([d[i:i + _CSV_BLOCK] for d in data]) + 0.0
+            buf.writelines(row % tuple(r) for r in block.tolist())
         return buf.getvalue()
 
 
@@ -120,8 +127,12 @@ class _CharSystem:
     * Jacobi: tau_00, tau_01, tau_11, their d/dx, d/dy, d/dt, the Webster
       curvature W, then g(R(E_a, T) E_c, E_d) for a, c, d < 2.
 
-    A right-hand side makes one call per kernel it needs; the rest is float
-    arithmetic, so the RK4 loops never walk expression trees.
+    Each system's right-hand side is one closure, built once per run with
+    the curvature bound: it makes one call per kernel it needs and does the
+    rest as float arithmetic, the characteristic terms in ``_char_terms``
+    and g(tau(Z), Z) in ``_tau_zz`` for all three, so the RK4 loops never
+    walk expression trees.  The public ``*_rhs`` and ``beta_coeffs``
+    methods call the same closures.
     """
 
     def __init__(self, structure: StructureSpec):
@@ -147,93 +158,179 @@ class _CharSystem:
         return ex.compiled_cse([*m, *(e.diff(k) for e in m for k in range(3)),
                                 st.webster_expr(), *rzt], "math")
 
-    def _char_terms(self, x, y, t, phi, lam):
-        """cos(phi), sin(phi), the coordinate velocity cos(phi) X + sin(phi) Y
-        and dphi/ds = -|c1| lam - Gamma(p, phi), from one kernel call."""
-        k = self._char_kernel(x, y, t)
-        c, s2 = math.cos(phi), math.sin(phi)
-        dp = (c * k[0] + s2 * k[3], c * k[1] + s2 * k[4], c * k[2] + s2 * k[5])
-        # Gamma = sum over a, b < 2 of w_a w_b g(nabla_{E_a} E_b, Zperp) with
-        # w = (c, s2); starting from 0.0 makes a sum of zeros +0.0, not -0.0
-        gamma = (0.0 + c * c * (-s2 * k[6] + c * k[7])
-                 + c * s2 * (-s2 * k[8] + c * k[9])
-                 + s2 * c * (-s2 * k[10] + c * k[11])
-                 + s2 * s2 * (-s2 * k[12] + c * k[13]))
-        return c, s2, dp, -self.abs_c1 * lam - gamma
+    def _char_flow(self, lam):
+        """(x, y, t, phi) -> (x, y, t, phi)' on a characteristic curve of
+        curvature lam, from one kernel call."""
+        kernel, abs_c1 = self._char_kernel, self.abs_c1
 
-    def _betas(self, j, c, s2, lam, dp, dphi):
-        """(beta1, beta2) from the Jacobi kernel values j at a state whose
-        flow is (dp, dphi)."""
-        sgn, c1 = self.sgn_c1, self.c1
-        m00, m01, m11 = j[0], j[1], j[2]
-        tzz = m00 * c * c + 2 * m01 * c * s2 + m11 * s2 * s2      # g(tau(Z), Z)
-        tzj = sgn * (m01 * (c * c - s2 * s2) + (m11 - m00) * c * s2)
-        # d/ds g(tau(Z), J(Z)) along the flow
-        cos2, sin2 = c * c - s2 * s2, 2 * c * s2
-        spatial = 0.0
-        for i in range(3):
-            dm00, dm01, dm11 = j[3 + i], j[6 + i], j[9 + i]
-            spatial += dp[i] * (dm01 * cos2 + 0.5 * (dm11 - dm00) * sin2)
-        angular = (-2 * m01 * sin2 + (m11 - m00) * cos2) * dphi
-        dtzj = sgn * (spatial + angular)
-        # g(R(Z, T) Z, J(Z))
-        w, jw = (c, s2), (-sgn * s2, sgn * c)
-        r_term = 0.0
-        i = 13
-        for wa in w:
-            for wc in w:
-                for wd in jw:
-                    r_term += wa * wc * wd * j[i]
-                    i += 1
-        beta1 = j[12] + c1 * tzj + c1 ** 2 * lam ** 2
-        beta2 = c1 * lam * tzz + r_term + dtzj
-        return beta1, beta2
+        def rhs(state):
+            x, y, t, phi = state
+            return _char_terms(kernel(x, y, t), phi, lam, abs_c1)[2]
+        return rhs
+
+    def _geodesic_flow(self):
+        """(x, y, t, phi, lam) -> its derivative on a geodesic: the
+        characteristic flow of curvature lam and lam' = -(1/c1) g(tau(Z), Z),
+        from one call of each kernel."""
+        ckernel, jkernel, abs_c1, c1 = (self._char_kernel, self._jacobi_kernel,
+                                        self.abs_c1, self.c1)
+
+        def rhs(state):
+            x, y, t, phi, lam = state
+            c, s2, flow = _char_terms(ckernel(x, y, t), phi, lam, abs_c1)
+            m00, m01, m11 = jkernel(x, y, t)[:3]
+            return (*flow, -_tau_zz(m00, m01, m11, c, s2) / c1)
+        return rhs
+
+    def _jacobi_flow(self, lam, betas=False):
+        """(x, y, t, phi, v, v', v'') -> its derivative for a characteristic
+        curve of curvature lam and the vertical Jacobi equation in
+        v = g(V, T), from one call of each kernel; with ``betas``, the
+        (beta1, beta2) of the state instead."""
+        ckernel, jkernel = self._char_kernel, self._jacobi_kernel
+        abs_c1, c1, sgn = self.abs_c1, self.c1, self.sgn_c1
+
+        def rhs(state):
+            x, y, t, phi, vt, vtp, vtpp = state
+            c, s2, flow = _char_terms(ckernel(x, y, t), phi, lam, abs_c1)
+            dx, dy, dt, dphi = flow
+            (m00, m01, m11, m00x, m00y, m00t, m01x, m01y, m01t, m11x, m11y, m11t,
+             webster, r000, r001, r010, r011, r100, r101, r110, r111) = jkernel(x, y, t)
+            tzz = _tau_zz(m00, m01, m11, c, s2)
+            tzj = sgn * (m01 * (c * c - s2 * s2) + (m11 - m00) * c * s2)
+            # d/ds g(tau(Z), J(Z)) along the flow
+            cos2, sin2 = c * c - s2 * s2, 2 * c * s2
+            spatial = (0.0 + dx * (m01x * cos2 + 0.5 * (m11x - m00x) * sin2)
+                       + dy * (m01y * cos2 + 0.5 * (m11y - m00y) * sin2)
+                       + dt * (m01t * cos2 + 0.5 * (m11t - m00t) * sin2))
+            angular = (-2 * m01 * sin2 + (m11 - m00) * cos2) * dphi
+            dtzj = sgn * (spatial + angular)
+            # g(R(Z, T) Z, J(Z)) with Z = (c, s2) and J(Z) = (jc, js)
+            jc, js = -sgn * s2, sgn * c
+            r_term = (0.0 + c * c * jc * r000 + c * c * js * r001
+                      + c * s2 * jc * r010 + c * s2 * js * r011
+                      + s2 * c * jc * r100 + s2 * c * js * r101
+                      + s2 * s2 * jc * r110 + s2 * s2 * js * r111)
+            beta1 = webster + c1 * tzj + c1 ** 2 * lam ** 2
+            beta2 = c1 * lam * tzz + r_term + dtzj
+            if betas:
+                return beta1, beta2
+            return (*flow, vtp, vtpp, -beta1 * vtp - c1 * beta2 * vt)
+        return rhs
 
     def char_rhs(self, state, lam):
         """(x, y, t, phi)' on a characteristic curve of curvature lam."""
-        x, y, t, phi = state
-        _, _, dp, dphi = self._char_terms(x, y, t, phi, lam)
-        return (*dp, dphi)
+        return self._char_flow(lam)(state)
 
     def geodesic_rhs(self, state):
         """(x, y, t, phi, lam)' on a geodesic: lam' = -(1/c1) g(tau(Z), Z)."""
-        x, y, t, phi, lam = state
-        c, s2, dp, dphi = self._char_terms(x, y, t, phi, lam)
-        m00, m01, m11 = self._jacobi_kernel(x, y, t)[:3]
-        tzz = m00 * c * c + 2 * m01 * c * s2 + m11 * s2 * s2
-        return (*dp, dphi, -tzz / self.c1)
+        return self._geodesic_flow()(state)
 
     def jacobi_rhs(self, state, lam):
         """(x, y, t, phi, v, v', v'')' for a characteristic curve of
         curvature lam and the vertical Jacobi equation in v = g(V, T)."""
-        x, y, t, phi, vt, vtp, vtpp = state
-        c, s2, dp, dphi = self._char_terms(x, y, t, phi, lam)
-        b1, b2 = self._betas(self._jacobi_kernel(x, y, t), c, s2, lam, dp, dphi)
-        vtppp = -b1 * vtp - self.c1 * b2 * vt
-        return (*dp, dphi, vtp, vtpp, vtppp)
+        return self._jacobi_flow(lam)(state)
 
     def beta_coeffs(self, p, phi, lam):
         """(beta1, beta2) at the point p and angle phi."""
         x, y, t = p
-        c, s2, dp, dphi = self._char_terms(x, y, t, phi, lam)
-        return self._betas(self._jacobi_kernel(x, y, t), c, s2, lam, dp, dphi)
+        return self._jacobi_flow(lam, betas=True)((x, y, t, phi, 0.0, 0.0, 0.0))
+
+
+def _char_terms(k, phi, lam, abs_c1):
+    """cos(phi), sin(phi) and the characteristic flow (x, y, t, phi)' of
+    curvature lam from the characteristic kernel values k at the point: the
+    coordinate velocity cos(phi) X + sin(phi) Y and
+    dphi/ds = -|c1| lam - Gamma(p, phi)."""
+    x0, x1, x2, y0, y1, y2, n000, n001, n010, n011, n100, n101, n110, n111 = k
+    c, s2 = math.cos(phi), math.sin(phi)
+    # Gamma = sum over a, b < 2 of w_a w_b g(nabla_{E_a} E_b, Zperp) with
+    # w = (c, s2); starting from 0.0 makes a sum of zeros +0.0, not -0.0
+    gamma = (0.0 + c * c * (-s2 * n000 + c * n001)
+             + c * s2 * (-s2 * n010 + c * n011)
+             + s2 * c * (-s2 * n100 + c * n101)
+             + s2 * s2 * (-s2 * n110 + c * n111))
+    return c, s2, (c * x0 + s2 * y0, c * x1 + s2 * y1, c * x2 + s2 * y2,
+                   -abs_c1 * lam - gamma)
+
+
+def _tau_zz(m00, m01, m11, c, s2):
+    """g(tau(Z), Z) for Z = c X + s2 Y from the torsion entries."""
+    return m00 * c * c + 2 * m01 * c * s2 + m11 * s2 * s2
+
+
+# RK4 steps of y' = f(y) for the three state lengths in use (characteristic
+# 4, geodesic 5, Jacobi 7), written out entry by entry
+
+
+def _rk4_4(f, y, h):
+    y0, y1, y2, y3 = y
+    a0, a1, a2, a3 = f(y)
+    hh = 0.5 * h
+    b0, b1, b2, b3 = f((y0 + hh * a0, y1 + hh * a1, y2 + hh * a2, y3 + hh * a3))
+    c0, c1, c2, c3 = f((y0 + hh * b0, y1 + hh * b1, y2 + hh * b2, y3 + hh * b3))
+    d0, d1, d2, d3 = f((y0 + h * c0, y1 + h * c1, y2 + h * c2, y3 + h * c3))
+    h6 = h / 6.0
+    return (y0 + h6 * (((a0 + 2 * b0) + 2 * c0) + d0),
+            y1 + h6 * (((a1 + 2 * b1) + 2 * c1) + d1),
+            y2 + h6 * (((a2 + 2 * b2) + 2 * c2) + d2),
+            y3 + h6 * (((a3 + 2 * b3) + 2 * c3) + d3))
+
+
+def _rk4_5(f, y, h):
+    y0, y1, y2, y3, y4 = y
+    a0, a1, a2, a3, a4 = f(y)
+    hh = 0.5 * h
+    b0, b1, b2, b3, b4 = f((y0 + hh * a0, y1 + hh * a1, y2 + hh * a2, y3 + hh * a3,
+                            y4 + hh * a4))
+    c0, c1, c2, c3, c4 = f((y0 + hh * b0, y1 + hh * b1, y2 + hh * b2, y3 + hh * b3,
+                            y4 + hh * b4))
+    d0, d1, d2, d3, d4 = f((y0 + h * c0, y1 + h * c1, y2 + h * c2, y3 + h * c3,
+                            y4 + h * c4))
+    h6 = h / 6.0
+    return (y0 + h6 * (((a0 + 2 * b0) + 2 * c0) + d0),
+            y1 + h6 * (((a1 + 2 * b1) + 2 * c1) + d1),
+            y2 + h6 * (((a2 + 2 * b2) + 2 * c2) + d2),
+            y3 + h6 * (((a3 + 2 * b3) + 2 * c3) + d3),
+            y4 + h6 * (((a4 + 2 * b4) + 2 * c4) + d4))
+
+
+def _rk4_7(f, y, h):
+    y0, y1, y2, y3, y4, y5, y6 = y
+    a0, a1, a2, a3, a4, a5, a6 = f(y)
+    hh = 0.5 * h
+    b0, b1, b2, b3, b4, b5, b6 = f((y0 + hh * a0, y1 + hh * a1, y2 + hh * a2,
+                                    y3 + hh * a3, y4 + hh * a4, y5 + hh * a5,
+                                    y6 + hh * a6))
+    c0, c1, c2, c3, c4, c5, c6 = f((y0 + hh * b0, y1 + hh * b1, y2 + hh * b2,
+                                    y3 + hh * b3, y4 + hh * b4, y5 + hh * b5,
+                                    y6 + hh * b6))
+    d0, d1, d2, d3, d4, d5, d6 = f((y0 + h * c0, y1 + h * c1, y2 + h * c2,
+                                    y3 + h * c3, y4 + h * c4, y5 + h * c5,
+                                    y6 + h * c6))
+    h6 = h / 6.0
+    return (y0 + h6 * (((a0 + 2 * b0) + 2 * c0) + d0),
+            y1 + h6 * (((a1 + 2 * b1) + 2 * c1) + d1),
+            y2 + h6 * (((a2 + 2 * b2) + 2 * c2) + d2),
+            y3 + h6 * (((a3 + 2 * b3) + 2 * c3) + d3),
+            y4 + h6 * (((a4 + 2 * b4) + 2 * c4) + d4),
+            y5 + h6 * (((a5 + 2 * b5) + 2 * c5) + d5),
+            y6 + h6 * (((a6 + 2 * b6) + 2 * c6) + d6))
+
+
+_RK4_BY_LENGTH = {4: _rk4_4, 5: _rk4_5, 7: _rk4_7}
 
 
 def rk4_step(f, y, h):
-    """One RK4 step of y' = f(y) on a sequence of floats, as a list.
+    """One RK4 step of y' = f(y) on a sequence of 4, 5 or 7 floats, as a
+    tuple.
 
     Each entry takes the operations, in the order, that numpy takes for the
     same step on a float64 array, so the result has the same bits; on the
-    few entries of a curve state, plain floats save numpy's per-call cost.
+    few entries of a curve state, plain floats in one straight-line pass per
+    state length save numpy's per-call cost.
     """
-    k1 = f(y)
-    hh = 0.5 * h
-    k2 = f([a + hh * b for a, b in zip(y, k1)])
-    k3 = f([a + hh * b for a, b in zip(y, k2)])
-    k4 = f([a + h * b for a, b in zip(y, k3)])
-    h6 = h / 6.0
-    return [a + h6 * (((b1 + 2 * b2) + 2 * b3) + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    return _RK4_BY_LENGTH[len(y)](f, y, h)
 
 
 def _rk4_states(f, y, h, n):
@@ -251,8 +348,8 @@ def integrate_ode(f, y0, s_span, step):
     They differ only where a coefficient kernel divides by zero or raises a
     negative base to a fractional power: a float raises or turns complex
     where float64 gives inf or nan.  Such a run is stepped again from the
-    start in np.float64 scalars, so every run gives the states a float64
-    array state would.
+    start in np.float64 scalars, with numpy's floating-point warnings off,
+    so every run gives the states a float64 array state would.
 
     Returns (s_values, states) as arrays; deterministic for fixed seeds and
     steps.
@@ -270,7 +367,8 @@ def integrate_ode(f, y0, s_span, step):
     except (ArithmeticError, TypeError):   # TypeError: a complex into math.sin
         ys = None
     if ys is None or ys.dtype.kind == "c":
-        ys = _rk4_states(f, tuple(np.float64(v) for v in y0), h, n)
+        with np.errstate(all="ignore"):     # the run is cut at its first inf or nan
+            ys = _rk4_states(f, tuple(np.float64(v) for v in y0), h, n)
     return np.array(ss), ys
 
 
@@ -299,7 +397,7 @@ def integrate_characteristic(structure: StructureSpec, init: CharState,
     """Integrate a characteristic curve of curvature init.lam."""
     sysm = _char_system(structure)
     lam = init.lam
-    ss, ys, cut = _integrate(structure, init.point, lambda y: sysm.char_rhs(y, lam),
+    ss, ys, cut = _integrate(structure, init.point, sysm._char_flow(lam),
                              (*init.point, init.phi), s_range, step)
     return CurveTrace(s=ss, points=ys[:, :3], phi=ys[:, 3],
                       lam=np.full(len(ss), lam), truncated=cut)
@@ -310,7 +408,7 @@ def integrate_geodesic(structure: StructureSpec, init: CharState,
     """Integrate a sub-Riemannian geodesic: characteristic system plus
     dlambda/ds = -(1/c1) g(tau(Z), Z)."""
     sysm = _char_system(structure)
-    ss, ys, cut = _integrate(structure, init.point, sysm.geodesic_rhs,
+    ss, ys, cut = _integrate(structure, init.point, sysm._geodesic_flow(),
                              (*init.point, init.phi, init.lam), s_range, step)
     return CurveTrace(s=ss, points=ys[:, :3], phi=ys[:, 3], lam=ys[:, 4], truncated=cut)
 
@@ -352,7 +450,7 @@ def jacobi_vertical_ode(structure: StructureSpec, init: CharState,
     """
     sysm = _char_system(structure)
     lam = init.lam
-    ss, ys, cut = _integrate(structure, init.point, lambda y: sysm.jacobi_rhs(y, lam),
+    ss, ys, cut = _integrate(structure, init.point, sysm._jacobi_flow(lam),
                              (*init.point, init.phi, *jacobi_init),
                              s_range, step)
     base = CurveTrace(s=ss, points=ys[:, :3], phi=ys[:, 3], lam=np.full(len(ss), lam),

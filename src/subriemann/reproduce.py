@@ -8,6 +8,8 @@ it returns.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import expr as ex
@@ -121,7 +123,8 @@ def _surface_sample_points(impl, region, grid):
     """The projections of the grid points near the surface that land inside
     the region, at most MAX_SURFACE_SAMPLES of them in grid order."""
     grid_pts = grid_points(*(np.linspace(lo, hi, grid) for lo, hi in region))
-    vals = np.abs(ex.compiled_cse([impl.f], "arrays")(grid_pts)[:, 0])
+    with np.errstate(all="ignore"):   # a nan off the surface's domain is no seed
+        vals = np.abs(ex.compiled_cse([impl.f], "arrays")(grid_pts)[:, 0])
     cell = max(hi - lo for lo, hi in region) / grid
     q = impl.project(grid_pts[vals < 2 * cell])
     lo, hi = np.array(region).T
@@ -152,11 +155,14 @@ def surface_analysis(st: StructureSpec, surf, region=None, grid=13):
     table = np.column_stack([pts] + [fields[k] for k in (
         "nh", "gNT", "H", "thetaS", "tauZZ", "tauZnu")])
     rows = [tuple(r) for r in table[regular].tolist()]
+    abs_h = [abs(r[5]) for r in rows]
     summary = {
         "surface": getattr(surf, "name", ""), "samples": len(rows),
         "singular_loci": [{"kind": l.kind, "n_points": len(l.points),
                            "representative": l.points[0].tolist()} for l in loci],
-        "max_abs_H": max((abs(r[5]) for r in rows), default=0.0),
+        # JSON has no nan or inf: a non-finite H makes the maximum null
+        "max_abs_H": (max(abs_h, default=0.0) if all(map(math.isfinite, abs_h))
+                      else None),
         "config": {"grid": grid},
     }
     return rows, summary

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,28 @@ def test_surface_analyze_graph(tmp_path, capsys):
     assert "isolated-point" in kinds
     header = csv_out.read_text().split("\n")[0]
     assert header == "x,y,t,nh,gNT,H,thetaS,tauZZ,tauZnu"
+
+
+def test_surface_analyze_writes_null_for_a_non_finite_max_h(tmp_path, capsys):
+    # x^1.5 is nan where x < 0, and its second derivative is inf on x = 0,
+    # where some regular sample rows lie: H is nan there
+    spec = tmp_path / "level.json"
+    spec.write_text(json.dumps({"kind": "implicit", "expr": "x^1.5 + y - t^3"}))
+    csv_out = tmp_path / "frame.csv"
+
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["surface", "analyze", "--structure", "heisenberg",
+                                  "--surface", str(spec), "--csv-out", str(csv_out)],
+                                 capsys)
+    assert code == 0 and err == ""
+    data = json.loads(out, parse_constant=no_constant)
+    assert data["max_abs_H"] is None and data["samples"] > 0
+    h_cells = [row.split(",")[5] for row in csv_out.read_text().splitlines()[1:]]
+    assert "nan" in h_cells
 
 
 def test_variation_first_verb(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from subriemann.curves import (CharState, integrate_characteristic,
                                integrate_geodesic, rt_characteristic_closed_form,
                                jacobi_vertical_ode, jacobi_from_curve_family,
                                first_integral, _char_system)
-from subriemann.structures import unimodular_structure
+from subriemann.structures import structure_from_json, unimodular_structure
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +433,9 @@ def test_jacobi_rhs_agrees_with_beta_coeffs(name, request):
 
 
 # ---------------------------------------------------------------------------
-# float states against the numpy-array stepping they replaced
+# float states against a float64-array RK4 step on layered right-hand
+# sides: the stepping and the coefficient arithmetic that the unrolled
+# step and the flat right-hand sides replaced
 
 
 def _array_rk4_step(f, y, h):
@@ -440,6 +444,74 @@ def _array_rk4_step(f, y, h):
     k3 = f(y + 0.5 * h * k2)
     k4 = f(y + h * k3)
     return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+class _LayeredRhs:
+    """The right-hand sides as layered method calls on the system's two
+    coefficient kernels: characteristic terms, then the betas, with the
+    spatial and curvature sums as loops."""
+
+    def __init__(self, structure):
+        sysm = _char_system(structure)
+        self.ck, self.jk = sysm._char_kernel, sysm._jacobi_kernel
+        self.c1, self.abs_c1, self.sgn_c1 = sysm.c1, sysm.abs_c1, sysm.sgn_c1
+
+    def _char_terms(self, x, y, t, phi, lam):
+        k = self.ck(x, y, t)
+        c, s2 = math.cos(phi), math.sin(phi)
+        dp = (c * k[0] + s2 * k[3], c * k[1] + s2 * k[4], c * k[2] + s2 * k[5])
+        gamma = (0.0 + c * c * (-s2 * k[6] + c * k[7])
+                 + c * s2 * (-s2 * k[8] + c * k[9])
+                 + s2 * c * (-s2 * k[10] + c * k[11])
+                 + s2 * s2 * (-s2 * k[12] + c * k[13]))
+        return c, s2, dp, -self.abs_c1 * lam - gamma
+
+    def _betas(self, j, c, s2, lam, dp, dphi):
+        sgn, c1 = self.sgn_c1, self.c1
+        m00, m01, m11 = j[0], j[1], j[2]
+        tzz = m00 * c * c + 2 * m01 * c * s2 + m11 * s2 * s2
+        tzj = sgn * (m01 * (c * c - s2 * s2) + (m11 - m00) * c * s2)
+        cos2, sin2 = c * c - s2 * s2, 2 * c * s2
+        spatial = 0.0
+        for i in range(3):
+            dm00, dm01, dm11 = j[3 + i], j[6 + i], j[9 + i]
+            spatial += dp[i] * (dm01 * cos2 + 0.5 * (dm11 - dm00) * sin2)
+        angular = (-2 * m01 * sin2 + (m11 - m00) * cos2) * dphi
+        dtzj = sgn * (spatial + angular)
+        w, jw = (c, s2), (-sgn * s2, sgn * c)
+        r_term = 0.0
+        i = 13
+        for wa in w:
+            for wc in w:
+                for wd in jw:
+                    r_term += wa * wc * wd * j[i]
+                    i += 1
+        beta1 = j[12] + c1 * tzj + c1 ** 2 * lam ** 2
+        beta2 = c1 * lam * tzz + r_term + dtzj
+        return beta1, beta2
+
+    def char_rhs(self, state, lam):
+        x, y, t, phi = state
+        _, _, dp, dphi = self._char_terms(x, y, t, phi, lam)
+        return (*dp, dphi)
+
+    def geodesic_rhs(self, state):
+        x, y, t, phi, lam = state
+        c, s2, dp, dphi = self._char_terms(x, y, t, phi, lam)
+        m00, m01, m11 = self.jk(x, y, t)[:3]
+        tzz = m00 * c * c + 2 * m01 * c * s2 + m11 * s2 * s2
+        return (*dp, dphi, -tzz / self.c1)
+
+    def jacobi_rhs(self, state, lam):
+        x, y, t, phi, vt, vtp, vtpp = state
+        c, s2, dp, dphi = self._char_terms(x, y, t, phi, lam)
+        b1, b2 = self._betas(self.jk(x, y, t), c, s2, lam, dp, dphi)
+        return (*dp, dphi, vtp, vtpp, -b1 * vtp - self.c1 * b2 * vt)
+
+    def beta_coeffs(self, p, phi, lam):
+        x, y, t = p
+        c, s2, dp, dphi = self._char_terms(x, y, t, phi, lam)
+        return self._betas(self.jk(x, y, t), c, s2, lam, dp, dphi)
 
 
 def _array_integrate(structure, rhs, y0, s_range, step):
@@ -464,24 +536,59 @@ def _array_integrate(structure, rhs, y0, s_range, step):
 def _run_both(structure, kind, init, s_range, step):
     """(library s, library states, reference s, reference states, library
     truncated, reference truncated) of one characteristic, geodesic or
-    Jacobi run."""
-    sysm = _char_system(structure)
-    lam = init.lam
+    Jacobi run; the reference steps float64 arrays on the layered
+    right-hand sides."""
+    ref, lam = _LayeredRhs(structure), init.lam
     if kind == "char":
         tr = integrate_characteristic(structure, init, s_range, step)
         got = np.column_stack([tr.points, tr.phi])
-        rhs, y0 = (lambda y: sysm.char_rhs(y, lam)), [*init.point, init.phi]
+        rhs, y0 = (lambda y: ref.char_rhs(y, lam)), [*init.point, init.phi]
     elif kind == "geodesic":
         tr = integrate_geodesic(structure, init, s_range, step)
         got = np.column_stack([tr.points, tr.phi, tr.lam])
-        rhs, y0 = sysm.geodesic_rhs, [*init.point, init.phi, init.lam]
+        rhs, y0 = ref.geodesic_rhs, [*init.point, init.phi, init.lam]
     else:
         jt = jacobi_vertical_ode(structure, init, (0.2, -1.0, 0.3), s_range, step)
         tr = jt.base
         got = np.column_stack([tr.points, tr.phi, jt.vt, jt.vt_prime, jt.vt_second])
-        rhs, y0 = (lambda y: sysm.jacobi_rhs(y, lam)), [*init.point, init.phi, 0.2, -1.0, 0.3]
+        rhs, y0 = (lambda y: ref.jacobi_rhs(y, lam)), [*init.point, init.phi, 0.2, -1.0, 0.3]
     s, ys, cut = _array_integrate(structure, rhs, y0, s_range, step)
     return tr.s, got, s, ys, tr.truncated, cut
+
+
+def _pole_structure(height):
+    """A chart structure whose Y frame field holds ``height``."""
+    return structure_from_json({"kind": "coordinate-frame",
+                                "chart_domain": [[-1, 1], [-1, 1], [-1, 1]],
+                                "frame": {"X": ["1", "0", "y"],
+                                          "Y": ["0", "1", "-x + " + height],
+                                          "T": ["0", "0", "1"]}})
+
+
+def _squeezed_structure():
+    """The Heisenberg contact form with the horizontal frame a X, (Y + b X)/a
+    for functions a, b of the point: c1 = 2 as on the Heisenberg group, but
+    the torsion, its derivatives, the connection and the curvature vary."""
+    a, b = "(1 + 0.25*sin(t + x + 0.5*y))", "(0.3*cos(y - t))"
+    return structure_from_json({"kind": "coordinate-frame",
+                                "chart_domain": [[-2, 2], [-2, 2], [-2, 2]],
+                                "frame": {"X": [a, "0", f"{a}*y"],
+                                          "Y": [f"{b}/{a}", f"1/{a}", f"(-x + {b}*y)/{a}"],
+                                          "T": ["0", "0", "1"]}})
+
+
+# curves on which plain floats raise, or turn complex, where float64 gives
+# inf or nan
+FALLBACK_CASES = [
+    ("1/(y - 0.1)", (0.0, 0.1, 0.0), 0.0),          # a divisor vanishes on the curve
+    ("(y - 0.1)^(-1)", (0.0, 0.1, 0.0), 0.0),       # 0.0 to a negative power
+    ("(y - 0.1)^1.5", (0.0, 0.5, 0.0), -1.5707),    # a negative base, fractional power
+]
+
+
+@pytest.fixture(scope="module")
+def squeezed():
+    return _squeezed_structure()
 
 
 @pytest.mark.parametrize("name, kind, init, s_range, step, truncated", [
@@ -494,34 +601,53 @@ def _run_both(structure, kind, init, s_range, step):
     ("rt", "jacobi", CharState((0, 0, 0.4), 0.7, 0.0), (0.0, 2.0), 1e-3, False),
     ("heis", "jacobi", CharState((0, 0, 0), 1.1, 1.0), (0.0, 2.0), 1e-3, False),
     ("heis", "jacobi", CharState((0, 0, 0), 0.3, 0.0), (0.0, 10.0), 1e-2, True),
+    ("heis", "geodesic", CharState((0.3, 0.2, -0.1), 0.4, 0.0), (0.0, 1.0), 1e-3, False),
+    *[("squeezed", kind, init, (0.0, 1.0), 1e-3, False)
+      for kind in ("char", "geodesic", "jacobi")
+      for init in (CharState((0.1, 0.2, 0.3), 0.5, 0.0),
+                   CharState((-0.4, 0.1, 0.2), 2.0, 0.7))],
+    # the fiber direction leaves the chart at alpha = 16
+    *[("rt", kind, CharState((0, 0, 15.9), 0.0, 0.0), (0.0, 1.0), 1e-3, True)
+      for kind in ("char", "geodesic", "jacobi")],
+    # the float64 re-run, stopped at its first non-finite state
+    *[(height, kind, CharState(init, phi, 0.3), (0.0, 1.0), 1e-3, True)
+      for height, init, phi in FALLBACK_CASES for kind in ("char", "geodesic", "jacobi")],
 ])
 def test_float_states_equal_array_states_bit_for_bit(name, kind, init, s_range, step,
                                                      truncated, request):
-    st = request.getfixturevalue(name)
-    s, got, ref_s, ref, cut, ref_cut = _run_both(st, kind, init, s_range, step)
+    if name in {height for height, _, _ in FALLBACK_CASES}:
+        st = _pole_structure(name)
+    else:
+        st = request.getfixturevalue(name)
+    with np.errstate(all="ignore"):
+        s, got, ref_s, ref, cut, ref_cut = _run_both(st, kind, init, s_range, step)
     assert cut is ref_cut is truncated
-    assert np.array_equal(s, ref_s) and np.array_equal(got, ref)
+    assert got.dtype == ref.dtype == float
+    assert s.tobytes() == ref_s.tobytes() and got.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("height, init, phi", [
-    ("1/(y - 0.1)", (0.0, 0.1, 0.0), 0.0),          # a divisor vanishes on the curve
-    ("(y - 0.1)^(-1)", (0.0, 0.1, 0.0), 0.0),       # 0.0 to a negative power
-    ("(y - 0.1)^1.5", (0.0, 0.5, 0.0), -1.5707),    # a negative base, fractional power
-])
+@pytest.mark.parametrize("height, init, phi", FALLBACK_CASES)
 def test_float_states_fall_back_to_float64_where_floats_raise(height, init, phi):
     # plain floats raise, or turn complex, where float64 gives inf or nan;
     # the run then stops at its first non-finite state, as it did on arrays
-    from subriemann.structures import structure_from_json
-    st = structure_from_json({"kind": "coordinate-frame",
-                              "chart_domain": [[-1, 1], [-1, 1], [-1, 1]],
-                              "frame": {"X": ["1", "0", "y"],
-                                        "Y": ["0", "1", "-x + " + height],
-                                        "T": ["0", "0", "1"]}})
+    st = _pole_structure(height)
     with np.errstate(all="ignore"):
         s, got, ref_s, ref, cut, ref_cut = _run_both(st, "char", CharState(init, phi),
                                                      (0.0, 1.0), 1e-3)
     assert got.dtype == float and cut is ref_cut is True
     assert np.array_equal(s, ref_s) and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("height, init, phi", FALLBACK_CASES)
+def test_float64_rerun_is_quiet(height, init, phi):
+    # the re-run steps into inf and nan; numpy warns of none of it
+    import warnings
+    st = _pole_structure(height)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = integrate_characteristic(st, CharState(init, phi), (0.0, 1.0), 1e-3)
+        jacobi_vertical_ode(st, CharState(init, phi), (0.2, -1.0, 0.3), (0.0, 1.0), 1e-3)
+    assert tr.truncated
 
 
 @pytest.mark.parametrize("name", ["rt", "heis"])
@@ -531,3 +657,51 @@ def test_right_hand_sides_are_tuples_of_floats(name, request):
     for out in (sysm.char_rhs(state, 0.5), sysm.geodesic_rhs((*state, 0.5)),
                 sysm.jacobi_rhs((*state, 0.1, 0.2, 0.3), 0.5)):
         assert type(out) is tuple and all(type(v) is float for v in out)
+
+
+@pytest.mark.parametrize("name", ["rt", "heis", "squeezed"])
+def test_right_hand_sides_equal_the_layered_ones(name, request):
+    st = request.getfixturevalue(name)
+    sysm, ref = _char_system(st), _LayeredRhs(st)
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        state = tuple(float(v) for v in rng.uniform(-1.0, 1.0, 7))
+        lam = float(rng.uniform(-1.5, 1.5))
+        assert sysm.char_rhs(state[:4], lam) == ref.char_rhs(state[:4], lam)
+        assert sysm.geodesic_rhs(state[:5]) == ref.geodesic_rhs(state[:5])
+        assert sysm.jacobi_rhs(state, lam) == ref.jacobi_rhs(state, lam)
+        assert (sysm.beta_coeffs(state[:3], state[3], lam)
+                == ref.beta_coeffs(state[:3], state[3], lam))
+
+
+def test_each_step_is_one_rk4_step_call(rt, monkeypatch):
+    # the benchmark counts curves.rk4_calls by wrapping this module global
+    import subriemann.curves as curves
+    step, lengths = curves.rk4_step, []
+
+    def counted(f, y, h):
+        lengths.append(len(y))
+        return step(f, y, h)
+
+    monkeypatch.setattr(curves, "rk4_step", counted)
+    integrate_characteristic(rt, CharState((0, 0, 0.3), 0.4, 0.0), (0.0, 0.25), 1e-3)
+    assert lengths == [4] * 250
+    lengths.clear()
+    jacobi_vertical_ode(rt, CharState((0, 0, 0.3), 0.4, 0.0), (0.0, -1.0, 0.0),
+                        (0.0, 0.25), 1e-3)
+    assert lengths == [7] * 250
+
+
+def test_csv_rows_equal_the_cell_by_cell_format():
+    from subriemann.curves import CurveTrace
+    n = 1100                                  # more than two row blocks
+    rng = np.random.default_rng(9)
+    cols = rng.normal(size=(7, n)) * 10.0 ** rng.integers(-300, 300, size=(7, n))
+    cols[:, ::97] = -0.0
+    cols[1, 5], cols[2, 600], cols[3, 1099], cols[6, 0] = np.nan, np.inf, -np.inf, np.nan
+    trace = CurveTrace(s=cols[0], points=cols[1:4].T, phi=cols[4], lam=cols[5])
+    extra = [("extra", cols[6])]
+    expect = "s,x,y,t,phi,lambda,extra\n" + "".join(
+        ",".join("%.17g" % (v + 0.0) for v in row) + "\n" for row in zip(*cols))
+    assert trace.to_csv(extra=extra) == expect
+    assert "-0," not in expect and ",nan," in expect and ",-inf," in expect
