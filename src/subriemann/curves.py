@@ -32,7 +32,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -99,142 +98,96 @@ class JacobiTrace:
     gVJZ: np.ndarray | None = None
 
 
-def _require_chart(structure: StructureSpec):
+def _char_kernel(structure: StructureSpec):
+    """The characteristic coefficient kernel: the coordinate rows of X and Y,
+    then the pseudo-hermitian Christoffels g(nabla_{E_a} E_b, E_k) for
+    a, b, k < 2, as one ``math`` kernel.  ``compiled_cse`` keeps it, so every
+    curve on equal frames shares it."""
     if structure.kind == "lie-group":
         raise StructureError(
             "curve integration needs a coordinate-frame structure; lie-group "
             "specs carry frame-level geometry only")
+    ph = structure._ph
+    return ex.compiled_cse([*structure.frame[0], *structure.frame[1],
+                            *(ph[a][b][k] for a in range(2) for b in range(2)
+                              for k in range(2))], "math")
 
 
-def _char_system(structure: StructureSpec) -> "_CharSystem":
-    """The structure's right-hand-side system, built on first use and kept
-    on the structure, so every curve on one structure shares its kernels."""
-    sysm = getattr(structure, "_char_system", None)
-    if sysm is None:
-        sysm = structure._char_system = _CharSystem(structure)
-    return sysm
+def _jacobi_kernel(structure: StructureSpec):
+    """The Jacobi coefficient kernel: tau_00, tau_01, tau_11, their d/dx,
+    d/dy, d/dt, the Webster curvature W, then g(R(E_a, T) E_c, E_d) for
+    a, c, d < 2."""
+    tau = structure.tau_matrix_exprs()
+    m = (tau[0][0], tau[0][1], tau[1][1])
+    rzt = [structure.curvature_expr(a, 2, c, d)
+           for a in range(2) for c in range(2) for d in range(2)]
+    return ex.compiled_cse([*m, *(e.diff(k) for e in m for k in range(3)),
+                            structure.webster_expr(), *rzt], "math")
 
 
-class _CharSystem:
-    """Right-hand sides shared by the characteristic, geodesic and Jacobi
-    integrators.
+# Each right-hand side below is one closure, built once per run with the
+# curvature bound: it makes one call per kernel it needs and does the rest as
+# float arithmetic, so the RK4 loop never walks expression trees.
 
-    The coefficients come from two multi-output ``math`` kernels, each
-    compiled once, on first use:
 
-    * characteristic: the coordinate rows of X and Y, then the
-      pseudo-hermitian Christoffels g(nabla_{E_a} E_b, E_k) for a, b, k < 2;
-    * Jacobi: tau_00, tau_01, tau_11, their d/dx, d/dy, d/dt, the Webster
-      curvature W, then g(R(E_a, T) E_c, E_d) for a, c, d < 2.
+def _char_flow(structure: StructureSpec, lam):
+    """(x, y, t, phi) -> (x, y, t, phi)' on a characteristic curve of
+    curvature lam, from one kernel call."""
+    kernel, abs_c1 = _char_kernel(structure), abs(structure.c1)
 
-    Each system's right-hand side is one closure, built once per run with
-    the curvature bound: it makes one call per kernel it needs and does the
-    rest as float arithmetic, the characteristic terms in ``_char_terms``
-    and g(tau(Z), Z) in ``_tau_zz`` for all three, so the RK4 loops never
-    walk expression trees.  The public ``*_rhs`` and ``beta_coeffs``
-    methods call the same closures.
-    """
+    def rhs(state):
+        x, y, t, phi = state
+        return _char_terms(kernel(x, y, t), phi, lam, abs_c1)[2]
+    return rhs
 
-    def __init__(self, structure: StructureSpec):
-        _require_chart(structure)
-        self.st = structure
-        self.c1 = structure.c1
-        self.abs_c1 = abs(structure.c1)
-        self.sgn_c1 = structure.sgn_c1
 
-    @cached_property
-    def _char_kernel(self):
-        st = self.st
-        ph = [st._ph[a][b][k] for a in range(2) for b in range(2) for k in range(2)]
-        return ex.compiled_cse([*st.frame[0], *st.frame[1], *ph], "math")
+def _geodesic_flow(structure: StructureSpec):
+    """(x, y, t, phi, lam) -> its derivative on a geodesic: the
+    characteristic flow of curvature lam and lam' = -(1/c1) g(tau(Z), Z),
+    from one call of each kernel."""
+    ckernel, jkernel = _char_kernel(structure), _jacobi_kernel(structure)
+    c1, abs_c1 = structure.c1, abs(structure.c1)
 
-    @cached_property
-    def _jacobi_kernel(self):
-        st = self.st
-        tau = st.tau_matrix_exprs()
-        m = (tau[0][0], tau[0][1], tau[1][1])
-        rzt = [st.curvature_expr(a, 2, c, d)
-               for a in range(2) for c in range(2) for d in range(2)]
-        return ex.compiled_cse([*m, *(e.diff(k) for e in m for k in range(3)),
-                                st.webster_expr(), *rzt], "math")
+    def rhs(state):
+        x, y, t, phi, lam = state
+        c, s2, flow = _char_terms(ckernel(x, y, t), phi, lam, abs_c1)
+        m00, m01, m11 = jkernel(x, y, t)[:3]
+        return (*flow, -_tau_zz(m00, m01, m11, c, s2) / c1)
+    return rhs
 
-    def _char_flow(self, lam):
-        """(x, y, t, phi) -> (x, y, t, phi)' on a characteristic curve of
-        curvature lam, from one kernel call."""
-        kernel, abs_c1 = self._char_kernel, self.abs_c1
 
-        def rhs(state):
-            x, y, t, phi = state
-            return _char_terms(kernel(x, y, t), phi, lam, abs_c1)[2]
-        return rhs
+def _jacobi_flow(structure: StructureSpec, lam):
+    """(x, y, t, phi, v, v', v'') -> its derivative for a characteristic
+    curve of curvature lam and the vertical Jacobi equation in v = g(V, T),
+    from one call of each kernel."""
+    ckernel, jkernel = _char_kernel(structure), _jacobi_kernel(structure)
+    c1, abs_c1, sgn = structure.c1, abs(structure.c1), structure.sgn_c1
 
-    def _geodesic_flow(self):
-        """(x, y, t, phi, lam) -> its derivative on a geodesic: the
-        characteristic flow of curvature lam and lam' = -(1/c1) g(tau(Z), Z),
-        from one call of each kernel."""
-        ckernel, jkernel, abs_c1, c1 = (self._char_kernel, self._jacobi_kernel,
-                                        self.abs_c1, self.c1)
-
-        def rhs(state):
-            x, y, t, phi, lam = state
-            c, s2, flow = _char_terms(ckernel(x, y, t), phi, lam, abs_c1)
-            m00, m01, m11 = jkernel(x, y, t)[:3]
-            return (*flow, -_tau_zz(m00, m01, m11, c, s2) / c1)
-        return rhs
-
-    def _jacobi_flow(self, lam, betas=False):
-        """(x, y, t, phi, v, v', v'') -> its derivative for a characteristic
-        curve of curvature lam and the vertical Jacobi equation in
-        v = g(V, T), from one call of each kernel; with ``betas``, the
-        (beta1, beta2) of the state instead."""
-        ckernel, jkernel = self._char_kernel, self._jacobi_kernel
-        abs_c1, c1, sgn = self.abs_c1, self.c1, self.sgn_c1
-
-        def rhs(state):
-            x, y, t, phi, vt, vtp, vtpp = state
-            c, s2, flow = _char_terms(ckernel(x, y, t), phi, lam, abs_c1)
-            dx, dy, dt, dphi = flow
-            (m00, m01, m11, m00x, m00y, m00t, m01x, m01y, m01t, m11x, m11y, m11t,
-             webster, r000, r001, r010, r011, r100, r101, r110, r111) = jkernel(x, y, t)
-            tzz = _tau_zz(m00, m01, m11, c, s2)
-            tzj = sgn * (m01 * (c * c - s2 * s2) + (m11 - m00) * c * s2)
-            # d/ds g(tau(Z), J(Z)) along the flow
-            cos2, sin2 = c * c - s2 * s2, 2 * c * s2
-            spatial = (0.0 + dx * (m01x * cos2 + 0.5 * (m11x - m00x) * sin2)
-                       + dy * (m01y * cos2 + 0.5 * (m11y - m00y) * sin2)
-                       + dt * (m01t * cos2 + 0.5 * (m11t - m00t) * sin2))
-            angular = (-2 * m01 * sin2 + (m11 - m00) * cos2) * dphi
-            dtzj = sgn * (spatial + angular)
-            # g(R(Z, T) Z, J(Z)) with Z = (c, s2) and J(Z) = (jc, js)
-            jc, js = -sgn * s2, sgn * c
-            r_term = (0.0 + c * c * jc * r000 + c * c * js * r001
-                      + c * s2 * jc * r010 + c * s2 * js * r011
-                      + s2 * c * jc * r100 + s2 * c * js * r101
-                      + s2 * s2 * jc * r110 + s2 * s2 * js * r111)
-            beta1 = webster + c1 * tzj + c1 ** 2 * lam ** 2
-            beta2 = c1 * lam * tzz + r_term + dtzj
-            if betas:
-                return beta1, beta2
-            return (*flow, vtp, vtpp, -beta1 * vtp - c1 * beta2 * vt)
-        return rhs
-
-    def char_rhs(self, state, lam):
-        """(x, y, t, phi)' on a characteristic curve of curvature lam."""
-        return self._char_flow(lam)(state)
-
-    def geodesic_rhs(self, state):
-        """(x, y, t, phi, lam)' on a geodesic: lam' = -(1/c1) g(tau(Z), Z)."""
-        return self._geodesic_flow()(state)
-
-    def jacobi_rhs(self, state, lam):
-        """(x, y, t, phi, v, v', v'')' for a characteristic curve of
-        curvature lam and the vertical Jacobi equation in v = g(V, T)."""
-        return self._jacobi_flow(lam)(state)
-
-    def beta_coeffs(self, p, phi, lam):
-        """(beta1, beta2) at the point p and angle phi."""
-        x, y, t = p
-        return self._jacobi_flow(lam, betas=True)((x, y, t, phi, 0.0, 0.0, 0.0))
+    def rhs(state):
+        x, y, t, phi, vt, vtp, vtpp = state
+        c, s2, flow = _char_terms(ckernel(x, y, t), phi, lam, abs_c1)
+        dx, dy, dt, dphi = flow
+        (m00, m01, m11, m00x, m00y, m00t, m01x, m01y, m01t, m11x, m11y, m11t,
+         webster, r000, r001, r010, r011, r100, r101, r110, r111) = jkernel(x, y, t)
+        tzz = _tau_zz(m00, m01, m11, c, s2)
+        tzj = sgn * (m01 * (c * c - s2 * s2) + (m11 - m00) * c * s2)
+        # d/ds g(tau(Z), J(Z)) along the flow
+        cos2, sin2 = c * c - s2 * s2, 2 * c * s2
+        spatial = (0.0 + dx * (m01x * cos2 + 0.5 * (m11x - m00x) * sin2)
+                   + dy * (m01y * cos2 + 0.5 * (m11y - m00y) * sin2)
+                   + dt * (m01t * cos2 + 0.5 * (m11t - m00t) * sin2))
+        angular = (-2 * m01 * sin2 + (m11 - m00) * cos2) * dphi
+        dtzj = sgn * (spatial + angular)
+        # g(R(Z, T) Z, J(Z)) with Z = (c, s2) and J(Z) = (jc, js)
+        jc, js = -sgn * s2, sgn * c
+        r_term = (0.0 + c * c * jc * r000 + c * c * js * r001
+                  + c * s2 * jc * r010 + c * s2 * js * r011
+                  + s2 * c * jc * r100 + s2 * c * js * r101
+                  + s2 * s2 * jc * r110 + s2 * s2 * js * r111)
+        beta1 = webster + c1 * tzj + c1 ** 2 * lam ** 2
+        beta2 = c1 * lam * tzz + r_term + dtzj
+        return (*flow, vtp, vtpp, -beta1 * vtp - c1 * beta2 * vt)
+    return rhs
 
 
 def _char_terms(k, phi, lam, abs_c1):
@@ -333,16 +286,28 @@ def rk4_step(f, y, h):
     return _RK4_BY_LENGTH[len(y)](f, y, h)
 
 
-def _rk4_states(f, y, h, n):
-    ys = [y]
+def _rk4_run(f, y, s, h, n, box):
+    """(s values, states, cut) of n RK4 steps from y at s, stopped before
+    the first state whose point lies outside ``box``; a nan is outside."""
+    (xlo, xhi), (ylo, yhi), (tlo, thi) = box
+    ss, ys = [s], [y]
     for _ in range(n):
         y = rk4_step(f, y, h)
+        if not (xlo <= y[0] <= xhi and ylo <= y[1] <= yhi and tlo <= y[2] <= thi):
+            return ss, ys, True
+        s += h
+        ss.append(s)
         ys.append(y)
-    return np.array(ys)
+    return ss, ys, False
 
 
-def integrate_ode(f, y0, s_span, step):
-    """Fixed-step RK4 over ``s_span``, the step shrunk to divide it evenly.
+def integrate_ode(structure: StructureSpec, f, y0, s_span, step):
+    """Fixed-step RK4 of y' = f(y) from ``y0``, whose first three entries are
+    a chart point, over ``s_span``, the step shrunk to divide it evenly.
+
+    The run stops before the first state whose point lies outside the
+    structure's ``chart_domain`` by more than 1e-9 or holds a nan, so a
+    span past the chart edge costs no step after the one that leaves it.
 
     The state steps as plain floats, which round as float64 arrays do.
     They differ only where a coefficient kernel divides by zero or raises a
@@ -351,54 +316,32 @@ def integrate_ode(f, y0, s_span, step):
     start in np.float64 scalars, with numpy's floating-point warnings off,
     so every run gives the states a float64 array state would.
 
-    Returns (s_values, states) as arrays; deterministic for fixed seeds and
-    steps.
+    Returns (s_values, states, truncated) with the states as an array;
+    deterministic for fixed seeds and steps.
     """
+    structure.check_point(y0[:3])
     s0, s1 = float(s_span[0]), float(s_span[1])
-    if s1 == s0:
-        return np.array([s0]), np.array([y0], dtype=float)
-    n = max(int(round(abs(s1 - s0) / abs(step))), 1)
-    h = (s1 - s0) / n
-    ss = [s0]
-    for _ in range(n):
-        ss.append(ss[-1] + h)
+    n = max(int(round(abs(s1 - s0) / abs(step))), 1) if s1 != s0 else 0
+    h = (s1 - s0) / max(n, 1)
+    box = [(lo - 1e-9, hi + 1e-9) for lo, hi in structure.chart_domain]
     try:
-        ys = _rk4_states(f, tuple(float(v) for v in y0), h, n)
-    except (ArithmeticError, TypeError):   # TypeError: a complex into math.sin
+        ss, ys, cut = _rk4_run(f, tuple(float(v) for v in y0), s0, h, n, box)
+        ys = np.array(ys)
+    except (ArithmeticError, TypeError):   # TypeError: a complex in math.sin or in <=
         ys = None
     if ys is None or ys.dtype.kind == "c":
-        with np.errstate(all="ignore"):     # the run is cut at its first inf or nan
-            ys = _rk4_states(f, tuple(np.float64(v) for v in y0), h, n)
-    return np.array(ss), ys
-
-
-def _integrate(structure, point, rhs, y0, s_range, step):
-    """RK4 of ``rhs`` from ``y0`` (whose first three entries are ``point``),
-    cut before the first state outside the chart.
-
-    Returns (s_values, states, truncated)."""
-    structure.check_point(point)
-    ss, ys = integrate_ode(rhs, y0, s_range, step)
-    cut = _truncate_outside(structure, ys)
-    return ss[:cut], ys[:cut], cut is not None
-
-
-def _truncate_outside(structure, ys):
-    """Index of the first state outside the chart (at least 1, so a trace
-    keeps its start), or None; a NaN coordinate counts as outside."""
-    lo, hi = np.array(structure.chart_domain).T
-    p = ys[:, :3]
-    outside = np.flatnonzero(~np.all((lo - 1e-9 <= p) & (p <= hi + 1e-9), axis=1))
-    return max(int(outside[0]), 1) if len(outside) else None
+        with np.errstate(all="ignore"):     # the run stops at its first nan point
+            ss, ys, cut = _rk4_run(f, tuple(np.float64(v) for v in y0), s0, h, n, box)
+        ys = np.array(ys)
+    return np.array(ss), ys, cut
 
 
 def integrate_characteristic(structure: StructureSpec, init: CharState,
                              s_range=(0.0, 10.0), step=1e-3) -> CurveTrace:
     """Integrate a characteristic curve of curvature init.lam."""
-    sysm = _char_system(structure)
     lam = init.lam
-    ss, ys, cut = _integrate(structure, init.point, sysm._char_flow(lam),
-                             (*init.point, init.phi), s_range, step)
+    ss, ys, cut = integrate_ode(structure, _char_flow(structure, lam),
+                                (*init.point, init.phi), s_range, step)
     return CurveTrace(s=ss, points=ys[:, :3], phi=ys[:, 3],
                       lam=np.full(len(ss), lam), truncated=cut)
 
@@ -407,9 +350,8 @@ def integrate_geodesic(structure: StructureSpec, init: CharState,
                        s_range=(0.0, 10.0), step=1e-3) -> CurveTrace:
     """Integrate a sub-Riemannian geodesic: characteristic system plus
     dlambda/ds = -(1/c1) g(tau(Z), Z)."""
-    sysm = _char_system(structure)
-    ss, ys, cut = _integrate(structure, init.point, sysm._geodesic_flow(),
-                             (*init.point, init.phi, init.lam), s_range, step)
+    ss, ys, cut = integrate_ode(structure, _geodesic_flow(structure),
+                                (*init.point, init.phi, init.lam), s_range, step)
     return CurveTrace(s=ss, points=ys[:, :3], phi=ys[:, 3], lam=ys[:, 4], truncated=cut)
 
 
@@ -448,11 +390,9 @@ def jacobi_vertical_ode(structure: StructureSpec, init: CharState,
     stops at the chart edge like the curve alone would, recorded in
     ``base.truncated``.
     """
-    sysm = _char_system(structure)
     lam = init.lam
-    ss, ys, cut = _integrate(structure, init.point, sysm._jacobi_flow(lam),
-                             (*init.point, init.phi, *jacobi_init),
-                             s_range, step)
+    ss, ys, cut = integrate_ode(structure, _jacobi_flow(structure, lam),
+                                (*init.point, init.phi, *jacobi_init), s_range, step)
     base = CurveTrace(s=ss, points=ys[:, :3], phi=ys[:, 3], lam=np.full(len(ss), lam),
                       truncated=cut)
     return JacobiTrace(s=ss, vt=ys[:, 4], vt_prime=ys[:, 5], vt_second=ys[:, 6],

@@ -234,7 +234,7 @@ def mul(a, b) -> Expr:
 def div(a, b) -> Expr:
     a, b = _as_expr(a), _as_expr(b)
     if _is_const(b, 0.0):
-        raise ZeroDivisionError("division by constant zero expression")
+        raise DomainError(f"division of {a} by a divisor that is identically zero")
     if _is_const(a, 0.0):
         return ZERO
     if _is_const(b, 1.0):

@@ -262,6 +262,9 @@ class SurfaceGeometry:
         self.Yf = st.frame_derivation(1, f)
         self.Tf = st.frame_derivation(2, f)
         gh2 = ex.add(ex.mul(self.Xf, self.Xf), ex.mul(self.Yf, self.Yf))
+        if ex._is_const(gh2, 0.0):
+            raise ValueError(f"the level set of f = {f} has X f^2 + Y f^2 = 0 "
+                             "identically: every point is singular")
         self.gh_norm = ex.sqrt(gh2)
         grad2 = ex.add(gh2, ex.mul(self.Tf, self.Tf))
         self.grad_norm = ex.sqrt(grad2)

@@ -375,21 +375,23 @@ class CharPatch:
         """Flow positions at signed parameters (0 corresponds to p0).
 
         ``p0`` a point (3,) or batch (n, 3); result (len(params), 3) or
-        (n, len(params), 3).
+        (n, len(params), 3).  The positive parameters in increasing order
+        and the negative ones in decreasing order, each from p0 outwards,
+        are two groups of one flow; the shorter group ends in zero-length
+        steps whose points are not kept.
         """
         params = np.asarray(params, dtype=float)
         p0 = np.asarray(p0, dtype=float)
+        order = np.argsort(params)
+        pos, neg = order[params[order] > 0], order[params[order] < 0][::-1]
+        m = max(len(pos), len(neg))
+        grids = [np.pad(np.concatenate([[0.0], params[idx]]), (0, m - len(idx)), "edge")
+                 for idx in (pos, neg)]
+        pts = cls._surface_flow(surf, field, np.stack([p0, p0]), grids)
         out = np.empty(p0.shape[:-1] + (len(params), 3))
         out[..., params == 0, :] = p0[..., None, :]
-        # the positive parameters in increasing order, then the negative ones
-        # in decreasing order, each from p0 outwards
-        for sign in (1, -1):
-            idx = np.where(sign * params > 0)[0]
-            if len(idx):
-                order = idx[np.argsort(params[idx])][::sign]
-                pts = cls._surface_flow(surf, field, p0,
-                                        np.concatenate([[0.0], params[order]]))
-                out[..., order, :] = pts[..., 1:, :]
+        out[..., pos, :] = pts[0][..., 1:len(pos) + 1, :]
+        out[..., neg, :] = pts[1][..., 1:len(neg) + 1, :]
         return out
 
     @classmethod
@@ -510,6 +512,19 @@ def _fan_starts(structure, geom, surf, gpts, ds):
     return step_off_curve(structure, surf, gpts, tan, (ds, -ds))[1]
 
 
+def _bulk(patch: CharPatch, u, needs: str, flat=slice(0)):
+    """(int { |N_h|^-1 Z(u)^2 + q u^2 } dSigma, Z(u)) for the grid u on a
+    minimal patch, Z(u) taken as 0 on the s columns ``flat``; ``needs``
+    opens the error raised when max |H| > MINIMALITY_TOL."""
+    if patch.max_h() > MINIMALITY_TOL:
+        raise AdmissibilityError(f"{needs} (max |H| = {patch.max_h():.2e})")
+    zu = patch.z_derivative(u)
+    zu[:, flat] = 0.0
+    nh = patch.scalar(patch.geom.nh)
+    q = patch.scalar(patch.geom.q_expr())
+    return patch.integrate(zu * zu / nh + q * u * u), zu
+
+
 @dataclass
 class IndexFormResult:
     value: float
@@ -522,14 +537,10 @@ def index_form(patch: CharPatch, u_fn) -> IndexFormResult:
     asserted to agree within INDEX_FORM_AGREEMENT_TOL (1 + |I(u, u)|)."""
     geom = patch.geom
     st = patch.structure
-    if patch.max_h() > MINIMALITY_TOL:
-        raise AdmissibilityError(
-            f"index form requires a minimal patch (max |H| = {patch.max_h():.2e})")
     u = patch.u_grid(u_fn)
-    zu = patch.z_derivative(u)
+    value, zu = _bulk(patch, u, "index form requires a minimal patch")
     nh = patch.scalar(geom.nh)
     q = patch.scalar(geom.q_expr())
-    value = patch.integrate(zu * zu / nh + q * u * u)
     # operator path: L(u) = nh^-1 { Z(Z(u)) + gNT nh^-1 (-2 nh thetaS - c1
     # + 2 nh^2 (c1 + tauZnu)) Z(u) } - q u
     zzu = patch.z_derivative(zu)
@@ -569,6 +580,20 @@ def _gamma_weights(gpts):
     return w
 
 
+def _fan_grids(sides, gamma_points, u_fn):
+    """The shared data of an integral over a two-sided fan: the weights on
+    Gamma, u on Gamma, each side's grid u_fn(eps, sgn s) (sgn = +1 on the
+    first side, -1 on the second) and int_Gamma S(u)^2 dGamma."""
+    side_p, side_m = sides
+    gw = _gamma_weights(gamma_points)
+    u_gamma = np.asarray(u_fn(side_p.eps, np.zeros_like(side_p.eps)), dtype=float)
+    grids = [patch.u_grid(lambda e, s, sgn=sgn: u_fn(e, sgn * s))
+             for sgn, patch in ((+1.0, side_p), (-1.0, side_m))]
+    # S(u)^2 along the curve: S is tangent to Gamma at the singular curve
+    su = _fd4(u_gamma, side_p.eps[1] - side_p.eps[0])
+    return gw, u_gamma, grids, float(np.sum(su ** 2 * gw))
+
+
 def _limit_coefficient(patch: CharPatch):
     """Per-eps Richardson limit of (xi + zeta)/u^2 = (nh thetaS + c1 gNT^2 +
     (1 + gNT^2) tauZnu)/gNT as s -> 0 along the fan."""
@@ -598,18 +623,13 @@ def stability_quadratic_Q(sides, gamma_points, u_fn, tube_radius=0.1) -> QReport
     The u^2 boundary term enters with g(Z, nu_exterior) = z_orientation of
     each side; its limit coefficient is sgn(g(N,T)) (c1 + 2 g(tauZ,nu)).
     """
-    side_p, side_m = sides
+    gw, u_gamma, grids, boundary_su2 = _fan_grids(sides, gamma_points, u_fn)
     bulk = 0.0
     boundary_u2 = 0.0
-    gw = _gamma_weights(gamma_points)
-    u_gamma = np.asarray(u_fn(side_p.eps, np.zeros_like(side_p.eps)), dtype=float)
-    for sgn, patch in ((+1.0, side_p), (-1.0, side_m)):
-        if patch.max_h() > MINIMALITY_TOL:
-            raise AdmissibilityError(
-                f"Q requires a minimal surface (max |H| = {patch.max_h():.2e})")
-        u = patch.u_grid(lambda e, s: u_fn(e, sgn * s))
-        zu = patch.z_derivative(u)
+    for patch, u in zip(sides, grids):
+        # Z(u) = 0 inside the tube, exact by admissibility; avoids FD bleed
         in_tube = patch.s <= tube_radius
+        bulk += _bulk(patch, u, "Q requires a minimal surface", in_tube)[0]
         if np.any(in_tube):
             # admissibility: u constant along characteristics inside the tube
             tube_vals = u[:, in_tube]
@@ -619,16 +639,8 @@ def stability_quadratic_Q(sides, gamma_points, u_fn, tube_radius=0.1) -> QReport
                     f"u is not admissible: varies by {worst:.3e} along "
                     f"characteristics inside the tube of radius {tube_radius}, "
                     f"above the tolerance {ADMISSIBILITY_TOL:.1e}")
-            zu[:, in_tube] = 0.0  # exact by admissibility; avoids FD bleed
-        nh = patch.scalar(patch.geom.nh)
-        q = patch.scalar(patch.geom.q_expr())
-        bulk += patch.integrate(zu * zu / nh + q * u * u)
         cf = _limit_coefficient(patch) * patch.z_orientation
         boundary_u2 += float(np.sum(cf * u_gamma ** 2 * gw))
-    # S(u)^2 along the curve: S is tangent to Gamma at the singular curve
-    d_eps = side_p.eps[1] - side_p.eps[0]
-    su = _fd4(u_gamma, d_eps)
-    boundary_su2 = float(np.sum(su ** 2 * gw))
     value = bulk + boundary_u2 + boundary_su2
     return QReport(value=value, bulk=bulk, boundary_u2=boundary_u2,
                    boundary_su2=boundary_su2)
@@ -657,19 +669,13 @@ def singular_curve_second_variation(sides, gamma_points, w_fn) -> float:
     in the fan; the divergence term is evaluated as its boundary flux, which
     vanishes on the s-edges since g(S, Z) = 0.
     """
-    side_p, side_m = sides
+    _, _, grids, sw2 = _fan_grids(sides, gamma_points, w_fn)
     total = 0.0
-    gw = _gamma_weights(gamma_points)
-    w_gamma = np.asarray(w_fn(side_p.eps, np.zeros_like(side_p.eps)), dtype=float)
-    for sgn, patch in ((+1.0, side_p), (-1.0, side_m)):
-        w = patch.u_grid(lambda e, s: w_fn(e, sgn * s))
+    for patch, w in zip(sides, grids):
         total += _constant_w_bulk(patch, w, "along characteristics")
         # flux of w^2 g(tauZ,Z) S through the far s-edge: conormal there is
         # Z, and g(S, Z) = 0, so the contribution vanishes identically.
-    d_eps = side_p.eps[1] - side_p.eps[0]
-    sw = _fd4(w_gamma, d_eps)
-    total += float(np.sum(sw ** 2 * gw))
-    return total
+    return total + sw2
 
 
 def isolated_point_second_variation(sides, w_fn) -> float:

@@ -81,6 +81,31 @@ def test_json_of_the_wrong_shape_is_an_input_error(spec, field, argv, tmp_path, 
     assert "Traceback" not in err
 
 
+_GRAPH = {"kind": "graph", "expr": "x*y", "domain": [[0.2, 1.2], [0.2, 1.2]]}
+
+
+@pytest.mark.parametrize("spec, argv, message", [
+    ({"kind": "implicit", "expr": "x/0"}, ["surface", "analyze", "--grid", "3"],
+     "identically zero"),
+    ({"kind": "implicit", "expr": "x/(y-y)"}, ["surface", "analyze", "--grid", "3"],
+     "identically zero"),
+    (_GRAPH, ["variation", "first", "--u", "1/(x-x)"], "identically zero"),
+    # the horizontal gradient of f is the zero expression
+    ({"kind": "implicit", "expr": "1"}, ["surface", "analyze", "--grid", "3"],
+     "every point is singular"),
+    ({"kind": "implicit", "expr": "t"},
+     ["surface", "analyze", "--structure", "su2", "--grid", "3"], "every point is singular"),
+])
+def test_a_divisor_that_is_identically_zero_is_an_input_error(spec, argv, message,
+                                                              tmp_path, capsys):
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli([*argv, "--surface", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_curve_integrate_zero_range(tmp_path, capsys):
     out_file = tmp_path / "trace.csv"
     code, _, _ = run_cli(["curve", "integrate", "--structure", "rt",

@@ -8,7 +8,9 @@ from subriemann.structures import StructureError
 from subriemann.curves import (CharState, integrate_characteristic,
                                integrate_geodesic, rt_characteristic_closed_form,
                                jacobi_vertical_ode, jacobi_from_curve_family,
-                               first_integral, _char_system)
+                               first_integral, integrate_ode, _char_flow,
+                               _geodesic_flow, _jacobi_flow, _char_kernel,
+                               _jacobi_kernel)
 from subriemann.structures import structure_from_json, unimodular_structure
 
 
@@ -115,12 +117,11 @@ def test_lie_group_kind_rejected_for_integration():
 def _characteristic_residual(structure, trace):
     """Max residual of phi' + |c1| lambda + Gamma at 20 interior points of a
     trace, phi' by central differences."""
-    sysm = _char_system(structure)
     idx = np.linspace(1, len(trace) - 2, 20).astype(int)
     worst = 0.0
     for i in idx:
         dphi = (trace.phi[i + 1] - trace.phi[i - 1]) / (trace.s[i + 1] - trace.s[i - 1])
-        target = sysm.char_rhs((*trace.points[i], trace.phi[i]), trace.lam[i])[3]
+        target = _char_flow(structure, trace.lam[i])((*trace.points[i], trace.phi[i]))[3]
         worst = max(worst, abs(dphi - target))
     return worst
 
@@ -163,10 +164,19 @@ def test_rt_geodesic_lambda_rate(rt):
 # Jacobi vertical equation
 
 
+def _betas(structure, p, phi, lam):
+    """(beta1, beta2) at a point and angle from the library's Jacobi
+    right-hand side: its last entry -beta1 v' - c1 beta2 v at (v, v', v'')
+    = (0, 1, 0) is -beta1, and at (1, 0, 0) it is -c1 beta2."""
+    rhs = _jacobi_flow(structure, lam)
+    b1 = -rhs((*p, phi, 0.0, 1.0, 0.0))[6]
+    b2 = -rhs((*p, phi, 1.0, 0.0, 0.0))[6] / structure.c1
+    return b1, b2
+
+
 def _betas_along(structure, jt):
     """(beta1, beta2) at every state of a Jacobi trace's base curve."""
-    sysm = _char_system(structure)
-    b = [sysm.beta_coeffs(p, phi, lam)
+    b = [_betas(structure, p, phi, lam)
          for p, phi, lam in zip(jt.base.points, jt.base.phi, jt.base.lam)]
     return np.array(b).T
 
@@ -391,39 +401,54 @@ def _first_outside_scan(structure, ys):
     return None
 
 
+def _all_states(f, y0, s_span, step):
+    """Every state of the run, stepped with the library's RK4 step and no
+    chart-edge cut."""
+    from subriemann.curves import rk4_step
+    n = max(int(round(abs(s_span[1] - s_span[0]) / step)), 1)
+    h = (s_span[1] - s_span[0]) / n
+    ys = [tuple(y0)]
+    for _ in range(n):
+        ys.append(rk4_step(f, ys[-1], h))
+    return np.array(ys)
+
+
 def test_truncation_equals_per_row_scan(rt):
-    from subriemann.curves import integrate_ode, _char_system, _truncate_outside
-    sysm = _char_system(rt)
     # the fiber direction leaves the chart at alpha = 16
-    _, ys = integrate_ode(lambda y: sysm.char_rhs(y, 0.0), np.array([0, 0, 15.9, 0.0]),
-                          (0.0, 1.0), 1e-3)
-    cut = _truncate_outside(rt, ys)
-    assert cut is not None and cut == _first_outside_scan(rt, ys)
-    inside = ys[:cut]
-    assert _truncate_outside(rt, inside) is None is _first_outside_scan(rt, inside)
-    with_nan = inside.copy()
-    with_nan[7, 1] = np.nan
-    assert _truncate_outside(rt, with_nan) == _first_outside_scan(rt, with_nan) == 7
-    off_at_start = inside.copy()
-    off_at_start[0, 0] = 1e3
-    assert _truncate_outside(rt, off_at_start) == _first_outside_scan(rt, off_at_start) == 1
+    f = _char_flow(rt, 0.0)
+    y0 = (0.0, 0.0, 15.9, 0.0)
+    s, ys, cut = integrate_ode(rt, f, y0, (0.0, 1.0), 1e-3)
+    full = _all_states(f, y0, (0.0, 1.0), 1e-3)
+    assert cut and len(ys) == len(s) == _first_outside_scan(rt, full) < len(full)
+    assert ys.tobytes() == full[:len(ys)].tobytes()
+    s, inside, cut = integrate_ode(rt, f, y0, (0.0, 0.05), 1e-3)
+    assert not cut and len(inside) == 51 and _first_outside_scan(rt, inside) is None
+
+    # a nan coordinate counts as outside: y turns nan in the step to x = 0.007
+    def g(y):
+        return (1.0, math.nan if y[0] > 0.0063 else 0.0, 0.0, 0.0)
+    s, ys, cut = integrate_ode(rt, g, y0, (0.0, 0.02), 1e-3)
+    full = _all_states(g, y0, (0.0, 0.02), 1e-3)
+    assert cut and len(ys) == _first_outside_scan(rt, full) == 7
+    with pytest.raises(StructureError):
+        integrate_ode(rt, f, (1e3, 0.0, 0.0, 0.0), (0.0, 1.0), 1e-3)
 
 
 @pytest.mark.parametrize("name", ["rt", "heis"])
-def test_jacobi_rhs_agrees_with_beta_coeffs(name, request):
-    from subriemann.curves import _char_system
+def test_jacobi_flow_gives_the_betas(name, request):
     st = request.getfixturevalue(name)
-    sysm = _char_system(st)
     rng = np.random.default_rng(11)
     for _ in range(20):
-        state = np.concatenate([rng.uniform(-2.0, 2.0, 3), rng.uniform(-np.pi, np.pi, 1),
-                                rng.normal(size=3)])
+        state = tuple(np.concatenate([rng.uniform(-2.0, 2.0, 3),
+                                      rng.uniform(-np.pi, np.pi, 1), rng.normal(size=3)]))
         lam = float(rng.uniform(-1.0, 1.0))
-        rhs = sysm.jacobi_rhs(state, lam)
-        b1, b2 = sysm.beta_coeffs(state[:3], state[3], lam)
-        assert np.array_equal(rhs[:4], sysm.char_rhs(state[:4], lam))
-        assert np.array_equal(rhs[4:6], state[5:7])
-        assert rhs[6] == -b1 * state[5] - st.c1 * b2 * state[4]
+        rhs = _jacobi_flow(st, lam)
+        out = rhs(state)
+        b1 = -rhs((*state[:4], 0.0, 1.0, 0.0))[6]
+        c1_b2 = -rhs((*state[:4], 1.0, 0.0, 0.0))[6]
+        assert out[:4] == _char_flow(st, lam)(state[:4])
+        assert out[4:6] == state[5:7]
+        assert out[6] == -b1 * state[5] - c1_b2 * state[4]
         # beta1 = W + c1 g(tau(Z), J(Z)) + c1^2 lam^2, by tree walks
         c, s = np.cos(state[3]), np.sin(state[3])
         tau = st.tau_matrix(state[:3])
@@ -452,9 +477,8 @@ class _LayeredRhs:
     spatial and curvature sums as loops."""
 
     def __init__(self, structure):
-        sysm = _char_system(structure)
-        self.ck, self.jk = sysm._char_kernel, sysm._jacobi_kernel
-        self.c1, self.abs_c1, self.sgn_c1 = sysm.c1, sysm.abs_c1, sysm.sgn_c1
+        self.ck, self.jk = _char_kernel(structure), _jacobi_kernel(structure)
+        self.c1, self.abs_c1, self.sgn_c1 = structure.c1, abs(structure.c1), structure.sgn_c1
 
     def _char_terms(self, x, y, t, phi, lam):
         k = self.ck(x, y, t)
@@ -515,9 +539,9 @@ class _LayeredRhs:
 
 
 def _array_integrate(structure, rhs, y0, s_range, step):
-    """(s, states) of fixed-step RK4 on a float64 array state, each
-    right-hand side wrapped in np.array, cut at the chart edge."""
-    from subriemann.curves import _truncate_outside
+    """(s, states, truncated) of fixed-step RK4 on a float64 array state,
+    each right-hand side wrapped in np.array, over the whole span, then cut
+    before the first row off the chart."""
     s0, s1 = float(s_range[0]), float(s_range[1])
     n = max(int(round(abs(s1 - s0) / abs(step))), 1)
     h = (s1 - s0) / n
@@ -529,7 +553,7 @@ def _array_integrate(structure, rhs, y0, s_range, step):
         ss.append(s)
         ys.append(y)
     ss, ys = np.array(ss), np.array(ys)
-    cut = _truncate_outside(structure, ys)
+    cut = _first_outside_scan(structure, ys)
     return ss[:cut], ys[:cut], cut is not None
 
 
@@ -652,26 +676,29 @@ def test_float64_rerun_is_quiet(height, init, phi):
 
 @pytest.mark.parametrize("name", ["rt", "heis"])
 def test_right_hand_sides_are_tuples_of_floats(name, request):
-    sysm = _char_system(request.getfixturevalue(name))
+    st = request.getfixturevalue(name)
     state = (0.1, -0.2, 0.3, 0.4)
-    for out in (sysm.char_rhs(state, 0.5), sysm.geodesic_rhs((*state, 0.5)),
-                sysm.jacobi_rhs((*state, 0.1, 0.2, 0.3), 0.5)):
+    for out in (_char_flow(st, 0.5)(state), _geodesic_flow(st)((*state, 0.5)),
+                _jacobi_flow(st, 0.5)((*state, 0.1, 0.2, 0.3))):
         assert type(out) is tuple and all(type(v) is float for v in out)
 
 
 @pytest.mark.parametrize("name", ["rt", "heis", "squeezed"])
 def test_right_hand_sides_equal_the_layered_ones(name, request):
     st = request.getfixturevalue(name)
-    sysm, ref = _char_system(st), _LayeredRhs(st)
+    ref = _LayeredRhs(st)
+    geodesic = _geodesic_flow(st)
     rng = np.random.default_rng(3)
     for _ in range(200):
         state = tuple(float(v) for v in rng.uniform(-1.0, 1.0, 7))
         lam = float(rng.uniform(-1.5, 1.5))
-        assert sysm.char_rhs(state[:4], lam) == ref.char_rhs(state[:4], lam)
-        assert sysm.geodesic_rhs(state[:5]) == ref.geodesic_rhs(state[:5])
-        assert sysm.jacobi_rhs(state, lam) == ref.jacobi_rhs(state, lam)
-        assert (sysm.beta_coeffs(state[:3], state[3], lam)
-                == ref.beta_coeffs(state[:3], state[3], lam))
+        jacobi = _jacobi_flow(st, lam)
+        assert _char_flow(st, lam)(state[:4]) == ref.char_rhs(state[:4], lam)
+        assert geodesic(state[:5]) == ref.geodesic_rhs(state[:5])
+        assert jacobi(state) == ref.jacobi_rhs(state, lam)
+        b1, b2 = ref.beta_coeffs(state[:3], state[3], lam)
+        assert jacobi((*state[:4], 0.0, 1.0, 0.0))[6] == -b1
+        assert jacobi((*state[:4], 1.0, 0.0, 0.0))[6] == -(st.c1 * b2)
 
 
 def test_each_step_is_one_rk4_step_call(rt, monkeypatch):
@@ -705,3 +732,28 @@ def test_csv_rows_equal_the_cell_by_cell_format():
         ",".join("%.17g" % (v + 0.0) for v in row) + "\n" for row in zip(*cols))
     assert trace.to_csv(extra=extra) == expect
     assert "-0," not in expect and ",nan," in expect and ",-inf," in expect
+
+
+def test_a_span_past_the_chart_edge_steps_once_past_the_edge(tmp_path, monkeypatch):
+    # from alpha = 15.9 the fiber direction reaches the chart edge alpha = 16
+    # at s = 0.1; the span (0, 100) takes one step more than (0, 0.1), the one
+    # that leaves the chart, and writes the same CSV
+    import subriemann.curves as curves
+    from subriemann import cli
+    step, calls = curves.rk4_step, []
+
+    def counted(f, y, h):
+        calls.append(h)
+        return step(f, y, h)
+
+    monkeypatch.setattr(curves, "rk4_step", counted)
+    texts, counts = [], []
+    for span in ("0,0.1", "0,100"):
+        out = tmp_path / f"curve-{span}.csv"
+        calls.clear()
+        assert cli.main(["curve", "integrate", "--structure", "rt", "--init", "0,0,15.9",
+                         "--phi", "0", "--range", span, "--out", str(out)]) == 0
+        texts.append(out.read_text())
+        counts.append(len(calls))
+    assert counts == [100, 101]
+    assert texts[0] == texts[1] and len(texts[0].splitlines()) == 102

@@ -323,6 +323,55 @@ def helicoid_patch(rt, helicoid):
                                      (-0.1, 0.1), (0.0, 0.2), n_eps=9, n_s=11)
 
 
+def _per_sign_flow_at_params(surf, field, p0, params):
+    """Flow positions at signed parameters, one flow per sign: the positive
+    parameters in increasing order, then the negative ones in decreasing
+    order, each from p0 outwards."""
+    params = np.asarray(params, dtype=float)
+    p0 = np.asarray(p0, dtype=float)
+    out = np.empty(p0.shape[:-1] + (len(params), 3))
+    out[..., params == 0, :] = p0[..., None, :]
+    for sign in (1, -1):
+        idx = np.where(sign * params > 0)[0]
+        if len(idx):
+            order = idx[np.argsort(params[idx])][::sign]
+            pts = CharPatch._surface_flow(surf, field, p0,
+                                          np.concatenate([[0.0], params[order]]))
+            out[..., order, :] = pts[..., 1:, :]
+    return out
+
+
+@pytest.mark.parametrize("eps_span, s_span, n_eps, n_s", [
+    ((-0.1, 0.1), (-0.2, 0.2), 9, 17),       # symmetric spans
+    ((-0.3, 0.1), (-0.05, 0.3), 13, 21),     # asymmetric spans
+    ((0.0, 0.2), (0.0, 0.2), 9, 11),         # empty negative runs
+    ((-0.2, -0.05), (0.05, 0.2), 9, 11),     # no zero parameter, one empty run each
+])
+def test_base_point_patch_equals_one_flow_per_sign(rt, helicoid, monkeypatch,
+                                                   eps_span, s_span, n_eps, n_s):
+    import subriemann.variation as variation
+    seed = (1.0, 0.4, np.arctan2(0.4, 1.0))
+    geom = helicoid.geometry(rt)
+    eps, s = np.linspace(*eps_span, n_eps), np.linspace(*s_span, n_s)
+    base = _per_sign_flow_at_params(helicoid, rt.frame_to_coordinate(list(geom.S)),
+                                    helicoid.project(seed), eps)
+    expect = _per_sign_flow_at_params(helicoid, rt.frame_to_coordinate(list(geom.Z)),
+                                      base, s)
+    step, calls = variation.rk4_step, []
+
+    def counted(f, y, h):
+        calls.append(y.shape)
+        return step(f, y, h)
+
+    monkeypatch.setattr(variation, "rk4_step", counted)
+    patch = CharPatch.from_base_point(rt, helicoid, seed, eps_span, s_span,
+                                      n_eps=n_eps, n_s=n_s)
+    assert patch.points.tobytes() == expect.tobytes()
+    # one flow per field, as long as its longer run; both runs in each step
+    runs = [max(np.sum(g > 0), np.sum(g < 0)) for g in (eps, s)]
+    assert calls == [(2, 1, 3)] * (8 * runs[0]) + [(2, n_eps, 3)] * (8 * runs[1])
+
+
 def test_char_patch_rejects_non_finite_points(rt, helicoid_patch):
     # one nan point spoils the area factor of its whole s column through the
     # eps differences; it is an error, not a nan integral
