@@ -57,6 +57,10 @@ class CharState:
 # raises the peak memory of `curve integrate` by about 10 %
 _CSV_BLOCK = 512
 
+# the most RK4 steps one integration may take: 100 times the longest run of
+# the benchmark, 10^4 steps; a run inside the chart keeps every state
+MAX_STEPS = 10 ** 6
+
 
 @dataclass
 class CurveTrace:
@@ -304,6 +308,7 @@ def _rk4_run(f, y, s, h, n, box):
 def integrate_ode(structure: StructureSpec, f, y0, s_span, step):
     """Fixed-step RK4 of y' = f(y) from ``y0``, whose first three entries are
     a chart point, over ``s_span``, the step shrunk to divide it evenly.
+    A span of more than MAX_STEPS steps raises ValueError.
 
     The run stops before the first state whose point lies outside the
     structure's ``chart_domain`` by more than 1e-9 or holds a nan, so a
@@ -322,6 +327,10 @@ def integrate_ode(structure: StructureSpec, f, y0, s_span, step):
     structure.check_point(y0[:3])
     s0, s1 = float(s_span[0]), float(s_span[1])
     n = max(int(round(abs(s1 - s0) / abs(step))), 1) if s1 != s0 else 0
+    if n > MAX_STEPS:
+        count = f"{n:,}" if n < 10 ** 12 else f"{n:.3g}"
+        raise ValueError(f"the span ({s0:g}, {s1:g}) at step {step:g} takes {count} RK4 "
+                         f"steps, above the cap of {MAX_STEPS:,}")
     h = (s1 - s0) / max(n, 1)
     box = [(lo - 1e-9, hi + 1e-9) for lo, hi in structure.chart_domain]
     try:

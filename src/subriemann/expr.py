@@ -531,22 +531,41 @@ _NUMPY_NS = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_sqrt": np.sqrt,
 
 
 def _cse_program(exprs, f64=False):
-    """SSA-style source of expressions: (lines, result_names), one name or
-    literal per expression.  Equal subtrees are one node, so each distinct
-    operation under all the expressions gets one line; this collapses the
-    large symbolic curvature trees to a few hundred operations.  With
-    ``f64``, the constants under an operation that reads no variable are
-    made np.float64, so that such a subtree computes as the rest does."""
+    """Source of expressions: (lines, result_names), one name or literal per
+    expression.  Equal subtrees are one node, so each distinct operation
+    under all the expressions gets one line; this collapses the large
+    symbolic curvature trees to a few hundred operations.  A line's name is
+    given back once its last reader has run, unless it is a result, and the
+    next line takes it, so a kernel keeps only live values: as many arrays
+    at once as the expression DAG is wide, not one per line.  With ``f64``,
+    the constants under an operation that reads no variable are made
+    np.float64, so that such a subtree computes as the rest does."""
+    order = list(_postorder(exprs))
+    last = {}       # node -> position of its last reader
+    for i, n in enumerate(order):
+        for c in n.args:
+            last[c] = i
+    results = set(exprs)
     names = {}
     constant = {}   # node -> whether no variable lies under it
     lines = []
-    for n in _postorder(exprs):
+    free = []       # names whose value no later line reads
+    count = 0
+    for i, n in enumerate(order):
         kids = [names[c] for c in n.args]
         constant[n] = n.op is Const or (n.op is not Var and all(constant[c] for c in n.args))
         if n.args:
             if f64 and constant[n]:
                 kids = [f"_f64({k})" if c.op is Const else k for c, k in zip(n.args, kids)]
-            names[n] = f"v{len(lines)}"
+            # the right side is evaluated before the name is bound, so the
+            # line may take the name of a child it reads for the last time
+            free.extend(names[c] for c in dict.fromkeys(n.args)
+                        if c.args and last[c] == i and c not in results)
+            if free:
+                names[n] = free.pop()
+            else:
+                names[n] = f"v{count}"
+                count += 1
             lines.append(f"{names[n]} = {_render(n, kids, n.op.source)}")
         else:
             names[n] = _render(n, kids, n.op.source)

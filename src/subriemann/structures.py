@@ -114,6 +114,9 @@ class StructureSpec:
         at = [[self.frame[j][i] for j in range(3)] for i in range(3)]
         adj_t = _adjugate3(at)
         det_t = _det3(at)
+        if det_t.op is ex.Const and det_t.value == 0.0:
+            raise StructureError("frame degenerate everywhere: the determinant of "
+                                 "(X, Y, T) is identically zero")
         self._det = _det3(self.frame)
         self._coframe = [[ex.div(adj_t[i][j], det_t) for j in range(3)] for i in range(3)]
 

@@ -285,6 +285,21 @@ def _fd4(values, h, axis=-1):
     return np.moveaxis(out, -1, axis)
 
 
+def _median_below_zero(values):
+    """Whether ``np.median(values) < 0``, decided without ``np.median``,
+    whose nan check imports ``numpy.ma``: the middle value, or the mean of
+    the two middle values, is below zero.  Any nan gives False, as the nan
+    median does."""
+    flat = np.ravel(values)
+    if flat.size == 0 or np.isnan(flat).any():
+        return False
+    k = flat.size // 2
+    if flat.size % 2:
+        return bool(np.partition(flat, k)[k] < 0)
+    part = np.partition(flat, (k - 1, k))
+    return bool((part[k - 1] + part[k]) / 2.0 < 0)
+
+
 def _uniform_axis(name, grid):
     """``grid`` as a float array, checked uniform with at least 7 samples."""
     grid = np.asarray(grid, dtype=float)
@@ -451,11 +466,18 @@ class CharPatch:
     # -- grid data ------------------------------------------------------------
 
     def scalar(self, e: Expr) -> np.ndarray:
+        """The grid of ``e`` over the patch points.  The first request for
+        any of g(N,T), theta(S), g(tau(Z),nu), g(tau(Z),Z), H and q
+        evaluates all six from one kernel; |N_h| and any other expression
+        get a kernel of their own."""
         key = id(e)
         if key not in self._scalars:
-            fn = ex.compiled_cse([e], "arrays")
-            self._scalars[key] = fn(self.points.reshape(-1, 3))[:, 0].reshape(
-                self.points.shape[:2])
+            geom = self.geom
+            fields = [geom.gNT, geom.thetaS, geom.tauZnu, geom.tauZZ, geom.H, geom.q_expr()]
+            exprs = fields if any(e is f for f in fields) else [e]
+            vals = ex.compiled_cse(exprs, "arrays")(self.points.reshape(-1, 3))
+            for f, col in zip(exprs, vals.T.copy()):
+                self._scalars[id(f)] = col.reshape(self.points.shape[:2])
         return self._scalars[key]
 
     def _area_factor(self):
@@ -465,7 +487,7 @@ class CharPatch:
         vt = comps[:, 2].reshape(self.points.shape[:2])
         nh = self.scalar(self.geom.nh)
         f = -vt / nh
-        if np.median(f) < 0:
+        if _median_below_zero(f):
             f = -f
         bad = np.flatnonzero(~(f > 0))
         if len(bad):

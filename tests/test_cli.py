@@ -106,6 +106,26 @@ def test_a_divisor_that_is_identically_zero_is_an_input_error(spec, argv, messag
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", _STRUCTURE_VERBS)
+def test_a_degenerate_frame_is_named_as_the_input_error(argv, tmp_path, capsys):
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps({"kind": "coordinate-frame", "chart_domain": [[-1, 1]] * 3,
+                                "frame": {**_FRAME, "X": ["1", "0", "0"],
+                                          "Y": ["1", "0", "0"]}}))
+    code, _, err = run_cli([a.format(path) for a in argv], capsys)
+    assert code == 2
+    assert err.startswith("error: frame degenerate") and "identically zero" in err
+    assert "division" not in err and "Traceback" not in err
+
+
+def test_a_step_too_small_for_the_span_is_an_input_error(capsys):
+    code, out, err = run_cli([*_CURVE, "--init", "0,0,0", "--range", "0,1",
+                              "--step", "1e-300"], capsys)
+    assert code == 2 and out == ""
+    assert "1e+300 RK4 steps" in err and "cap of 1,000,000" in err
+    assert "Traceback" not in err
+
+
 def test_curve_integrate_zero_range(tmp_path, capsys):
     out_file = tmp_path / "trace.csv"
     code, _, _ = run_cli(["curve", "integrate", "--structure", "rt",

@@ -434,6 +434,28 @@ def test_truncation_equals_per_row_scan(rt):
         integrate_ode(rt, f, (1e3, 0.0, 0.0, 0.0), (0.0, 1.0), 1e-3)
 
 
+class _Stepped(Exception):
+    """Raised by a right-hand side to stop a run at its first step."""
+
+
+def test_a_span_of_more_than_max_steps_is_refused_before_any_step(rt):
+    from subriemann.curves import MAX_STEPS
+
+    def never(y):
+        pytest.fail("a refused span took a step")
+
+    def stop(y):
+        raise _Stepped
+
+    y0 = (0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"takes 1e\+300 RK4 steps, above the cap of 1,000,000"):
+        integrate_ode(rt, never, y0, (0.0, 1.0), 1e-300)
+    with pytest.raises(ValueError, match=f"takes {MAX_STEPS + 1:,} RK4 steps"):
+        integrate_ode(rt, never, y0, (0.0, -1.0), 1.0 / (MAX_STEPS + 1))
+    with pytest.raises(_Stepped):                 # the cap itself is allowed
+        integrate_ode(rt, stop, y0, (0.0, 1.0), 1.0 / MAX_STEPS)
+
+
 @pytest.mark.parametrize("name", ["rt", "heis"])
 def test_jacobi_flow_gives_the_betas(name, request):
     st = request.getfixturevalue(name)

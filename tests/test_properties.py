@@ -4,6 +4,8 @@ Kept apart from test_expr.py, so that a missing hypothesis skips this file
 only.
 """
 
+import math
+import operator
 import warnings
 
 import numpy as np
@@ -177,6 +179,97 @@ def test_an_array_kernel_column_equals_eval(recipe, points):
             want = np.broadcast_to(want, len(P))
             finite = np.isfinite(want)
             assert np.array_equal(col[finite], want[finite])
+
+
+# A kernel gives a line's name to a later line once its last reader has run.
+# These outputs share lines in the ways that reuse must respect: the first
+# output is read again by a later output, a line reads the same child twice,
+# an output is a subtree of raw constants, and one output comes twice.
+_CONSTANT_RECIPES = st.recursive(st.tuples(st.just("const"), _FLOATS), _extend,
+                                 max_leaves=4)
+
+
+def _shared_outputs(recipes, constant):
+    """The outputs of one kernel, or None where building one raises."""
+    built = [_attempt(_build, r) for r in [*recipes, constant]]
+    if any(isinstance(b, type) for b in built):
+        return None
+    *rest, c = built
+    first, twice = rest[0], ex.Sin(rest[0])
+    return [first, ex.Mul(twice, twice), *rest[1:], c, ex.Add(rest[-1], c),
+            ex.Div(first, c), first]
+
+
+_MATH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+         "neg": operator.neg, "sin": math.sin, "cos": math.cos, "exp": math.exp,
+         "sqrt": math.sqrt}
+
+
+def _math_walk(e, p):
+    """e at p node by node in Python floats with the math functions, as
+    ``"math"`` kernels compute."""
+    vals = {}
+    for n in ex._postorder((e,)):
+        if n.op is ex.Const:
+            vals[n] = n.value
+        elif n.op is ex.Var:
+            vals[n] = p[n.value]
+        elif n.op is ex.Pow:
+            vals[n] = vals[n.args[0]] ** n.value
+        else:
+            vals[n] = _MATH[n.op.name](*[vals[c] for c in n.args])
+    return vals[e]
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.broadcast_to(want, np.shape(got))
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan) and np.array_equal(got[~nan], want[~nan])
+            and np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan])))
+
+
+_SHARED = (st.lists(_RECIPES, min_size=1, max_size=3), _CONSTANT_RECIPES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(*_SHARED, _POINT)
+@example([("sin", False, "x"), ("mul", False, "x", "y")], ("const", 2.0), (0.5, 0.25, 0.0))
+@example([("add", False, "x", "y")], ("add", False, ("const", 1.0), ("const", 2.0)),
+         (1.0, 2.0, 3.0))
+def test_scalar_kernels_of_shared_outputs_equal_the_tree_walk(recipes, constant, p):
+    exprs = _shared_outputs(recipes, constant)
+    if exprs is None:
+        return
+    q = tuple(map(float, p))
+    got = _attempt(ex.compiled_cse(exprs, "math"), *q)
+    walks = [_attempt(_math_walk, e, q) for e in exprs]
+    if isinstance(got, type):
+        assert any(isinstance(w, type) for w in walks)
+    else:
+        assert [repr(v) for v in got] == [repr(w) for w in walks]
+    with np.errstate(all="ignore"):
+        got = ex.compiled_cse(exprs)(*p)
+        for e, value in zip(exprs, got):
+            want = _attempt(e.at, p)     # raw constants divide as Python floats
+            if not isinstance(want, type):
+                assert _same_bits(value, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(*_SHARED, st.lists(_POINT, min_size=1, max_size=6))
+@example([("sin", False, "x"), ("mul", False, "x", "y")], ("const", 2.0),
+         [(0.5, 0.25, 0.0), (1.0, -1.0, 2.0)])
+def test_array_kernels_of_shared_outputs_equal_eval(recipes, constant, points):
+    exprs = _shared_outputs(recipes, constant)
+    if exprs is None:
+        return
+    P = np.array(points, dtype=float)
+    with np.errstate(all="ignore"):
+        got = ex.compiled_cse(exprs, "arrays")(P)
+        for col, e in zip(got.T, exprs):
+            want = _attempt(e.eval, P[:, 0], P[:, 1], P[:, 2])
+            if not isinstance(want, type):
+                assert _same_bits(col, want)
 
 
 FD_STEP = 1e-5

@@ -1,4 +1,10 @@
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +21,7 @@ from subriemann.variation import (VariationField, ParamPatch, CharPatch,
                                   stability_sign_field,
                                   criterion_range_unimodular, AdmissibilityError,
                                   ADMISSIBILITY_TOL, CONSTANCY_TOL,
-                                  INDEX_FORM_AGREEMENT_TOL)
+                                  INDEX_FORM_AGREEMENT_TOL, _median_below_zero)
 from conftest import helicoid_points, plane_points
 
 
@@ -403,6 +409,86 @@ def test_char_patch_needs_uniform_grids_of_seven_samples(rt, helicoid_patch):
     s[-1] += 1e-6
     with pytest.raises(ValueError, match="s grid of a characteristic patch is not uniform"):
         CharPatch(rt, p.geom, p.eps, s, p.points)
+
+
+def test_the_patch_fields_come_from_one_kernel(rt, helicoid_fan, monkeypatch):
+    side = helicoid_fan[0]
+    geom = side.geom
+    fields = [geom.gNT, geom.thetaS, geom.tauZnu, geom.tauZZ, geom.H, geom.q_expr()]
+    pts = side.points.reshape(-1, 3)
+    with np.errstate(all="ignore"):
+        alone = [ex.compiled_cse([e], "arrays")(pts)[:, 0] for e in fields]
+    compiled, real = [], ex.compiled_cse
+
+    def counted(exprs, mode="numpy"):
+        compiled.append(len(exprs))
+        return real(exprs, mode)
+
+    monkeypatch.setattr(ex, "compiled_cse", counted)
+    fresh = CharPatch(rt, geom, side.eps, side.s, side.points, side.z_orientation)
+    assert compiled == [9, 1]     # the frame matrices and |N_h|, for the area factor
+    with np.errstate(all="ignore"):
+        grids = [fresh.scalar(e) for e in reversed(fields)][::-1]
+    assert compiled == [9, 1, 6]
+    for grid, want in zip(grids, alone):
+        assert grid.shape == side.points.shape[:2]
+        assert grid.tobytes() == want.reshape(grid.shape).tobytes()
+
+
+def test_the_q_kernel_keeps_only_live_arrays(rt, helicoid_fan):
+    # with one array per kernel line, the 375 lines of sigma_c's q would
+    # hold about 14 MB at once on the 4,961 rows of a fan side
+    side = helicoid_fan[0]
+    pts = side.points.reshape(-1, 3).copy()
+    assert len(pts) == 4961
+    kernel = ex.compiled_cse([side.geom.q_expr()], "arrays")
+    with np.errstate(all="ignore"):
+        kernel(pts)
+        tracemalloc.start()
+        try:
+            kernel(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 3e6
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, -2.0, -3.0], [-1.0, 2.0, 3.0], [-1.0, 1.0], [-3.0, 1.0], [3.0, -1.0],
+    [-0.0, -0.0, 1.0], [-0.0, -0.0], [-5e-324, 0.0], [-1e-323, 0.0],
+    [-np.inf, np.inf], [-np.inf, -1.0, 2.0], [-1.0, -2.0, np.inf, np.inf],
+    [np.nan, -1.0, -2.0], [-1.0, -2.0, -3.0, np.nan], [-np.nan], [],
+])
+def test_median_sign_equals_numpy_median(values):
+    values = np.array(values, dtype=float)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = bool(np.median(values) < 0)
+        assert _median_below_zero(values) == want
+
+
+def test_median_sign_equals_numpy_median_on_random_grids():
+    rng = np.random.default_rng(11)
+    for shape in [(7, 7), (7, 8), (41, 121), (40, 121), (9, 11)]:
+        for _ in range(20):
+            values = rng.normal(rng.normal(), 1.0, shape)
+            values[rng.random(shape) < 0.1] = 0.0
+            assert _median_below_zero(values) == bool(np.median(values) < 0)
+
+
+def test_building_a_patch_imports_no_numpy_ma():
+    # np.median's nan check imports numpy.ma, about 10 ms per process
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "from subriemann import catalog as cat\n"
+            "from subriemann.variation import CharPatch\n"
+            "CharPatch.from_base_point(cat.rt_structure(), cat.find_entry('sigma_a').make(),\n"
+            "                          (0.0, 0.0, 0.0), (-0.5, 0.5), (-0.5, 0.5), 9, 9)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
