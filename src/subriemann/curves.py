@@ -326,11 +326,11 @@ def integrate_ode(structure: StructureSpec, f, y0, s_span, step):
     """
     structure.check_point(y0[:3])
     s0, s1 = float(s_span[0]), float(s_span[1])
-    n = max(int(round(abs(s1 - s0) / abs(step))), 1) if s1 != s0 else 0
-    if n > MAX_STEPS:
-        count = f"{n:,}" if n < 10 ** 12 else f"{n:.3g}"
-        raise ValueError(f"the span ({s0:g}, {s1:g}) at step {step:g} takes {count} RK4 "
-                         f"steps, above the cap of {MAX_STEPS:,}")
+    steps = abs(s1 - s0) / abs(step)    # inf where the span overflows
+    if steps > MAX_STEPS:
+        raise ValueError(f"the span ({s0:g}, {s1:g}) at step {step:g} takes {steps:.7g} "
+                         f"RK4 steps, above the cap of {MAX_STEPS:,}")
+    n = max(int(round(steps)), 1) if s1 != s0 else 0
     h = (s1 - s0) / max(n, 1)
     box = [(lo - 1e-9, hi + 1e-9) for lo, hi in structure.chart_domain]
     try:

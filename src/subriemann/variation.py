@@ -291,7 +291,7 @@ def _median_below_zero(values):
     the two middle values, is below zero.  Any nan gives False, as the nan
     median does."""
     flat = np.ravel(values)
-    if flat.size == 0 or np.isnan(flat).any():
+    if np.isnan(flat).any():
         return False
     k = flat.size // 2
     if flat.size % 2:
@@ -476,7 +476,7 @@ class CharPatch:
             fields = [geom.gNT, geom.thetaS, geom.tauZnu, geom.tauZZ, geom.H, geom.q_expr()]
             exprs = fields if any(e is f for f in fields) else [e]
             vals = ex.compiled_cse(exprs, "arrays")(self.points.reshape(-1, 3))
-            for f, col in zip(exprs, vals.T.copy()):
+            for f, col in zip(exprs, vals.T.copy()):   # contiguous: sums may depend on layout
                 self._scalars[id(f)] = col.reshape(self.points.shape[:2])
         return self._scalars[key]
 

@@ -118,11 +118,13 @@ def test_a_degenerate_frame_is_named_as_the_input_error(argv, tmp_path, capsys):
     assert "division" not in err and "Traceback" not in err
 
 
-def test_a_step_too_small_for_the_span_is_an_input_error(capsys):
-    code, out, err = run_cli([*_CURVE, "--init", "0,0,0", "--range", "0,1",
-                              "--step", "1e-300"], capsys)
+@pytest.mark.parametrize("span, step, count", [("0,1", "1e-300", "1e+300"),
+                                              ("-1e308,1e308", "1", "inf")])
+def test_a_step_too_small_for_the_span_is_an_input_error(span, step, count, capsys):
+    code, out, err = run_cli([*_CURVE, "--init", "0,0,0", f"--range={span}",
+                              "--step", step], capsys)
     assert code == 2 and out == ""
-    assert "1e+300 RK4 steps" in err and "cap of 1,000,000" in err
+    assert f"takes {count} RK4 steps" in err and "cap of 1,000,000" in err
     assert "Traceback" not in err
 
 

@@ -457,7 +457,7 @@ def test_the_q_kernel_keeps_only_live_arrays(rt, helicoid_fan):
     [1.0, -2.0, -3.0], [-1.0, 2.0, 3.0], [-1.0, 1.0], [-3.0, 1.0], [3.0, -1.0],
     [-0.0, -0.0, 1.0], [-0.0, -0.0], [-5e-324, 0.0], [-1e-323, 0.0],
     [-np.inf, np.inf], [-np.inf, -1.0, 2.0], [-1.0, -2.0, np.inf, np.inf],
-    [np.nan, -1.0, -2.0], [-1.0, -2.0, -3.0, np.nan], [-np.nan], [],
+    [np.nan, -1.0, -2.0], [-1.0, -2.0, -3.0, np.nan], [-np.nan],
 ])
 def test_median_sign_equals_numpy_median(values):
     values = np.array(values, dtype=float)
