@@ -120,7 +120,14 @@ def test_a_degenerate_frame_is_named_as_the_input_error(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize("span, step, count", [("0,1", "1e-300", "1e+300"),
                                               ("-1e308,1e308", "1", "inf")])
-def test_a_step_too_small_for_the_span_is_an_input_error(span, step, count, capsys):
+def test_a_step_too_small_for_the_span_is_an_input_error(span, step, count, capsys,
+                                                        monkeypatch):
+    import subriemann.curves as curves
+
+    def never(f, y, h):
+        pytest.fail("a refused span took a step")
+
+    monkeypatch.setattr(curves, "rk4_step", never)
     code, out, err = run_cli([*_CURVE, "--init", "0,0,0", f"--range={span}",
                               "--step", step], capsys)
     assert code == 2 and out == ""

@@ -437,7 +437,7 @@ def test_the_patch_fields_come_from_one_kernel(rt, helicoid_fan, monkeypatch):
 
 def test_the_q_kernel_keeps_only_live_arrays(rt, helicoid_fan):
     # with one array per kernel line, the 375 lines of sigma_c's q would
-    # hold about 14 MB at once on the 4,961 rows of a fan side
+    # hold about 15 MB at once on the 4,961 rows of a fan side
     side = helicoid_fan[0]
     pts = side.points.reshape(-1, 3).copy()
     assert len(pts) == 4961
@@ -477,7 +477,7 @@ def test_median_sign_equals_numpy_median_on_random_grids():
 
 
 def test_building_a_patch_imports_no_numpy_ma():
-    # np.median's nan check imports numpy.ma, about 10 ms per process
+    # np.median's nan check imports numpy.ma, 10-14 ms per process (-X importtime)
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys\n"
             "from subriemann import catalog as cat\n"
