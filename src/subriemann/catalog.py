@@ -19,7 +19,7 @@ from .surfaces import ImplicitSurface
 EQUALITY_TOL = 1e-12
 
 
-def classify_unimodular(c2: float, c3: float, tol: float = EQUALITY_TOL) -> str:
+def classify_unimodular(c2: float, c3: float) -> str:
     """Classify the unimodular group with algebra [X,Y] = -2T, [X,T] = c2 Y,
     [Y,T] = c3 X by the signs of W = -(c3 - c2) and |tau| = |c2 + c3|/2.
 
@@ -29,12 +29,12 @@ def classify_unimodular(c2: float, c3: float, tol: float = EQUALITY_TOL) -> str:
     """
     w = -2.0 * (c3 - c2) / 2.0
     tau = abs(c2 + c3) / 2.0
-    if abs(w) <= tol and tau <= tol:
+    if abs(w) <= EQUALITY_TOL and tau <= EQUALITY_TOL:
         return "Heisenberg"
-    if abs(w - 2.0 * tau) <= tol:
-        return "E~(2)" if w > tol else "Heisenberg"
-    if abs(w + 2.0 * tau) <= tol:
-        return "E(1,1)" if w < -tol else "Heisenberg"
+    if abs(w - 2.0 * tau) <= EQUALITY_TOL:
+        return "E~(2)" if w > EQUALITY_TOL else "Heisenberg"
+    if abs(w + 2.0 * tau) <= EQUALITY_TOL:
+        return "E(1,1)" if w < -EQUALITY_TOL else "Heisenberg"
     if w > 2.0 * tau:
         return "SU(2)"
     return "SL~(2,R)"

@@ -291,17 +291,20 @@ def rk4_step(f, y, h):
 
 
 def _rk4_run(f, y, s, h, n, box):
-    """(s values, states, cut) of n RK4 steps from y at s, stopped before
-    the first state whose point lies outside ``box``; a nan is outside."""
+    """(s values, states, cut) of n RK4 steps from y at s, stopped before the
+    first step that raises or leaves ``box`` (a nan point; a complex one raises)."""
     (xlo, xhi), (ylo, yhi), (tlo, thi) = box
     ss, ys = [s], [y]
-    for _ in range(n):
-        y = rk4_step(f, y, h)
-        if not (xlo <= y[0] <= xhi and ylo <= y[1] <= yhi and tlo <= y[2] <= thi):
-            return ss, ys, True
-        s += h
-        ss.append(s)
-        ys.append(y)
+    try:
+        for _ in range(n):
+            y = rk4_step(f, y, h)
+            if not (xlo <= y[0] <= xhi and ylo <= y[1] <= yhi and tlo <= y[2] <= thi):
+                return ss, ys, True
+            s += h
+            ss.append(s)
+            ys.append(y)
+    except (ArithmeticError, ValueError, TypeError):
+        return ss, ys, True
     return ss, ys, False
 
 
@@ -315,11 +318,11 @@ def integrate_ode(structure: StructureSpec, f, y0, s_span, step):
     span past the chart edge costs no step after the one that leaves it.
 
     The state steps as plain floats, which round as float64 arrays do.
-    They differ only where a coefficient kernel divides by zero or raises a
-    negative base to a fractional power: a float raises or turns complex
-    where float64 gives inf or nan.  Such a run is stepped again from the
-    start in np.float64 scalars, with numpy's floating-point warnings off,
-    so every run gives the states a float64 array state would.
+    The run is truncated before a step with no float value: one that raises
+    (a kernel divides by zero, overflows or takes the square root of a
+    negative number; ``math.cos`` meets an infinite angle) or turns the point
+    complex (a negative base under a fractional power).  From the first state
+    complex elsewhere (angle, curvature, a Jacobi entry) the states are cut.
 
     Returns (s_values, states, truncated) with the states as an array;
     deterministic for fixed seeds and steps.
@@ -333,16 +336,12 @@ def integrate_ode(structure: StructureSpec, f, y0, s_span, step):
     n = max(int(round(steps)), 1) if s1 != s0 else 0
     h = (s1 - s0) / max(n, 1)
     box = [(lo - 1e-9, hi + 1e-9) for lo, hi in structure.chart_domain]
-    try:
-        ss, ys, cut = _rk4_run(f, tuple(float(v) for v in y0), s0, h, n, box)
-        ys = np.array(ys)
-    except (ArithmeticError, TypeError):   # TypeError: a complex in math.sin or in <=
-        ys = None
-    if ys is None or ys.dtype.kind == "c":
-        with np.errstate(all="ignore"):     # the run stops at its first nan point
-            ss, ys, cut = _rk4_run(f, tuple(np.float64(v) for v in y0), s0, h, n, box)
-        ys = np.array(ys)
-    return np.array(ss), ys, cut
+    ss, ys, cut = _rk4_run(f, tuple(float(v) for v in y0), s0, h, n, box)
+    states = np.array(ys)
+    if states.dtype.kind == "c":
+        k = next(i for i, y in enumerate(ys) if any(type(v) is complex for v in y))
+        ss, states, cut = ss[:k], np.array(ys[:k]), True
+    return np.array(ss), states, cut
 
 
 def integrate_characteristic(structure: StructureSpec, init: CharState,
@@ -409,20 +408,19 @@ def jacobi_vertical_ode(structure: StructureSpec, init: CharState,
 
 
 def jacobi_from_curve_family(structure: StructureSpec, transverse,
-                             lam=0.0, s_range=(0.0, 10.0), step=1e-3,
-                             eps=1e-4) -> JacobiTrace:
+                             lam=0.0, s_range=(0.0, 10.0), step=1e-3) -> JacobiTrace:
     """Finite-difference Jacobi oracle.
 
     ``transverse(e)`` returns the CharState of the family member at parameter
     e, curvature included; ``lam`` is not read.  The field V = dF/de at e = 0
-    is approximated by central differences of the integrated curves and
-    expressed in the frame along the base curve.
+    is approximated by central differences of the integrated curves at
+    e = +-1e-4 and expressed in the frame along the base curve.
     """
     base = integrate_characteristic(structure, transverse(0.0), s_range, step)
-    plus = integrate_characteristic(structure, transverse(+eps), s_range, step)
-    minus = integrate_characteristic(structure, transverse(-eps), s_range, step)
+    plus = integrate_characteristic(structure, transverse(1e-4), s_range, step)
+    minus = integrate_characteristic(structure, transverse(-1e-4), s_range, step)
     n = min(len(base), len(plus), len(minus))
-    dcoord = (plus.points[:n] - minus.points[:n]) / (2.0 * eps)
+    dcoord = (plus.points[:n] - minus.points[:n]) / 2e-4
     comps = structure.frame_components(base.points[:n], dcoord)
     c, s2 = np.cos(base.phi[:n]), np.sin(base.phi[:n])
     vt = comps[:, 2]

@@ -473,15 +473,15 @@ def _parse_atom(tk):
 # Domain guards and finite-difference oracle
 
 
-def validate_on_box(e: Expr, box, n: int = 7, eps: float = 1e-12) -> None:
+def validate_on_box(e: Expr, box) -> None:
     """Check divisions and square roots are well defined on the box.
 
-    ``box`` is ((x0, x1), (y0, y1), (t0, t1)).  Samples an n^3 grid; raises
-    DomainError if any divisor comes within ``eps`` of zero or any sqrt
-    argument goes negative.  Nodes are checked depth first, parents before
+    ``box`` is ((x0, x1), (y0, y1), (t0, t1)).  Samples a 7^3 grid; raises
+    DomainError if any divisor comes within 1e-12 of zero or any sqrt
+    argument goes below -1e-12.  Nodes are checked depth first, parents before
     children, each distinct node once.
     """
-    axes = [np.linspace(lo, hi, n) for lo, hi in box]
+    axes = [np.linspace(lo, hi, 7) for lo, hi in box]
     gx, gy, gt = np.meshgrid(*axes, indexing="ij")
     seen = set()
     stack = [e]
@@ -493,14 +493,14 @@ def validate_on_box(e: Expr, box, n: int = 7, eps: float = 1e-12) -> None:
         if node.op.guard is not None:
             i, bad, message = node.op.guard
             values = np.asarray(node.args[i].eval(gx, gy, gt), dtype=float)
-            if np.any(bad(values, eps)):
+            if np.any(bad(values, 1e-12)):
                 raise DomainError(message.format(node.args[i]))
         stack.extend(reversed(node.args))
 
 
-def fd_derivative(e: Expr, p, var: int, h: float = 1e-5):
-    """Central finite difference; test oracle for symbolic differentiation."""
-    hh = h * max(1.0, abs(p[var]))
+def fd_derivative(e: Expr, p, var: int):
+    """Central finite difference of step 1e-5 * max(1, |p[var]|): an oracle for ``diff``."""
+    hh = 1e-5 * max(1.0, abs(p[var]))
     hi, lo = list(p), list(p)
     hi[var] += hh
     lo[var] -= hh
@@ -526,8 +526,8 @@ def substitute(e: Expr, repl) -> Expr:
 # kernel globals; inf and nan are what repr() gives for non-finite constants
 _MATH_NS = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
             "_sqrt": math.sqrt, "inf": math.inf, "nan": math.nan}
-_NUMPY_NS = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_sqrt": np.sqrt,
-             "_f64": np.float64, "_empty": np.empty, "inf": math.inf, "nan": math.nan}
+_ARRAYS_NS = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_sqrt": np.sqrt,
+              "_f64": np.float64, "_empty": np.empty, "inf": math.inf, "nan": math.nan}
 
 
 def _cse_program(exprs, f64=False):
@@ -575,23 +575,22 @@ def _cse_program(exprs, f64=False):
 _FAST_CACHE: dict = {}
 
 
-def compiled_cse(exprs, mode: str = "numpy"):
+def compiled_cse(exprs, mode: str):
     """CSE-compiled kernel of a list or tuple of k expressions.
 
     One function evaluates all k, computing each subexpression they share
     once.  ``mode`` picks the function's shape:
 
-    * ``"numpy"``: ``f(x, y, t)`` takes three numbers, evaluates in
-      ``np.float64`` with numpy functions and returns a k-tuple, entry j
-      equal to ``exprs[j].at((x, y, t))`` bit for bit; x/0 gives inf or nan
-      (callers wrap calls in ``np.errstate`` where that is expected);
     * ``"math"``: ``f(x, y, t)`` computes on the numbers as given with the
-      ``math`` functions and returns a k-tuple: the ODE right-hand-side
-      path, where x/0 raises ``ZeroDivisionError``;
+      ``math`` functions and returns a k-tuple: on floats, x/0 and an
+      overflowing power or exp raise ArithmeticError, the square root of a
+      negative number raises ValueError and a negative base under a
+      fractional power gives a complex number;
     * ``"arrays"``: ``f(P)`` takes an (n, 3) array of points and returns an
       (n, k) array, filled column by column, so constant outputs are
-      broadcast; column j equals ``exprs[j].eval(P[:, 0], P[:, 1], P[:, 2])``
-      and, as in ``"numpy"`` mode, constants compute in ``np.float64``.
+      broadcast; column j equals ``exprs[j].eval(P[:, 0], P[:, 1], P[:, 2])``,
+      constants compute in ``np.float64``, and x/0 gives inf or nan
+      (callers wrap calls in ``np.errstate`` where that is expected).
 
     Kernels are cached by the identity of the expressions, which equal
     expressions share; an entry keeps its expressions alive, so the ids in
@@ -599,14 +598,14 @@ def compiled_cse(exprs, mode: str = "numpy"):
     """
     if isinstance(exprs, Expr):
         raise TypeError("compiled_cse takes a list of expressions, not one expression")
-    if mode not in ("numpy", "math", "arrays"):
+    if mode not in ("math", "arrays"):
         raise ValueError(f"unknown kernel mode {mode!r}")
     exprs = tuple(exprs)
     key = (tuple(map(id, exprs)), mode)
     hit = _FAST_CACHE.get(key)
     if hit is not None:
         return hit[1]
-    lines, results = _cse_program(exprs, f64=mode != "math")
+    lines, results = _cse_program(exprs, f64=mode == "arrays")
     if mode == "arrays":
         head = "P"
         body = (["x, y, t = P[:, 0], P[:, 1], P[:, 2]"] + lines
@@ -615,9 +614,8 @@ def compiled_cse(exprs, mode: str = "numpy"):
                 + ["return out"])
     else:
         head = "x, y, t"
-        convert = ["x, y, t = _f64(x), _f64(y), _f64(t)"] if mode == "numpy" else []
-        body = convert + lines + [f"return ({', '.join(results)},)"]
-    ns = dict(_MATH_NS if mode == "math" else _NUMPY_NS)
+        body = lines + [f"return ({', '.join(results)},)"]
+    ns = dict(_ARRAYS_NS if mode == "arrays" else _MATH_NS)
     exec(f"def _f({head}):\n    " + "\n    ".join(body) + "\n", ns)  # noqa: S102
     fn = ns["_f"]
     _FAST_CACHE[key] = (exprs, fn)

@@ -25,6 +25,7 @@ from .variation import (CharPatch, ParamPatch, VariationField, index_form,
                         stability_sign_field, l_of_nh)
 
 MAX_SURFACE_SAMPLES = 400   # frame rows of ``surface analyze``
+Q_TUBE = 0.15               # radius of the tube round Gamma in the Q searches
 # the singular-set search region of each rt-report surface check
 RT_REPORT_REGIONS = {"sigma_c": ((-2, 2), (-2, 2), (-2, 2)),
                      "plane_y0": ((-2, 2), (-2, 2), (-0.8, 4.0)),
@@ -57,13 +58,14 @@ def structure_info(st: StructureSpec, ref: str) -> dict:
     }
 
 
-def _structure_residuals(st: StructureSpec, n: int = 5) -> dict:
+def _structure_residuals(st: StructureSpec) -> dict:
+    """Worst frame-identity residuals at 5 seeded points in the chart's middle half."""
     rng = np.random.default_rng(0)
     names = ("X", "Y", "T")
     worst = {"nabla_T": 0.0, "reeb": 0.0, "metric_compat": 0.0,
              "J_antisymmetry": 0.0, "tau_symmetry": 0.0}
     pts = [tuple(rng.uniform(lo * 0.5, hi * 0.5) for lo, hi in st.chart_domain)
-           for _ in range(n)]
+           for _ in range(5)]
     for p in pts:
         for nm in names:
             worst["nabla_T"] = max(worst["nabla_T"],
@@ -255,7 +257,7 @@ def second_variation_vertical_plane(width: float) -> dict:
 # Q runners (shared with rt-report)
 
 
-def helicoid_q_samples(n_samples=50, seed=0, tube=0.15):
+def helicoid_q_samples(n_samples=50, seed=0):
     """Q(u) over a seeded family of admissible bumps on the right helicoid."""
     rt = cat.rt_structure()
     heli = cat.find_entry("sigma_c").make()
@@ -272,17 +274,17 @@ def helicoid_q_samples(n_samples=50, seed=0, tube=0.15):
             s = np.abs(s)
             arg = np.clip((e - ce) / we, -1.0, 1.0)
             phi = np.cos(np.pi * arg / 2.0) ** 2
-            rho = np.where(s <= tube, 1.0,
-                           np.where(s < L, np.cos(np.pi * (np.minimum(s, L) - tube)
-                                                  / (2 * (L - tube))) ** 2, 0.0))
+            rho = np.where(s <= Q_TUBE, 1.0,
+                           np.where(s < L, np.cos(np.pi * (np.minimum(s, L) - Q_TUBE)
+                                                  / (2 * (L - Q_TUBE))) ** 2, 0.0))
             return phi * rho
 
-        rep = stability_quadratic_Q((sp, sm), gpts, u_fn, tube_radius=tube)
+        rep = stability_quadratic_Q((sp, sm), gpts, u_fn, tube_radius=Q_TUBE)
         values.append(rep.value)
     return values
 
 
-def plane_q_search(widths=(2.5, 5.0, 10.0, 20.0), tube=0.15):
+def plane_q_search(widths=(2.5, 5.0, 10.0, 20.0)):
     """Search for a negative Q direction on the plane y = 0 with the
     separated cosine ansatz u = cos(pi x / (2 x0)), constant along
     characteristic curves, widening x0 per the prescribed schedule."""
@@ -303,7 +305,7 @@ def plane_q_search(widths=(2.5, 5.0, 10.0, 20.0), tube=0.15):
         total = 0.0
         parts = []
         for sp, sm, gpts in fans[2 * k:2 * k + 2]:
-            rep = stability_quadratic_Q((sp, sm), gpts, u_fn, tube_radius=tube)
+            rep = stability_quadratic_Q((sp, sm), gpts, u_fn, tube_radius=Q_TUBE)
             total += rep.value
             parts.append({"bulk": rep.bulk, "u2": rep.boundary_u2,
                           "Su2": rep.boundary_su2})
@@ -316,8 +318,7 @@ def plane_q_search(widths=(2.5, 5.0, 10.0, 20.0), tube=0.15):
 def _surface_stability_samples(rt, surf, points) -> dict:
     """q, L(|N_h|) and the sign criterion sampled over surface points."""
     geom = surf.geometry(rt)
-    q_fn = ex.compiled_cse([geom.q_expr()])
-    qs = [float(q_fn(*p)[0]) for p in points]
+    qs = ex.compiled_cse([geom.q_expr()], "arrays")(np.array(points))[:, 0].tolist()
     ls = [l_of_nh(geom, p)[0] for p in points]
     sign = stability_sign_field(geom, np.asarray(points))
     return {"q_samples": qs, "L_nh_samples": ls,

@@ -103,8 +103,8 @@ class StructureSpec:
     """
 
     def __init__(self, frame, chart_domain=((-4, 4), (-4, 4), (-4, 4)),
-                 kind="coordinate-frame", name="", meta=None):
-        self.kind = kind
+                 name="", meta=None):
+        self.kind = "coordinate-frame"
         self.name = name
         self.meta = dict(meta or {})
         self.chart_domain = tuple((float(lo), float(hi)) for lo, hi in chart_domain)
@@ -143,10 +143,6 @@ class StructureSpec:
 
     def _chart_center(self):
         return tuple(0.5 * (lo + hi) for lo, hi in self.chart_domain)
-
-    def _sample_points(self, n=4):
-        axes = [np.linspace(lo, hi, n + 2)[1:-1] for lo, hi in self.chart_domain]
-        return list(itertools.product(*axes))
 
     def frame_matrix(self, p) -> np.ndarray:
         """Coordinate coefficients of the frame at p; row i is frame field i."""
@@ -213,7 +209,9 @@ class StructureSpec:
         return out
 
     def _validate(self):
-        pts = self._sample_points()
+        # the 4^3 interior points of a 6^3 grid over the chart
+        axes = [np.linspace(lo, hi, 6)[1:-1] for lo, hi in self.chart_domain]
+        pts = list(itertools.product(*axes))
         c1s = [self._c1_expr.at(p) for p in pts]
         if max(c1s) - min(c1s) > C1_CONSTANCY_TOL:
             raise StructureError(
@@ -481,10 +479,10 @@ def coordinate_structure(x_coeffs, y_coeffs, t_coeffs, chart_domain, name="", me
     for row in frame:
         for c in row:
             ex.validate_on_box(c, chart_domain)
-    return StructureSpec(frame, chart_domain, kind="coordinate-frame", name=name, meta=meta)
+    return StructureSpec(frame, chart_domain, name=name, meta=meta)
 
 
-def _constant_bracket_structure(bracket_table, name, meta, chart_domain=((-4, 4),) * 3):
+def _constant_bracket_structure(bracket_table, name, meta):
     """Build a StructureSpec whose frame realizes given constant brackets.
 
     Uses the standard trick of a coordinate frame on R^3 whose bracket table
@@ -496,7 +494,7 @@ def _constant_bracket_structure(bracket_table, name, meta, chart_domain=((-4, 4)
     spec.kind = "lie-group"
     spec.name = name
     spec.meta = dict(meta or {})
-    spec.chart_domain = tuple((float(lo), float(hi)) for lo, hi in chart_domain)
+    spec.chart_domain = ((-4.0, 4.0),) * 3
     spec.frame = [[ex.ONE if i == j else ex.ZERO for j in range(3)] for i in range(3)]
     spec._det = ex.ONE
     spec._coframe = [[ex.ONE if i == j else ex.ZERO for j in range(3)] for i in range(3)]
@@ -509,7 +507,7 @@ def _constant_bracket_structure(bracket_table, name, meta, chart_domain=((-4, 4)
     return spec
 
 
-def unimodular_structure(c2: float, c3: float, name=None) -> StructureSpec:
+def unimodular_structure(c2: float, c3: float) -> StructureSpec:
     """Unimodular Lie-group structure [X,Y] = -2T, [X,T] = c2 Y, [Y,T] = c3 X.
 
     The bracket normalization follows the classification table (structure
@@ -528,10 +526,10 @@ def unimodular_structure(c2: float, c3: float, name=None) -> StructureSpec:
     w = -2.0 * (c3 - c2) / 2.0
     meta = {"c2": c2, "c3": c3, "webster_closed_form": w,
             "tau_norm_closed_form": abs(c2 + c3) / 2.0}
-    return _constant_bracket_structure(table, name or f"unimodular({c2},{c3})", meta)
+    return _constant_bracket_structure(table, f"unimodular({c2},{c3})", meta)
 
 
-def nonunimodular_structure(alpha: float, gamma: float, name=None) -> StructureSpec:
+def nonunimodular_structure(alpha: float, gamma: float) -> StructureSpec:
     """Non-unimodular structure with algebra [X,Y] = alpha Y + 2T, [X,T] =
     gamma Y, [Y,T] = 0 (alpha != 0).
 
@@ -552,7 +550,7 @@ def nonunimodular_structure(alpha: float, gamma: float, name=None) -> StructureS
             "webster_closed_form": -alpha * alpha - gamma,
             "tau_norm_closed_form": abs(gamma) / 2.0,
             "paper_tau_norm": abs(gamma)}
-    return _constant_bracket_structure(table, name or f"nonunimodular({alpha},{gamma})", meta)
+    return _constant_bracket_structure(table, f"nonunimodular({alpha},{gamma})", meta)
 
 
 def torsion_in_rotated_frame(c2: float, c3: float, a1: float, a2: float) -> np.ndarray:

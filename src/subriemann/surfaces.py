@@ -140,10 +140,10 @@ class GraphSurface:
         self._implicit = None
         self._min_det_check()
 
-    def _min_det_check(self, n=9):
+    def _min_det_check(self):
         g = self.metric
         kernel = ex.compiled_cse([g[0][0], g[0][1], g[1][1]], "arrays")
-        axes = [np.linspace(lo, hi, n) for lo, hi in self.domain]
+        axes = [np.linspace(lo, hi, 9) for lo, hi in self.domain]
         g11, g12, g22 = kernel(grid_points(*axes, [0.0])).T
         if np.any(g11 <= 0) or np.any(g11 * g22 - g12 ** 2 <= 0):
             raise ValueError("metric matrix is not positive definite on the domain")
@@ -209,7 +209,6 @@ class GraphSurface:
                   for k in range(3)]
             t = [ex.ZERO, ex.ZERO, ex.ONE]
             self._structure = StructureSpec([e1, e2, t], self.chart_box(),
-                                            kind="coordinate-frame",
                                             name=self.name or "darboux-graph")
         return self._structure
 
@@ -538,7 +537,7 @@ def mean_curvature_graph(gs: GraphSurface, p) -> GraphMeanCurvature:
         frame_val = mean_curvature_frame(st, gs, q3)
         return GraphMeanCurvature(value=frame_val, div_term=div_term,
                                   mu=frame_val - div_term)
-    except Exception:
+    except (StructureError, SingularPointSignal):
         return GraphMeanCurvature(value=div_term, div_term=div_term, mu=None)
 
 
@@ -735,16 +734,19 @@ def singular_set_detect(structure: StructureSpec, surf, region=None,
 def _detect(exprs, region, grid, dim):
     """Loci of the zeros of dim residuals in the first dim coordinates (t = 0
     when dim is 2); ``exprs`` holds the residuals, then the row-major Jacobian.
-    A ``"numpy"`` kernel serves the scalar Newton, an ``"arrays"`` kernel the
-    grid screen (seeds: residual norm below 4 cells) and the batched Newton."""
+    A ``"math"`` kernel on floats serves the scalar Newton (nan values where it
+    raises or turns complex), an ``"arrays"`` kernel the grid screen (seeds:
+    residual norm below 4 cells) and the batched Newton."""
     region = tuple(region)[:dim]
-    point_fn = ex.compiled_cse(exprs)
+    point_fn = ex.compiled_cse(exprs, "math")
     batch_fn = ex.compiled_cse(exprs, "arrays")
     pad = (0.0,) * (3 - dim)
 
     def system(q):
-        with np.errstate(all="ignore"):
-            vals = np.array(point_fn(*q, *pad))
+        try:   # TypeError: float() of a complex value
+            vals = np.array(point_fn(*q.tolist(), *pad), dtype=float)
+        except (ArithmeticError, ValueError, TypeError):
+            vals = np.full(dim + dim * dim, np.nan)
         return vals[:dim], vals[dim:].reshape(dim, dim)
 
     def batch(q):

@@ -233,9 +233,9 @@ def second_variation_terms(geom: SurfaceGeometry, p, v: float,
     variation U = v N + w T (v, w numbers here: pointwise values)."""
     c1 = geom.structure.c1
     p = tuple(float(c) for c in p)
-    kernel = ex.compiled_cse([geom.H, geom.nh, geom.gNT, geom.tauZnu, geom.tauZZ,
-                              geom.thetaS, geom.shape_dot(geom.Z, geom.S), geom.q_expr()])
-    h, nh, gnt, tzn, tzz, ths, b_zs, q = map(float, kernel(*p))
+    kernel = ex.compiled_cse([geom.H, geom.nh, geom.gNT, geom.tauZnu, geom.tauZZ, geom.thetaS,
+                              geom.shape_dot(geom.Z, geom.S), geom.q_expr()], "arrays")
+    h, nh, gnt, tzn, tzz, ths, b_zs, q = kernel(np.array([p]))[0].tolist()
     if abs(h) > MINIMALITY_TOL:
         raise AdmissibilityError(f"surface is not minimal at {p}: H = {h:.3e}")
     u = v + gnt * w
@@ -257,8 +257,8 @@ def l_of_nh(geom: SurfaceGeometry, p):
     p = tuple(float(c) for c in p)
     st.check_point(p)
     kernel = ex.compiled_cse([st.webster_expr(), geom.nh, geom.gNT, geom.tauZnu,
-                              geom.thetaS, geom.Z_of(ex.div(geom.gNT, geom.nh))])
-    w, nh, gnt, tzn, ths, z_ratio = map(float, kernel(*p))
+                              geom.thetaS, geom.Z_of(ex.div(geom.gNT, geom.nh))], "arrays")
+    w, nh, gnt, tzn, ths, z_ratio = kernel(np.array([p]))[0].tolist()
     a = (w - c1 * tzn - 2.0 * c1 * (nh * ths - nh * nh * tzn) / nh ** 2
          - c1 ** 2 * gnt ** 2 / nh ** 2)
     b = w - c1 * tzn + 2.0 * c1 * z_ratio + c1 ** 2 * gnt ** 2 / nh ** 2

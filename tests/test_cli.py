@@ -163,6 +163,34 @@ def test_curve_integrate_outside_domain(capsys):
     assert "outside chart domain" in err
 
 
+def _pole_frame(tmp_path, height):
+    spec = tmp_path / "pole.json"
+    spec.write_text(json.dumps({"kind": "coordinate-frame",
+                                "chart_domain": [[-1, 1], [-1, 1], [-1, 1]],
+                                "frame": {"X": ["1", "0", "y"],
+                                          "Y": ["0", "1", "-x + " + height],
+                                          "T": ["0", "0", "1"]}}))
+    return str(spec)
+
+
+@pytest.mark.parametrize("structure, init, phi, lam, span", [
+    # phi' = -|c1| lambda overflows to -inf, where math.cos raises
+    (None, "0.1,0.2,0.3", "0.3", "1e308", "0,0.05"),
+    ("sqrt(y + 1)", "0,-0.999,0", "-1.5707", "0", "0,1"),   # sqrt of a negative
+    ("exp(1000*y)", "0,0.709,0", "1.5707", "0", "0,1"),     # exp overflows
+])
+def test_a_curve_that_meets_a_pole_ends_truncated(structure, init, phi, lam, span,
+                                                  tmp_path, capsys):
+    ref = "rt" if structure is None else _pole_frame(tmp_path, structure)
+    code, out, err = run_cli(["curve", "integrate", "--structure", ref, "--init", init,
+                              "--phi", phi, "--lambda", lam, "--range", span,
+                              "--step", "0.01" if structure is None else "0.001"], capsys)
+    assert code == 0 and '"truncated": true' in err
+    for text in (out, err):
+        assert "Traceback" not in text
+        assert "math domain error" not in text and "math range error" not in text
+
+
 def test_classify_verb(capsys):
     code, out, _ = run_cli(["classify", "--c2", "1", "--c3", "-2", "--json"],
                            capsys)

@@ -1,11 +1,12 @@
 """Fuzz of the command line over argv.
 
 The fast verbs run with their numeric tokens kept or perturbed: nan, inf,
-zero, negative values, text that is no number, lists with one value too
-few or too many, and the token with a '-' in front (a list that begins with
-'-' looks like an option to argparse); a token may also go missing.
-Whatever the input, the exit code keeps its meaning: 0 success, 1 a property
-failure, 2 an input error, and no traceback escapes.  Of these verbs only
+zero, negative values, +-1e308 (whose products overflow), text that is no
+number, lists with one value too few or too many, and the token with a '-'
+in front (a list that begins with '-' looks like an option to argparse); a
+token may also go missing.  Whatever the input, the exit code keeps its
+meaning: 0 success, 1 a property failure, 2 an input error, no traceback
+escapes and no bare "math domain error" or "math range error" is reported.  Of these verbs only
 ``curve integrate --oracle`` checks a property, so only it may exit 1.
 """
 
@@ -16,11 +17,12 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from subriemann.cli import main  # noqa: E402
 
-_BAD = ["nan", "inf", "-inf", "0", "-0.0", "-1", "-0.5", "0.5", "1", "2", "", "x"]
+_BAD = ["nan", "inf", "-inf", "0", "-0.0", "-1", "-0.5", "0.5", "1", "2", "", "x",
+        "1e308", "-1e308"]
 
 
 def _number(base):
@@ -88,10 +90,14 @@ def _run(argv):
 
 @settings(max_examples=150, deadline=None)
 @given(_fuzzed_argv())
+# phi' = -|c1| lambda overflows within the first step
+@example(["curve", "integrate", "--structure", "rt", "--init", "0.1,0.2,0.3", "--phi", "0.3",
+          "--lambda", "1e308", "--range", "0,0.05", "--step", "0.01"])
 def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(argv):
     code, err = _run(argv)   # an escaping exception fails the test here
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err
+    assert "math domain error" not in err and "math range error" not in err
     if code == 1:
         assert argv[:2] == ["curve", "integrate"] and "--oracle" in argv
         assert "max oracle deviation" in err

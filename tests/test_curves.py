@@ -10,7 +10,7 @@ from subriemann.curves import (CharState, integrate_characteristic,
                                jacobi_vertical_ode, jacobi_from_curve_family,
                                first_integral, integrate_ode, _char_flow,
                                _geodesic_flow, _jacobi_flow, _char_kernel,
-                               _jacobi_kernel)
+                               _jacobi_kernel, rk4_step)
 from subriemann.structures import structure_from_json, unimodular_structure
 
 
@@ -581,27 +581,32 @@ def _array_integrate(structure, rhs, y0, s_range, step):
     return ss[:cut], ys[:cut], cut is not None
 
 
+def _run_kind(st, kind, init, s_range, step=1e-3):
+    """(s, states, truncated) of one characteristic, geodesic or Jacobi run."""
+    if kind == "char":
+        tr = integrate_characteristic(st, init, s_range, step)
+        return tr.s, np.column_stack([tr.points, tr.phi]), tr.truncated
+    if kind == "geodesic":
+        tr = integrate_geodesic(st, init, s_range, step)
+        return tr.s, np.column_stack([tr.points, tr.phi, tr.lam]), tr.truncated
+    jt = jacobi_vertical_ode(st, init, (0.2, -1.0, 0.3), s_range, step)
+    return (jt.s, np.column_stack([jt.base.points, jt.base.phi, jt.vt, jt.vt_prime,
+                                   jt.vt_second]), jt.base.truncated)
+
+
 def _run_both(structure, kind, init, s_range, step):
     """(library s, library states, reference s, reference states, library
     truncated, reference truncated) of one characteristic, geodesic or
     Jacobi run; the reference steps float64 arrays on the layered
     right-hand sides."""
     ref, lam = _LayeredRhs(structure), init.lam
-    if kind == "char":
-        tr = integrate_characteristic(structure, init, s_range, step)
-        got = np.column_stack([tr.points, tr.phi])
-        rhs, y0 = (lambda y: ref.char_rhs(y, lam)), [*init.point, init.phi]
-    elif kind == "geodesic":
-        tr = integrate_geodesic(structure, init, s_range, step)
-        got = np.column_stack([tr.points, tr.phi, tr.lam])
-        rhs, y0 = ref.geodesic_rhs, [*init.point, init.phi, init.lam]
-    else:
-        jt = jacobi_vertical_ode(structure, init, (0.2, -1.0, 0.3), s_range, step)
-        tr = jt.base
-        got = np.column_stack([tr.points, tr.phi, jt.vt, jt.vt_prime, jt.vt_second])
-        rhs, y0 = (lambda y: ref.jacobi_rhs(y, lam)), [*init.point, init.phi, 0.2, -1.0, 0.3]
+    rhs, y0 = {"char": (lambda y: ref.char_rhs(y, lam), [*init.point, init.phi]),
+               "geodesic": (ref.geodesic_rhs, [*init.point, init.phi, init.lam]),
+               "jacobi": (lambda y: ref.jacobi_rhs(y, lam),
+                          [*init.point, init.phi, 0.2, -1.0, 0.3])}[kind]
+    got_s, got, got_cut = _run_kind(structure, kind, init, s_range, step)
     s, ys, cut = _array_integrate(structure, rhs, y0, s_range, step)
-    return tr.s, got, s, ys, tr.truncated, cut
+    return got_s, got, s, ys, got_cut, cut
 
 
 def _pole_structure(height):
@@ -626,8 +631,8 @@ def _squeezed_structure():
 
 
 # curves on which plain floats raise, or turn complex, where float64 gives
-# inf or nan
-FALLBACK_CASES = [
+# inf or nan: the float run and the array run stop at the same state
+POLE_CASES = [
     ("1/(y - 0.1)", (0.0, 0.1, 0.0), 0.0),          # a divisor vanishes on the curve
     ("(y - 0.1)^(-1)", (0.0, 0.1, 0.0), 0.0),       # 0.0 to a negative power
     ("(y - 0.1)^1.5", (0.0, 0.5, 0.0), -1.5707),    # a negative base, fractional power
@@ -657,13 +662,13 @@ def squeezed():
     # the fiber direction leaves the chart at alpha = 16
     *[("rt", kind, CharState((0, 0, 15.9), 0.0, 0.0), (0.0, 1.0), 1e-3, True)
       for kind in ("char", "geodesic", "jacobi")],
-    # the float64 re-run, stopped at its first non-finite state
+    # the float run, stopped before the step that has no float value
     *[(height, kind, CharState(init, phi, 0.3), (0.0, 1.0), 1e-3, True)
-      for height, init, phi in FALLBACK_CASES for kind in ("char", "geodesic", "jacobi")],
+      for height, init, phi in POLE_CASES for kind in ("char", "geodesic", "jacobi")],
 ])
 def test_float_states_equal_array_states_bit_for_bit(name, kind, init, s_range, step,
                                                      truncated, request):
-    if name in {height for height, _, _ in FALLBACK_CASES}:
+    if name in {height for height, _, _ in POLE_CASES}:
         st = _pole_structure(name)
     else:
         st = request.getfixturevalue(name)
@@ -674,10 +679,11 @@ def test_float_states_equal_array_states_bit_for_bit(name, kind, init, s_range, 
     assert s.tobytes() == ref_s.tobytes() and got.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("height, init, phi", FALLBACK_CASES)
-def test_float_states_fall_back_to_float64_where_floats_raise(height, init, phi):
+@pytest.mark.parametrize("height, init, phi", POLE_CASES)
+def test_float_states_stop_where_floats_raise(height, init, phi):
     # plain floats raise, or turn complex, where float64 gives inf or nan;
-    # the run then stops at its first non-finite state, as it did on arrays
+    # the run stops before that step, where an array run stops at its first
+    # non-finite state
     st = _pole_structure(height)
     with np.errstate(all="ignore"):
         s, got, ref_s, ref, cut, ref_cut = _run_both(st, "char", CharState(init, phi),
@@ -686,9 +692,9 @@ def test_float_states_fall_back_to_float64_where_floats_raise(height, init, phi)
     assert np.array_equal(s, ref_s) and np.array_equal(got, ref)
 
 
-@pytest.mark.parametrize("height, init, phi", FALLBACK_CASES)
-def test_float64_rerun_is_quiet(height, init, phi):
-    # the re-run steps into inf and nan; numpy warns of none of it
+@pytest.mark.parametrize("height, init, phi", POLE_CASES)
+def test_pole_endings_are_quiet(height, init, phi):
+    # a run that ends at a pole steps no inf or nan, so nothing warns
     import warnings
     st = _pole_structure(height)
     with warnings.catch_warnings():
@@ -696,6 +702,49 @@ def test_float64_rerun_is_quiet(height, init, phi):
         tr = integrate_characteristic(st, CharState(init, phi), (0.0, 1.0), 1e-3)
         jacobi_vertical_ode(st, CharState(init, phi), (0.2, -1.0, 0.3), (0.0, 1.0), 1e-3)
     assert tr.truncated
+
+
+_FLOWS = {"char": _char_flow, "geodesic": lambda st, lam: _geodesic_flow(st),
+          "jacobi": _jacobi_flow}
+
+
+# A float step raises where a stage leaves the domain of math.sqrt, where
+# math.exp overflows (from y = 0.709; from y = 0.7 the t velocity exp(700)
+# takes the point off the chart first), or where 1/(1 + 1/(y - 0.1)), finite
+# in float64 at y = 0.1 (1/inf = 0), divides by zero: a removable pole, on
+# which the curve starts, so the run keeps only its initial state
+@pytest.mark.parametrize("kind", ["char", "geodesic", "jacobi"])
+@pytest.mark.parametrize("height, init, phi, n_states", [
+    ("sqrt(y + 1)", (0.0, -0.999, 0.0), -1.5707, 2),
+    ("exp(1000*y)", (0.0, 0.709, 0.0), 1.5707, 1),
+    ("1/(1 + 1/(y - 0.1))", (0.0, 0.1, 0.0), 0.0, 1),
+])
+def test_a_run_ends_before_a_step_that_raises(height, init, phi, n_states, kind):
+    import warnings
+    st, state = _pole_structure(height), CharState(init, phi, 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s, states, cut = _run_kind(st, kind, state, (0.0, 1.0))
+        short_s, short, short_cut = _run_kind(st, kind, state, (0.0, s[-1]))
+    assert cut and not short_cut and len(s) == n_states and states.dtype == float
+    assert s.tobytes() == short_s.tobytes() and states.tobytes() == short.tobytes()
+    flow = _FLOWS[kind](st, 0.3)
+    with pytest.raises((ArithmeticError, ValueError)):
+        rk4_step(flow, tuple(states[-1].tolist()), 1e-3)
+
+
+def test_a_state_that_turns_complex_off_the_point_is_cut(heis):
+    # the fourth entry reads x ** 0.5, complex once a stage has x < 0; the
+    # point stays real, so only the states from the first complex one go
+    def flow(y):
+        return (-1.0, 0.0, 0.0, y[0] ** 0.5)
+
+    s, states, cut = integrate_ode(heis, flow, (0.0025, 0.0, 0.0, 0.0), (0.0, 0.01), 1e-3)
+    assert cut and len(s) == 3 and states.dtype == float
+    short_s, short, short_cut = integrate_ode(heis, flow, (0.0025, 0.0, 0.0, 0.0),
+                                              (0.0, s[-1]), 1e-3)
+    assert not short_cut
+    assert s.tobytes() == short_s.tobytes() and states.tobytes() == short.tobytes()
 
 
 @pytest.mark.parametrize("name", ["rt", "heis"])

@@ -116,19 +116,20 @@ def _same(a, b):
 
 
 def test_compiled_list_scalar_matches_tree_walk_bit_for_bit():
-    kernel = ex.compiled_cse(_KERNEL_EXPRS)
+    # a one-row "arrays" kernel is how the library evaluates at one point
+    kernel = ex.compiled_cse(_KERNEL_EXPRS, "arrays")
     rng = np.random.default_rng(3)
     for p in rng.uniform(-2.0, 2.0, (40, 3)):
         p = tuple(float(c) for c in p)
-        got = kernel(*p)
-        assert isinstance(got, tuple) and len(got) == len(_KERNEL_EXPRS)
+        got = kernel(np.array([p]))[0].tolist()
+        assert len(got) == len(_KERNEL_EXPRS)
         for g, e in zip(got, _KERNEL_EXPRS):
-            assert _same(float(g), e.at(p)), (e, p)
+            assert _same(g, e.at(p)), (e, p)
 
 
 def test_compiled_list_math_mode_matches_one_output_kernels_bit_for_bit():
     kernel = ex.compiled_cse(_KERNEL_EXPRS, "math")
-    assert kernel is not ex.compiled_cse(_KERNEL_EXPRS)   # its own cache entry
+    assert kernel is not ex.compiled_cse(_KERNEL_EXPRS, "arrays")   # its own cache entry
     singles = [ex.compiled_cse([e], "math") for e in _KERNEL_EXPRS]
     rng = np.random.default_rng(6)
     for p in rng.uniform(-2.0, 2.0, (40, 3)):
@@ -141,9 +142,17 @@ def test_compiled_list_math_mode_matches_one_output_kernels_bit_for_bit():
 
 def test_compiled_cse_takes_a_list_and_a_known_mode():
     with pytest.raises(TypeError):
-        ex.compiled_cse(ex.X)
+        ex.compiled_cse(ex.X, "math")
     with pytest.raises(ValueError):
         ex.compiled_cse([ex.X], "floats")
+
+
+def test_compiled_cse_has_two_modes_and_no_default():
+    # np.float64 scalar kernels are gone: "math" on floats, "arrays" on rows
+    with pytest.raises(ValueError, match="unknown kernel mode 'numpy'"):
+        ex.compiled_cse([ex.X], "numpy")
+    with pytest.raises(TypeError):
+        ex.compiled_cse([ex.X])
 
 
 def test_raw_constant_subtrees_compute_in_float64():
@@ -152,9 +161,8 @@ def test_raw_constant_subtrees_compute_in_float64():
     root = ex.Pow(ex.Const(-1.0), 0.5)
     exprs = [inv, root, ex.add(ex.X, inv), ex.X]
     with np.errstate(all="ignore"):
-        scalar = ex.compiled_cse(exprs)(0.5, 0.0, 0.0)
         batch = ex.compiled_cse(exprs, "arrays")(np.full((2, 3), 0.5))
-    for row in (scalar, *batch):
+    for row in batch:
         assert row[0] == np.inf and np.isnan(row[1]) and row[2] == np.inf
     with pytest.raises(ZeroDivisionError):   # "math" mode computes in floats
         ex.compiled_cse(exprs, "math")(0.5, 0.0, 0.0)
@@ -202,16 +210,16 @@ def test_compiled_list_shares_subexpressions_across_outputs():
     lines, results = ex._cse_program([e, ex.mul(e, e), e])
     assert len(lines) == 121
     assert results[0] == results[2]
-    kernel = ex.compiled_cse([e, ex.sin(ex.Y), ex.sin(ex.Y)])
-    assert kernel(0.0, 0.5, 0.0) == (0.0, np.sin(0.5), np.sin(0.5))
+    kernel = ex.compiled_cse([e, ex.sin(ex.Y), ex.sin(ex.Y)], "math")
+    assert kernel(0.0, 0.5, 0.0) == (0.0, math.sin(0.5), math.sin(0.5))
 
 
 def test_compiled_list_division_by_zero_gives_inf_not_exception():
-    kernel = ex.compiled_cse([ex.div(ex.ONE, ex.X), ex.div(ex.X, ex.Y)])
+    kernel = ex.compiled_cse([ex.div(ex.ONE, ex.X), ex.div(ex.X, ex.Y)], "arrays")
     with pytest.raises(ZeroDivisionError):
         ex.div(ex.ONE, ex.X).at((0.0, 0.0, 0.0))   # the Python-float walk
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv, ratio = kernel(0.0, 0.0, 0.0)
+        inv, ratio = kernel(np.zeros((1, 3)))[0]
     assert inv == np.inf and np.isnan(ratio)
 
 
@@ -241,7 +249,9 @@ def test_signed_zero_constants_are_two_nodes():
     assert ex.Const(-0.0) is not ex.Const(0.0)
     assert str(ex.Const(-0.0)) == "-0.0" and str(ex.Const(0.0)) == "0.0"
     assert str(ex.neg(ex.ZERO)) == "-0.0"
-    neg_zero, zero = ex.compiled_cse([ex.Const(-0.0), ex.ZERO])(0.0, 0.0, 0.0)
+    neg_zero, zero = ex.compiled_cse([ex.Const(-0.0), ex.ZERO], "math")(0.0, 0.0, 0.0)
+    assert np.signbit(neg_zero) and not np.signbit(zero)
+    (neg_zero, zero), = ex.compiled_cse([ex.Const(-0.0), ex.ZERO], "arrays")(np.zeros((1, 3)))
     assert np.signbit(neg_zero) and not np.signbit(zero)
 
 
@@ -297,5 +307,5 @@ def test_a_negative_constant_base_of_a_raw_power_is_bracketed_in_kernels():
     assert e.at((0.0, 0.0, 0.0)) == 4.0
     assert str(e) == "((-2.0) ^ 2.0)" and ex.parse(str(e)) is ex.Const(4.0)
     assert ex.compiled_cse([e], "math")(0.0, 0.0, 0.0) == (4.0,)
-    assert ex.compiled_cse([e, ex.X])(0.0, 0.0, 0.0)[0] == 4.0
+    assert ex.compiled_cse([e, ex.X], "math")(0.0, 0.0, 0.0)[0] == 4.0
     assert ex.compiled_cse([e, ex.X], "arrays")(np.zeros((2, 3)))[:, 0].tolist() == [4.0, 4.0]

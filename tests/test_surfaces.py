@@ -206,6 +206,27 @@ def test_mean_curvature_planes_heisenberg():
             assert abs(r.value) < 1e-10
 
 
+def test_mean_curvature_graph_without_a_frame_path_gives_the_divergence_term():
+    # the metric makes c1 vary, so the graph has no structure: StructureError
+    gs = GraphSurface(ex.ZERO, domain=((-1, 1), (-1, 1)),
+                      metric=((ex.parse("1 + x*x"), 0.0), (0.0, 1.0)))
+    r = mean_curvature_graph(gs, (0.5, 0.3))
+    assert r.mu is None and r.value == r.div_term
+    assert r.div_term == pytest.approx(-0.30052697109938, abs=1e-12)
+
+
+def test_mean_curvature_graph_lets_other_errors_through(monkeypatch):
+    from subriemann import surfaces
+
+    def broken(*args):
+        raise TypeError("not a frame failure")
+
+    monkeypatch.setattr(surfaces, "mean_curvature_frame", broken)
+    gs = GraphSurface(ex.ZERO, domain=((-2, 2), (-2, 2)))
+    with pytest.raises(TypeError, match="not a frame failure"):
+        mean_curvature_graph(gs, (1.0, 0.5))
+
+
 def test_mean_curvature_general_metric_mu_and_rho_bounded():
     gs = GraphSurface(ex.ZERO, domain=((-2, 2), (-2, 2)),
                       metric=((2.0, 0.5), (0.5, 1.0)))
@@ -603,10 +624,10 @@ def _oracle_classify(fun, jac, seeds, region, step, ambient_dim):
 
 
 def _singular_system(geom, q):
-    """(f, Xf, Yf) at q and their 3x3 coordinate Jacobian, from one "numpy"
-    kernel of ``singular_exprs()``."""
+    """(f, Xf, Yf) at q and their 3x3 coordinate Jacobian, from the tree
+    walk of ``singular_exprs()`` on the np.float64 entries of q."""
     with np.errstate(all="ignore"):
-        vals = np.array(ex.compiled_cse(geom.singular_exprs())(*q))
+        vals = np.array([e.at(q) for e in geom.singular_exprs()])
     return vals[:3], vals[3:].reshape(3, 3)
 
 
@@ -719,6 +740,28 @@ def test_scalar_newton_fails_on_non_finite_values_before_lstsq(monkeypatch):
     # a finite system still converges through lstsq
     q, ok, _ = _newton_lstsq(lambda q: (q - 1.0, np.eye(2)), q0)
     assert ok and np.allclose(q, 1.0)
+
+
+@pytest.mark.parametrize("pole, founded", [
+    ("10", True),                   # no pole: the seed founds a point
+    ("1/x", False),                 # ZeroDivisionError at the seed
+    ("sqrt(x - 0.25)", False),      # math domain error
+    ("(x - 0.25)^1.5", False),      # a complex value
+])
+def test_newton_seeds_where_the_scalar_kernel_has_no_value_fail_quietly(pole, founded):
+    # the residuals (10x, 10y) make the grid's centre the only seed; the pole
+    # lies in a Jacobian entry, which the grid screen does not read
+    from subriemann.surfaces import _detect
+    exprs = [ex.parse("10*x"), ex.parse("10*y"), ex.parse(pole), ex.ZERO, ex.ZERO,
+             ex.Const(10.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loci = _detect(exprs, ((-1.0, 1.0), (-1.0, 1.0)), 5, 2)
+    if founded:
+        assert [l.kind for l in loci] == ["isolated-point"]
+        assert loci[0].points.tolist() == [[0.0, 0.0]]
+    else:
+        assert loci == []
 
 
 def test_batched_lstsq_matches_numpy_lstsq():

@@ -420,7 +420,7 @@ def test_the_patch_fields_come_from_one_kernel(rt, helicoid_fan, monkeypatch):
         alone = [ex.compiled_cse([e], "arrays")(pts)[:, 0] for e in fields]
     compiled, real = [], ex.compiled_cse
 
-    def counted(exprs, mode="numpy"):
+    def counted(exprs, mode):
         compiled.append(len(exprs))
         return real(exprs, mode)
 
@@ -821,13 +821,12 @@ def test_q_validated_on_heisenberg_saddle(heis):
 
 
 def _project_point(surf, p):
-    """Scalar Newton projection of one point from a "numpy" kernel: the
-    per-point reference of ``ImplicitSurface.project``."""
+    """Scalar Newton projection of one point from the tree walk of f and
+    its gradient: the per-point reference of ``ImplicitSurface.project``."""
     q = np.asarray(p, dtype=float)
-    kernel = ex.compiled_cse((surf.f, *surf.grad))
     for _ in range(40):
         with np.errstate(all="ignore"):
-            v, *g = kernel(*q)
+            v, *g = [e.at(q) for e in (surf.f, *surf.grad)]
         v = float(v)
         if abs(v) < 1e-13:
             return q
@@ -843,7 +842,7 @@ def _step_off_point(structure, geom, surf, q, sgn, ds, ref_dir):
     """One ray's first step off a singular curve, point by point: the
     reference of the batched ``_fan_starts``."""
     with np.errstate(all="ignore"):
-        j = np.array(ex.compiled_cse(geom.singular_exprs())(*q)[3:]).reshape(3, 3)
+        j = np.array([e.at(q) for e in geom.singular_exprs()[3:]]).reshape(3, 3)
     _, _, vt = np.linalg.svd(j)
     tan_coord = vt[-1]
     if float(tan_coord @ ref_dir) < 0:
