@@ -322,7 +322,11 @@ def integrate_ode(structure: StructureSpec, f, y0, s_span, step):
     (a kernel divides by zero, overflows or takes the square root of a
     negative number; ``math.cos`` meets an infinite angle) or turns the point
     complex (a negative base under a fractional power).  From the first state
-    complex elsewhere (angle, curvature, a Jacobi entry) the states are cut.
+    complex or non-finite elsewhere (angle, curvature, a Jacobi entry) the
+    states are cut.
+
+    A flow whose value at ``y0`` has another length than ``y0`` raises
+    ValueError; a flow that raises there ends the run at ``y0``.
 
     Returns (s_values, states, truncated) with the states as an array;
     deterministic for fixed seeds and steps.
@@ -335,12 +339,24 @@ def integrate_ode(structure: StructureSpec, f, y0, s_span, step):
                          f"RK4 steps, above the cap of {MAX_STEPS:,}")
     n = max(int(round(steps)), 1) if s1 != s0 else 0
     h = (s1 - s0) / max(n, 1)
+    y = tuple(float(v) for v in y0)
+    try:
+        dy = f(y)
+    except (ArithmeticError, ValueError, TypeError):
+        pass                            # the first step raises it again
+    else:
+        if len(dy) != len(y):
+            raise ValueError(f"the flow gives {len(dy)} values for a state of {len(y)}")
     box = [(lo - 1e-9, hi + 1e-9) for lo, hi in structure.chart_domain]
-    ss, ys, cut = _rk4_run(f, tuple(float(v) for v in y0), s0, h, n, box)
+    ss, ys, cut = _rk4_run(f, y, s0, h, n, box)
     states = np.array(ys)
     if states.dtype.kind == "c":
         k = next(i for i, y in enumerate(ys) if any(type(v) is complex for v in y))
         ss, states, cut = ss[:k], np.array(ys[:k]), True
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        k = int(finite.argmin())
+        ss, states, cut = ss[:k], states[:k], True
     return np.array(ss), states, cut
 
 

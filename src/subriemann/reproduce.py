@@ -33,6 +33,67 @@ RT_REPORT_REGIONS = {"sigma_c": ((-2, 2), (-2, 2), (-2, 2)),
 
 
 # ---------------------------------------------------------------------------
+# seeded draws
+
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int) -> list:
+    """numpy's ``SeedSequence(seed).generate_state(8, np.uint32)``: the
+    seed's 32-bit words hashed and mixed into a pool of four, then hashed
+    out to eight."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    h = 0x43B0D7E5
+
+    def hashmix(v, mult=0x931E8875):
+        nonlocal h
+        v ^= h
+        h = h * mult & _M32
+        v = v * h & _M32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    h = 0x8B51F9DD
+    return [hashmix(v, 0x58F38DED) for v in pool * 2]
+
+
+def uniform_stream(seed: int):
+    """A function uniform(lo, hi) whose calls give, bit for bit, the floats
+    of numpy's ``default_rng(seed).uniform(lo, hi)``: the PCG64 XSL-RR
+    generator seeded as numpy seeds it, and 53-bit doubles.  Plain Python,
+    because importing numpy's random module for a few hundred draws costs
+    about 5 MB of peak memory."""
+    w = _seed_words(seed)
+    u = [w[k] | w[k + 1] << 32 for k in range(0, 8, 2)]
+    inc = ((u[2] << 64 | u[3]) << 1 | 1) & _M128
+    state = ((inc + (u[0] << 64 | u[1])) * _PCG_MULT + inc) & _M128
+
+    def uniform(lo, hi):
+        nonlocal state
+        state = (state * _PCG_MULT + inc) & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        return lo + (hi - lo) * ((x >> 11) * 2.0 ** -53)
+
+    return uniform
+
+
+# ---------------------------------------------------------------------------
 # structure info
 
 
@@ -60,11 +121,11 @@ def structure_info(st: StructureSpec, ref: str) -> dict:
 
 def _structure_residuals(st: StructureSpec) -> dict:
     """Worst frame-identity residuals at 5 seeded points in the chart's middle half."""
-    rng = np.random.default_rng(0)
+    uniform = uniform_stream(0)
     names = ("X", "Y", "T")
     worst = {"nabla_T": 0.0, "reeb": 0.0, "metric_compat": 0.0,
              "J_antisymmetry": 0.0, "tau_symmetry": 0.0}
-    pts = [tuple(rng.uniform(lo * 0.5, hi * 0.5) for lo, hi in st.chart_domain)
+    pts = [tuple(uniform(lo * 0.5, hi * 0.5) for lo, hi in st.chart_domain)
            for _ in range(5)]
     for p in pts:
         for nm in names:
@@ -75,8 +136,7 @@ def _structure_residuals(st: StructureSpec) -> dict:
                                 abs(st.lie_bracket(names[i], "T", p).components[2]))
         m = st.tau_matrix(p)
         worst["tau_symmetry"] = max(worst["tau_symmetry"], abs(m[0, 1] - m[1, 0]))
-        a, b = rng.uniform(-1, 1, 2)
-        v = np.array([a, b, 0.0])
+        v = np.array([uniform(-1.0, 1.0), uniform(-1.0, 1.0), 0.0])
         jv = st.j_apply(v)
         worst["J_antisymmetry"] = max(worst["J_antisymmetry"], abs(float(jv @ v)))
         # metric compatibility of nabla: V g(W,U) = g(nabla_V W, U) + g(W, nabla_V U)
@@ -257,18 +317,18 @@ def second_variation_vertical_plane(width: float) -> dict:
 # Q runners (shared with rt-report)
 
 
-def helicoid_q_samples(n_samples=50, seed=0):
-    """Q(u) over a seeded family of admissible bumps on the right helicoid."""
-    rt = cat.rt_structure()
+def helicoid_q_samples(rt, n_samples=50, seed=0):
+    """Q(u) over a seeded family of admissible bumps on the right helicoid
+    in the roto-translation structure ``rt``."""
     heli = cat.find_entry("sigma_c").make()
     [(sp, sm, gpts)] = CharPatch.fan_from_curve(
         rt, heli, [(lambda e: (0.0, 0.0, e), (-2.0, 2.0))], 3.0, n_eps=41, n_s=121)
-    rng = np.random.default_rng(seed)
+    uniform = uniform_stream(seed)
     values = []
     for _ in range(n_samples):
-        width_e = rng.uniform(0.8, 1.9)
-        center_e = rng.uniform(-0.4, 0.4)
-        cut = rng.uniform(1.2, 2.7)
+        width_e = uniform(0.8, 1.9)
+        center_e = uniform(-0.4, 0.4)
+        cut = uniform(1.2, 2.7)
 
         def u_fn(e, s, we=width_e, ce=center_e, L=cut):
             s = np.abs(s)
@@ -284,19 +344,21 @@ def helicoid_q_samples(n_samples=50, seed=0):
     return values
 
 
-def plane_q_search(widths=(2.5, 5.0, 10.0, 20.0)):
-    """Search for a negative Q direction on the plane y = 0 with the
-    separated cosine ansatz u = cos(pi x / (2 x0)), constant along
-    characteristic curves, widening x0 per the prescribed schedule."""
-    rt = cat.rt_structure()
+def plane_q_search(rt, widths=(2.5, 5.0, 10.0, 20.0)):
+    """Search for a negative Q direction on the plane y = 0 of the
+    roto-translation structure ``rt`` with the separated cosine ansatz
+    u = cos(pi x / (2 x0)), constant along characteristic curves, widening
+    x0 per the prescribed schedule."""
     plane = cat.find_entry("plane_y0").make()
     # both singular lines alpha = 0, pi at every width, in one fan flow
     curves = [(lambda e, a=alpha0: (e, 0.0, a), (-x0, x0))
               for x0 in widths for alpha0 in (0.0, np.pi)]
+    # popped width by width, so that only one width's patches, with the
+    # grids their Q caches, are alive at a time
     fans = CharPatch.fan_from_curve(rt, plane, curves, np.pi / 2 - 0.05,
-                                    n_eps=61, n_s=61)
+                                    n_eps=61, n_s=61)[::-1]
     results = []
-    for k, x0 in enumerate(widths):
+    for x0 in widths:
 
         def u_fn(e, s, w=x0):
             arg = np.clip(e / w, -1.0, 1.0)
@@ -304,7 +366,8 @@ def plane_q_search(widths=(2.5, 5.0, 10.0, 20.0)):
 
         total = 0.0
         parts = []
-        for sp, sm, gpts in fans[2 * k:2 * k + 2]:
+        for _ in range(2):
+            sp, sm, gpts = fans.pop()
             rep = stability_quadratic_Q((sp, sm), gpts, u_fn, tube_radius=Q_TUBE)
             total += rep.value
             parts.append({"bulk": rep.bulk, "u2": rep.boundary_u2,
@@ -328,7 +391,7 @@ def _surface_stability_samples(rt, surf, points) -> dict:
 def run_Q(surface: str, width=10.0, n_samples=1, seed=0) -> dict:
     rt = cat.rt_structure()
     if surface in ("sigma_c", "helicoid"):
-        vals = helicoid_q_samples(n_samples=max(1, n_samples), seed=seed)
+        vals = helicoid_q_samples(rt, n_samples=max(1, n_samples), seed=seed)
         surf = cat.find_entry("sigma_c").make()
         pts = [(r * np.cos(a), r * np.sin(a), a)
                for r in (0.5, 1.5) for a in np.linspace(-1.5, 1.5, 5)]
@@ -338,7 +401,7 @@ def run_Q(surface: str, width=10.0, n_samples=1, seed=0) -> dict:
         rep.update(_surface_stability_samples(rt, surf, pts))
         return rep
     if surface in ("plane_y0", "plane-y0"):
-        rep = plane_q_search(widths=(width,))
+        rep = plane_q_search(rt, widths=(width,))
         surf = cat.find_entry("plane_y0").make()
         pts = [(x, 0.0, a) for x in (-1.0, 1.0)
                for a in np.linspace(0.4, 2.7, 5)]
@@ -426,7 +489,7 @@ def _rt_sigma_c(rt, q_samples, seed) -> dict:
     loci = singular_set_detect(rt, surf, region=RT_REPORT_REGIONS["sigma_c"], grid=13)
     curves = [l for l in loci if l.kind == "curve"]
     stat = stationarity_at_singular_curve(rt, surf, curves[0]) if curves else None
-    q_vals = helicoid_q_samples(n_samples=q_samples, seed=seed)
+    q_vals = helicoid_q_samples(rt, n_samples=q_samples, seed=seed)
     ok = (stat is not None and stat.orthogonal
           and min(q_vals) >= -1e-8)
     return {"singular_curves": len(curves),
@@ -446,7 +509,7 @@ def _rt_plane(rt) -> dict:
         rep = stationarity_at_singular_curve(rt, surf, c)
         devs.append(rep.max_angle_dev)
         stat_ok = stat_ok and rep.orthogonal
-    search = plane_q_search()
+    search = plane_q_search(rt)
     # the source classification tags the plane unstable; report whether the
     # engine found the negative direction it predicts
     return {"singular_curves": len(curves), "orthogonality_dev_rad": devs,

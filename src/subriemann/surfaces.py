@@ -475,28 +475,6 @@ def area_graph(gs: GraphSurface, order: int = 12, cells: int = 64) -> float:
     return float(wx @ vals @ wy)
 
 
-def mc_area(gs: GraphSurface, n: int = 10_000_000, seed: int = 0) -> float:
-    """Stratified Monte-Carlo oracle for the graph area (jittered grid)."""
-    rng = np.random.default_rng(seed)
-    (x0, x1), (y0, y1) = gs.domain
-    m = int(np.sqrt(n))
-    integrand = ex.compiled_cse([gs.area_integrand_expr()], "arrays")
-    total = 0.0
-    # stream in row blocks to bound memory
-    ys_base = (np.arange(m) + 0.0) / m
-    block = max(1, 2_000_000 // m)
-    for i0 in range(0, m, block):
-        i1 = min(m, i0 + block)
-        ix = np.arange(i0, i1)
-        jx = rng.random((i1 - i0, m))
-        jy = rng.random((i1 - i0, m))
-        xs = x0 + (x1 - x0) * (ix[:, None] + jx) / m
-        ys = y0 + (y1 - y0) * (ys_base[None, :] + jy / m)
-        pts = np.column_stack([xs.ravel(), ys.ravel(), np.zeros(xs.size)])
-        total += float(np.sum(integrand(pts)[:, 0].reshape(xs.shape)))
-    return total * (x1 - x0) * (y1 - y0) / (m * m)
-
-
 # ---------------------------------------------------------------------------
 # Graph mean curvature (divergence form)
 

@@ -16,7 +16,7 @@ from subriemann.curves import (CharState, integrate_characteristic,
                                rt_characteristic_closed_form,
                                jacobi_vertical_ode, jacobi_from_curve_family)
 from subriemann.structures import torsion_in_rotated_frame
-from subriemann.surfaces import (GraphSurface, area_graph, mc_area,
+from subriemann.surfaces import (GraphSurface, area_graph,
                                  mean_curvature_graph, rt_minimal_residual,
                                  singular_set_detect,
                                  stationarity_at_singular_curve)
@@ -27,7 +27,7 @@ from subriemann.variation import (CharPatch, ParamPatch, VariationField,
                                   stability_sign_field)
 from subriemann.reproduce import RT_REPORT_REGIONS, helicoid_q_samples, plane_q_search
 
-from conftest import random_cubic
+from conftest import random_cubic, mc_area
 from test_surfaces import _conti_residuals, _divergence_residuals
 
 
@@ -345,14 +345,14 @@ def test_criterion_8c_right_helicoid(rt, helicoid):
                                grid=13)
     curve = [l for l in loci if l.kind == "curve"][0]
     stat = stationarity_at_singular_curve(rt, helicoid, curve)
-    q_vals = helicoid_q_samples(n_samples=50, seed=0)
+    q_vals = helicoid_q_samples(rt, n_samples=50, seed=0)
     ok = stat.orthogonal and stat.max_angle_dev <= 1e-6 and min(q_vals) >= -1e-8
     assert report("criterion 8c (right helicoid)", ok,
                   f"orthogonality dev {stat.max_angle_dev:.2e} rad, "
                   f"min Q over 50 samples {min(q_vals):.3e}")
 
 
-def test_criterion_8d_plane_negative_direction():
+def test_criterion_8d_plane_negative_direction(rt):
     """The source classification predicts an explicit u with Q(u) < 0 on the
     plane y = 0.  The engine's q vanishes identically there (verified against
     a direct second-variation computation) and the singular-curve coefficient
@@ -360,7 +360,7 @@ def test_criterion_8d_plane_negative_direction():
     the prescribed widening cosine ansatz never goes negative.  This
     criterion is therefore expected to FAIL; see ROADMAP.md items 1-2.
     """
-    search = plane_q_search(widths=(2.5, 5.0, 10.0, 20.0))
+    search = plane_q_search(rt, widths=(2.5, 5.0, 10.0, 20.0))
     found = search["negative_direction_found"]
     report("criterion 8d (plane negative direction)", found,
            f"min Q over widths = {search['min_Q']:.6e} "

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -189,6 +191,8 @@ def test_a_curve_that_meets_a_pole_ends_truncated(structure, init, phi, lam, spa
     for text in (out, err):
         assert "Traceback" not in text
         assert "math domain error" not in text and "math range error" not in text
+    assert all(math.isfinite(float(cell)) for row in out.splitlines()[1:]
+               for cell in row.split(","))
 
 
 def test_classify_verb(capsys):
@@ -443,6 +447,66 @@ def test_rt_report_config_has_no_threads(capsys):
     code, out, _ = run_cli(["rt-report", "--json", "--q-samples", "1"], capsys)
     assert code in (0, 1)
     assert json.loads(out)["config"] == {"q_samples": 1, "seed": 0}
+
+
+# seeds of one to seven 32-bit words (SeedSequence mixes the words past its
+# pool of four in a loop of their own): edge values, a 140-bit seed and 100
+# drawn seeds of 2 to 200 bits
+STREAM_SEEDS = [0, 1, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3,
+                (1 << 139) + 0x5DEECE66D, *(random.Random(26).getrandbits(bits)
+                                           for bits in range(2, 202, 2))]
+
+
+def test_uniform_stream_is_numpys_default_rng_bit_for_bit():
+    from subriemann.reproduce import uniform_stream
+    ranges = [(0.8, 1.9), (-0.4, 0.4), (1.2, 2.7), (-1.0, 1.0)]
+    for seed in STREAM_SEEDS:
+        ours, rng = uniform_stream(seed), np.random.default_rng(seed)
+        for lo, hi in ranges * 3:
+            got, want = ours(lo, hi), rng.uniform(lo, hi)
+            assert type(got) is float and got.hex() == want.hex(), (seed, lo, hi)
+
+
+def test_a_negative_seed_raises_numpys_message():
+    from subriemann.reproduce import uniform_stream
+    with pytest.raises(ValueError) as want:
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError) as got:
+        uniform_stream(-1)
+    assert str(got.value) == str(want.value) == "expected non-negative integer"
+
+
+def test_rt_report_with_a_negative_seed_is_an_input_error(capsys):
+    code, out, err = run_cli(["rt-report", "--seed", "-1", "--q-samples", "1",
+                              "--json"], capsys)
+    assert code == 2 and out == ""
+    assert "error: expected non-negative integer" in err and "Traceback" not in err
+
+
+def test_the_verbs_that_draw_import_no_numpy_random(tmp_path):
+    # numpy.random pulls in secrets, hmac and OpenSSL's _hashlib: about 5 MB
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "from subriemann.cli import main\n"
+            f"out = {str(tmp_path / 'out.json')!r}\n"
+            "for argv in (['rt-report', '--q-samples', '2', '--json'],\n"
+            "             ['variation', 'Q', '--json'],\n"
+            "             ['structure', 'info', 'rt', '--json']):\n"
+            "    assert main(argv + ['--out', out]) in (0, 1), argv\n"
+            "print('numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_the_library_source_names_no_numpy_random():
+    pkg = Path(__file__).resolve().parents[1] / "src" / "subriemann"
+    files = sorted(pkg.rglob("*.py"))
+    assert files
+    for path in files:
+        text = path.read_text()
+        assert "np.random" not in text and "numpy.random" not in text, path
 
 
 def test_bench_tracer_finds_every_target():

@@ -747,6 +747,32 @@ def test_a_state_that_turns_complex_off_the_point_is_cut(heis):
     assert s.tobytes() == short_s.tobytes() and states.tobytes() == short.tobytes()
 
 
+def test_a_state_non_finite_off_the_point_is_cut(heis):
+    # the fourth entry grows by 1.65 a step from 1e307, and the RK4 sum of
+    # the step from the third state overflows to inf; the point stays
+    # finite, so only the states from the fourth one go
+    def flow(y):
+        return (0.0, 0.0, 0.0, y[3])
+
+    s, states, cut = integrate_ode(heis, flow, (0.0, 0.0, 0.0, 1e307), (0.0, 2.0), 0.5)
+    assert cut and len(s) == 3 and np.isfinite(states).all()
+    short_s, short, short_cut = integrate_ode(heis, flow, (0.0, 0.0, 0.0, 1e307),
+                                              (0.0, s[-1]), 0.5)
+    assert not short_cut
+    assert s.tobytes() == short_s.tobytes() and states.tobytes() == short.tobytes()
+
+
+def test_a_flow_of_the_wrong_length_is_refused(heis):
+    with pytest.raises(ValueError, match="the flow gives 3 values for a state of 4"):
+        integrate_ode(heis, lambda y: (1.0, 0.0, 0.0), (0, 0, 0, 0), (0, 1), 1e-3)
+
+
+def test_a_flow_that_raises_at_the_start_ends_the_run_there(heis):
+    s, states, cut = integrate_ode(heis, lambda y: (1.0 / y[0], 0.0, 0.0, 0.0),
+                                   (0, 0, 0, 0), (0, 1), 1e-3)
+    assert cut and s.tolist() == [0.0] and states.tolist() == [[0.0, 0.0, 0.0, 0.0]]
+
+
 @pytest.mark.parametrize("name", ["rt", "heis"])
 def test_right_hand_sides_are_tuples_of_floats(name, request):
     st = request.getfixturevalue(name)

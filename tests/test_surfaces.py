@@ -11,12 +11,12 @@ from subriemann.reproduce import RT_REPORT_REGIONS
 from subriemann.structures import TangentVector, sum_exprs
 from subriemann.surfaces import (GraphSurface, ImplicitSurface, SingularLocus, surface_frame,
                                  mean_curvature_frame, mean_curvature_graph,
-                                 horizontal_jacobian, area_graph, mc_area,
+                                 horizontal_jacobian, area_graph,
                                  rt_minimal_residual, singular_set_detect,
                                  stationarity_at_singular_curve,
                                  rho_equiv_mean_curvature, SingularPointSignal,
                                  surface_from_json)
-from conftest import random_cubic, helicoid_points, plane_points
+from conftest import random_cubic, helicoid_points, plane_points, mc_area
 
 AREA_CLOSED_FORM = (np.sqrt(2.0) + np.log(1.0 + np.sqrt(2.0))) / 3.0
 

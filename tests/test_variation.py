@@ -620,7 +620,7 @@ def test_q_plane_never_negative_in_modeled_class(rt, plane_y0):
     # plane, so Q(u) reduces to the S(u)^2 line integrals; the prescribed
     # widening cosine ansatz cannot reach a negative value
     from subriemann.reproduce import plane_q_search
-    report = plane_q_search(widths=(2.5, 10.0))
+    report = plane_q_search(rt, widths=(2.5, 10.0))
     assert report["negative_direction_found"] is False
     assert report["min_Q"] >= 0.0
 
@@ -1010,7 +1010,7 @@ def test_repeated_q_runs_compile_nothing_new():
     # each run builds a fresh rt structure and fresh fans; equal expressions
     # are one node, so the second run finds every kernel in the cache
     from subriemann.reproduce import helicoid_q_samples
-    first = helicoid_q_samples(1)
+    first = helicoid_q_samples(cat.rt_structure(), 1)
     entries = len(ex._FAST_CACHE)
-    assert helicoid_q_samples(1) == first
+    assert helicoid_q_samples(cat.rt_structure(), 1) == first
     assert len(ex._FAST_CACHE) == entries
