@@ -325,8 +325,9 @@ def integrate_ode(structure: StructureSpec, f, y0, s_span, step):
     complex or non-finite elsewhere (angle, curvature, a Jacobi entry) the
     states are cut.
 
-    A flow whose value at ``y0`` has another length than ``y0`` raises
-    ValueError; a flow that raises there ends the run at ``y0``.
+    A state whose length has no RK4 step (4, 5 or 7), or a flow whose value
+    at ``y0`` has another length than ``y0``, raises ValueError; a flow that
+    raises there ends the run at ``y0``.
 
     Returns (s_values, states, truncated) with the states as an array;
     deterministic for fixed seeds and steps.
@@ -340,6 +341,9 @@ def integrate_ode(structure: StructureSpec, f, y0, s_span, step):
     n = max(int(round(steps)), 1) if s1 != s0 else 0
     h = (s1 - s0) / max(n, 1)
     y = tuple(float(v) for v in y0)
+    if len(y) not in _RK4_BY_LENGTH:
+        raise ValueError(f"no RK4 step for a state of length {len(y)}; the lengths "
+                         f"are {', '.join(map(str, _RK4_BY_LENGTH))}")
     try:
         dy = f(y)
     except (ArithmeticError, ValueError, TypeError):

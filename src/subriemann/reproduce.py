@@ -40,12 +40,18 @@ _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a negative seed with numpy's message; the verbs that take a
+    seed call this before any other work."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+
+
 def _seed_words(seed: int) -> list:
     """numpy's ``SeedSequence(seed).generate_state(8, np.uint32)``: the
     seed's 32-bit words hashed and mixed into a pool of four, then hashed
     out to eight."""
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
+    _check_seed(seed)
     words = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
     h = 0x43B0D7E5
 
@@ -389,6 +395,7 @@ def _surface_stability_samples(rt, surf, points) -> dict:
 
 
 def run_Q(surface: str, width=10.0, n_samples=1, seed=0) -> dict:
+    _check_seed(seed)
     rt = cat.rt_structure()
     if surface in ("sigma_c", "helicoid"):
         vals = helicoid_q_samples(rt, n_samples=max(1, n_samples), seed=seed)
@@ -423,6 +430,7 @@ def run_Q(surface: str, width=10.0, n_samples=1, seed=0) -> dict:
 def rt_report(q_samples=50, seed=0) -> dict:
     """The roto-translation classification checks, run in order, each with
     its verdict and whether it matches the source table."""
+    _check_seed(seed)
     rt = cat.rt_structure()
     results = {
         "structure": _rt_structure_check(rt),

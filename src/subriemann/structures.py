@@ -130,7 +130,8 @@ class StructureSpec:
     def _derive_geometry(self):
         """c1 and the connection data, from the bracket table and c1's
         expression; both constructors end here."""
-        self.c1 = float(self._c1_expr.at(self._chart_center()))
+        center = np.array([self._chart_center()])
+        self.c1 = float(ex.compiled_cse([self._c1_expr], "arrays")(center)[0, 0])
         self.sgn_c1 = 1.0 if self.c1 > 0 else -1.0
         self._lc = self._koszul_christoffels()
         self._sigma = [[self._lc[i][2][k] for k in range(2)] for i in range(2)]
@@ -146,7 +147,7 @@ class StructureSpec:
 
     def frame_matrix(self, p) -> np.ndarray:
         """Coordinate coefficients of the frame at p; row i is frame field i."""
-        return np.array([[c.at(p) for c in row] for row in self.frame])
+        return self.frame_matrices([p])[0]
 
     def frame_components(self, P, V) -> np.ndarray:
         """Frame components (a, b, c) of the coordinate vectors V at the
@@ -154,9 +155,7 @@ class StructureSpec:
 
         The frame matrices come from one call of a 9-output kernel and the
         systems are solved in one batch.  Row k equals solving
-        ``frame_matrix(P[k]).T`` against V[k], bit for bit, unless a frame
-        coefficient holds a power other than a square root, which numpy may
-        round differently on arrays."""
+        ``frame_matrix(P[k]).T`` against V[k], bit for bit."""
         v = np.asarray(V, dtype=float)[..., None]
         return np.linalg.solve(np.swapaxes(self.frame_matrices(P), 1, 2), v)[..., 0]
 
@@ -209,26 +208,36 @@ class StructureSpec:
         return out
 
     def _validate(self):
-        # the 4^3 interior points of a 6^3 grid over the chart
+        """c1, det(X, Y, T) and the two Reeb brackets g([X,T],T), g([Y,T],T)
+        at the 4^3 interior points of a 6^3 grid over the chart, from one
+        kernel call."""
         axes = [np.linspace(lo, hi, 6)[1:-1] for lo, hi in self.chart_domain]
-        pts = list(itertools.product(*axes))
-        c1s = [self._c1_expr.at(p) for p in pts]
-        if max(c1s) - min(c1s) > C1_CONSTANCY_TOL:
+        pts = np.array(list(itertools.product(*axes)))
+        exprs = [self._c1_expr, self._det, self._brackets[0][2][2], self._brackets[1][2][2]]
+        with np.errstate(all="ignore"):
+            vals = ex.compiled_cse(exprs, "arrays")(pts)
+        bad = np.argwhere(~np.isfinite(vals))
+        if len(bad):
+            k, j = bad[0]
+            names = ("c1 = -g([X,Y],T)", "det(X, Y, T)", "g([X,T],T)", "g([Y,T],T)")
+            raise StructureError(f"{names[j]} is {vals[k, j]} at {tuple(pts[k].tolist())}: "
+                                 f"the frame and its brackets must be finite on the chart")
+        c1s = vals[:, 0]
+        if c1s.max() - c1s.min() > C1_CONSTANCY_TOL:
             raise StructureError(
                 f"c1 = -g([X,Y],T) varies over the chart "
-                f"(range [{min(c1s):.3e}, {max(c1s):.3e}]); only constant-c1 "
+                f"(range [{c1s.min():.3e}, {c1s.max():.3e}]); only constant-c1 "
                 f"structures are supported")
         if abs(c1s[0]) < 1e-12:
             raise StructureError("c1 vanishes: the bracket [X,Y] has no Reeb component")
-        for p in pts:
-            if abs(self._det.at(p)) < 1e-10:
-                raise StructureError(f"frame degenerate at {p}")
+        for p, (_, det, *reeb) in zip(pts.tolist(), vals.tolist()):
+            if abs(det) < 1e-10:
+                raise StructureError(f"frame degenerate at {tuple(p)}")
             # Reeb conditions: [X,T] and [Y,T] stay horizontal
-            for i in (0, 1):
-                v = self._brackets[i][2][2].at(p)
+            for name, v in zip(_FRAME_NAMES, reeb):
                 if abs(v) > 1e-9:
                     raise StructureError(
-                        f"Reeb condition violated: g([{_FRAME_NAMES[i]},T],T) = {v:.3e} at {p}")
+                        f"Reeb condition violated: g([{name},T],T) = {v:.3e} at {tuple(p)}")
 
     def _koszul_christoffels(self):
         """lc[i][j][k] = g(D_{E_i} E_j, E_k), bracket-only Koszul formula."""
@@ -246,7 +255,8 @@ class StructureSpec:
         return self._tau
 
     def tau_matrix(self, p) -> np.ndarray:
-        return np.array([[e.at(p) for e in row] for row in self._tau])
+        kernel = ex.compiled_cse([e for row in self._tau for e in row], "arrays")
+        return kernel(np.array([p], dtype=float))[0].reshape(2, 2)
 
     def j_apply(self, comps):
         """J on frame components (Exprs, or floats of one vector (3,) or of a
@@ -296,7 +306,8 @@ class StructureSpec:
         if isinstance(v, str) and isinstance(w, str):
             i, j = _FRAME_NAMES.index(v), _FRAME_NAMES.index(w)
             p = self._require_point(p)
-            return TangentVector(p, [self._brackets[i][j][k].at(p) for k in range(3)])
+            kernel = ex.compiled_cse(self._brackets[i][j], "arrays")
+            return TangentVector(p, kernel(np.array([p]))[0])
         vc = self._field_components(v)
         wc = self._field_components(w)
         p = self._require_point(p)
@@ -308,8 +319,8 @@ class StructureSpec:
                 term = ex.sub(term, ex.mul(wc[i], self.frame_derivation(i, vc[k])))
                 for j in range(3):
                     term = ex.add(term, ex.mul(ex.mul(vc[i], wc[j]), self._brackets[i][j][k]))
-            comps.append(term.at(p))
-        return TangentVector(p, comps)
+            comps.append(term)
+        return TangentVector(p, ex.compiled_cse(comps, "arrays")(np.array([p]))[0])
 
     def _field_components(self, v):
         if isinstance(v, str):
@@ -336,7 +347,7 @@ class StructureSpec:
               else self._field_components(v))
         comps = self._cov_field_exprs(table, vc, self._field_components(w))
         # 0.0 + c writes a zero sum as +0.0
-        return TangentVector(p, [0.0 + c.at(p) for c in comps])
+        return TangentVector(p, 0.0 + ex.compiled_cse(comps, "arrays")(np.array([p]))[0])
 
     def connection_lc(self, v, w, p=None) -> TangentVector:
         """Levi-Civita derivative D_V W at p (W a frame name or ambient field)."""
@@ -436,7 +447,8 @@ class StructureSpec:
         return self.webster_curvature_tensor(p)
 
     def webster_curvature_tensor(self, p) -> float:
-        return float(self.webster_expr().at(self._require_point(p)))
+        kernel = ex.compiled_cse([self.webster_expr()], "arrays")
+        return float(kernel(np.array([self._require_point(p)]))[0, 0])
 
     def curvature_sample(self, p) -> CurvatureSample:
         p = self._require_point(p)
@@ -501,9 +513,9 @@ def _constant_bracket_structure(bracket_table, name, meta):
     spec._brackets = [[[ex._as_expr(bracket_table[i][j][k]) for k in range(3)]
                        for j in range(3)] for i in range(3)]
     spec._c1_expr = ex.neg(spec._brackets[0][1][2])
-    if abs(spec._c1_expr.at(spec._chart_center())) < 1e-12:
-        raise StructureError("lie-group structure must have [X,Y] with a Reeb component")
     spec._derive_geometry()
+    if abs(spec.c1) < 1e-12:
+        raise StructureError("lie-group structure must have [X,Y] with a Reeb component")
     return spec
 
 

@@ -82,7 +82,9 @@ class ImplicitSurface:
         return entry[1]
 
     def value(self, p) -> float:
-        return self.f.at(p)
+        """f at p, from the (f, grad f) kernel of ``project``."""
+        kernel = ex.compiled_cse((self.f, *self.grad), "arrays")
+        return float(kernel(np.array([p], dtype=float))[0, 0])
 
     def project(self, p):
         """Newton projection along the coordinate gradient of a point (3,), or
@@ -187,7 +189,8 @@ class GraphSurface:
 
     def chart_box(self):
         xs, ys = self.domain
-        corners = [self.u.at((x, y, 0.0)) for x in xs for y in ys]
+        kernel = ex.compiled_cse([self.u], "arrays")
+        corners = kernel(np.array([(x, y, 0.0) for x in xs for y in ys]))[:, 0].tolist()
         return (xs, ys, (min(corners) - 2.0, max(corners) + 2.0))
 
     def structure(self) -> StructureSpec:
@@ -416,10 +419,12 @@ def mean_curvature_frame(structure: StructureSpec, surf, p) -> float:
         geom = surf.to_implicit().geometry(surf.structure())
     else:
         geom = surf.geometry(structure)
-    nh = geom.nh.at(p)
+    kernel = ex.compiled_cse([geom.nh, geom.H], "arrays")
+    with np.errstate(all="ignore"):   # H is 0/0 where |N_h| vanishes
+        nh, h = kernel(np.array([p], dtype=float))[0].tolist()
     if not np.isfinite(nh) or nh <= EPS_SING:
         raise SingularPointSignal(p, 0.0 if not np.isfinite(nh) else nh)
-    return geom.H.at(p)
+    return h
 
 
 def horizontal_jacobian(T_p: TangentVector, e1: TangentVector,
@@ -505,13 +510,15 @@ def mean_curvature_graph(gs: GraphSurface, p) -> GraphMeanCurvature:
     v = [ex.div(sum_exprs(ex.mul(b[i][j], pe[j]) for j in range(2)), den)
          for i in range(2)]
     div_expr = _div_field_exprs(v[0], v[1])
-    pvals = np.array([pe[0].at((x, y, 0.0)), pe[1].at((x, y, 0.0))])
-    if np.linalg.norm(pvals) <= EPS_SING:
-        raise SingularPointSignal((x, y, gs.u.at((x, y, 0.0))), 0.0)
-    div_term = -div_expr.at((x, y, 0.0))
+    kernel = ex.compiled_cse([*pe, gs.u, div_expr], "arrays")
+    with np.errstate(all="ignore"):   # the divergence is 0/0 where p vanishes
+        p1, p2, t, div = kernel(np.array([(x, y, 0.0)]))[0].tolist()
+    if np.linalg.norm([p1, p2]) <= EPS_SING:
+        raise SingularPointSignal((x, y, t), 0.0)
+    div_term = -div
     try:
         st = gs.structure()
-        q3 = (x, y, gs.u.at((x, y, 0.0)))
+        q3 = (x, y, t)
         frame_val = mean_curvature_frame(st, gs, q3)
         return GraphMeanCurvature(value=frame_val, div_term=div_term,
                                   mu=frame_val - div_term)
@@ -532,7 +539,7 @@ def rho_equiv_mean_curvature(gs: GraphSurface, p) -> float:
     w = [ex.div(pe[0], pnorm), ex.div(pe[1], pnorm)]
     expr = ex.sub(_div_field_exprs(v[0], v[1]),
                   ex.mul(det, _div_field_exprs(w[0], w[1])))
-    return expr.at((x, y, 0.0))
+    return float(ex.compiled_cse([expr], "arrays")(np.array([(x, y, 0.0)]))[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +555,8 @@ def rt_minimal_residual(u: Expr, p) -> float:
     """
     u = ex._as_expr(u)
     ux, uy, ua = u.diff(0), u.diff(1), u.diff(2)
-    grad = np.array([ux.at(p), uy.at(p), ua.at(p)])
-    if np.linalg.norm(grad) < 1e-14:
+    P = np.array([p], dtype=float)
+    if np.linalg.norm(ex.compiled_cse([ux, uy, ua], "arrays")(P)[0]) < 1e-14:
         raise ValueError(f"vanishing gradient at {tuple(p)}")
     ca, sa = ex.cos(ex.T), ex.sin(ex.T)
     horiz = ex.add(ex.mul(ca, ux), ex.mul(sa, uy))
@@ -564,7 +571,7 @@ def rt_minimal_residual(u: Expr, p) -> float:
         ex.neg(ex.mul(sa, ux)),
         ex.mul(ca, uy)])
     term3 = ex.neg(ex.mul(ua, ex.mul(horiz, bracket)))
-    return sum_exprs([term1, term2, term3]).at(p)
+    return float(ex.compiled_cse([sum_exprs([term1, term2, term3])], "arrays")(P)[0, 0])
 
 
 # ---------------------------------------------------------------------------

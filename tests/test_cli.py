@@ -509,6 +509,77 @@ def test_the_library_source_names_no_numpy_random():
         assert "np.random" not in text and "numpy.random" not in text, path
 
 
+def test_the_library_source_calls_no_tree_walk():
+    # every library evaluation is a compiled kernel; Expr.at, defined in
+    # expr.py, is the tests' independent oracle
+    pkg = Path(__file__).resolve().parents[1] / "src" / "subriemann"
+    files = sorted(p for p in pkg.glob("*.py") if p.name != "expr.py")
+    assert len(files) > 1
+    for path in files:
+        assert ".at(" not in path.read_text(), path
+
+
+def test_the_library_runs_with_the_tree_walk_broken(monkeypatch):
+    from subriemann import catalog as cat
+    from subriemann import expr as ex
+    from subriemann.reproduce import integrate_curve, structure_info, surface_analysis
+    from subriemann.surfaces import (GraphSurface, mean_curvature_frame,
+                                     mean_curvature_graph, rt_minimal_residual)
+
+    def walk(self, p):
+        raise AssertionError(f"the library walked the tree of {self}")
+
+    monkeypatch.setattr(ex.Expr, "at", walk)
+    for ref in ("rt", "su2"):
+        assert structure_info(cat.structure_by_name(ref), ref)["brackets"]
+    rt = cat.rt_structure()
+    sigma_c = cat.find_entry("sigma_c").make()
+    graph = GraphSurface(ex.parse("x*y"), domain=((0.2, 1.2), (0.2, 1.2)),
+                         metric=((2.0, 0.5), (0.5, 1.0)))
+    for surf in (sigma_c, graph):
+        rows, _ = surface_analysis(rt, surf, grid=4)
+        assert rows
+    assert mean_curvature_graph(graph, (0.7, 0.6)).mu is not None
+    assert abs(rt_minimal_residual(sigma_c.f, (0.3, 0.2, 0.5))) < 1e-10
+    p = (0.7 * math.cos(0.5), 0.7 * math.sin(0.5), 0.5)
+    assert abs(mean_curvature_frame(rt, sigma_c, p)) < 1e-10
+    _, _, max_dev = integrate_curve(rt, (0.0, 0.0, 0.3), 0.4, 0.0, (0.0, 0.5), 1e-2,
+                                    oracle=True)
+    assert max_dev < 1e-8
+
+
+@pytest.mark.parametrize("argv", [["rt-report", "--q-samples", "1"],
+                                  ["variation", "Q"],
+                                  ["variation", "Q", "--surface", "plane_y0"]])
+def test_a_negative_seed_is_refused_before_any_work(argv, capsys, monkeypatch):
+    from subriemann import catalog as cat
+
+    def no_work():
+        pytest.fail("a refused seed built the structure")
+
+    monkeypatch.setattr(cat, "rt_structure", no_work)
+    code, out, err = run_cli([*argv, "--seed", "-1", "--json"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: expected non-negative integer\n"
+
+
+def test_a_frame_with_a_pole_on_the_validation_grid_is_an_input_error(tmp_path, capsys):
+    # x = 0.8000000000000007 is np.linspace(-4, 4, 6)[3]: the validation
+    # grid lands on the removable pole of Y's t-component, where every
+    # derived quantity is nan
+    pole = "x-0.8000000000000007"
+    spec = tmp_path / "pole.json"
+    spec.write_text(json.dumps({"kind": "coordinate-frame",
+                                "chart_domain": [[-4, 4]] * 3,
+                                "frame": {**_FRAME, "Y": ["0", "1", f"-x*({pole})/({pole})"]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["structure", "info", str(spec)], capsys)
+    assert code == 2 and out == ""
+    assert err == ("error: c1 = -g([X,Y],T) is nan at (0.8000000000000007, -2.4, -2.4): "
+                   "the frame and its brackets must be finite on the chart\n")
+
+
 def test_bench_tracer_finds_every_target():
     # the per-layer benchmark wraps package names from outside; a name it
     # cannot find silently drops its metrics

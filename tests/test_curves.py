@@ -458,6 +458,16 @@ def test_a_span_of_more_than_max_steps_is_refused_before_any_step(rt):
         integrate_ode(rt, stop, y0, (0.0, 1.0), 1.0 / MAX_STEPS)
 
 
+@pytest.mark.parametrize("length", [3, 6, 8])
+def test_a_state_length_with_no_rk4_step_is_named_before_any_step(rt, length):
+    def never(y):
+        pytest.fail("a refused state took a step")
+
+    with pytest.raises(ValueError, match=f"no RK4 step for a state of length {length}; "
+                                         "the lengths are 4, 5, 7"):
+        integrate_ode(rt, never, (0.0,) * length, (0.0, 1.0), 1e-3)
+
+
 @pytest.mark.parametrize("name", ["rt", "heis"])
 def test_jacobi_flow_gives_the_betas(name, request):
     st = request.getfixturevalue(name)
