@@ -126,13 +126,14 @@ def structure_info(st: StructureSpec, ref: str) -> dict:
 
 
 def _structure_residuals(st: StructureSpec) -> dict:
-    """Worst frame-identity residuals at 5 seeded points in the chart's middle half."""
+    """Worst frame-identity residuals at 5 seeded points in the chart's middle
+    half: its centre plus or minus a quarter of its width on each axis."""
     uniform = uniform_stream(0)
     names = ("X", "Y", "T")
     worst = {"nabla_T": 0.0, "reeb": 0.0, "metric_compat": 0.0,
              "J_antisymmetry": 0.0, "tau_symmetry": 0.0}
-    pts = [tuple(uniform(lo * 0.5, hi * 0.5) for lo, hi in st.chart_domain)
-           for _ in range(5)]
+    middle = [(0.5 * (lo + hi), 0.25 * (hi - lo)) for lo, hi in st.chart_domain]
+    pts = [tuple(uniform(c - q, c + q) for c, q in middle) for _ in range(5)]
     for p in pts:
         for nm in names:
             worst["nabla_T"] = max(worst["nabla_T"],

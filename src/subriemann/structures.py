@@ -340,14 +340,28 @@ class StructureSpec:
                 raise StructureError(f"point {tuple(p)} outside chart domain {self.chart_domain}")
 
     def _connection(self, table, v, w, p):
-        """The field formula _cov_field_exprs evaluated at p; a TangentVector
-        V enters through its components as constants."""
+        """The field formula _cov_field_exprs evaluated at p.  A TangentVector
+        V enters numerically: one kernel per (table, W) gives E_i(W_k), W_j and
+        table[i][j][k] at p, and V's components contract them term by term in
+        the formula's order, so a new direction compiles nothing."""
         p = self._require_point(p)
-        vc = ([ex.Const(c) for c in v.components] if isinstance(v, TangentVector)
-              else self._field_components(v))
-        comps = self._cov_field_exprs(table, vc, self._field_components(w))
-        # 0.0 + c writes a zero sum as +0.0
-        return TangentVector(p, 0.0 + ex.compiled_cse(comps, "arrays")(np.array([p]))[0])
+        wc = self._field_components(w)
+        if not isinstance(v, TangentVector):
+            comps = self._cov_field_exprs(table, self._field_components(v), wc)
+            # 0.0 + c writes a zero sum as +0.0
+            return TangentVector(p, 0.0 + ex.compiled_cse(comps, "arrays")(np.array([p]))[0])
+        exprs = ([self.frame_derivation(i, wc[k]) for i in range(3) for k in range(3)] + wc
+                 + [table[i][j][k] for i in range(3) for j in range(3) for k in range(3)])
+        vals = ex.compiled_cse(exprs, "arrays")(np.array([p]))[0].tolist()
+        dw, wv, tab = vals[:9], vals[9:12], vals[12:]
+        out = [0.0, 0.0, 0.0]
+        for k in range(3):
+            for i, c in enumerate(v.components):
+                if c != 0.0:
+                    out[k] += c * dw[3 * i + k]
+                    for j in range(3):
+                        out[k] += c * wv[j] * tab[9 * i + 3 * j + k]
+        return TangentVector(p, out)
 
     def connection_lc(self, v, w, p=None) -> TangentVector:
         """Levi-Civita derivative D_V W at p (W a frame name or ambient field)."""

@@ -17,6 +17,7 @@ times the declared orientation sign.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ PROJECT_TOL, PROJECT_MAX_ITER = 1e-13, 40   # Newton projection onto f = 0
 NEWTON_TOL, NEWTON_MAX_ITER = 1e-10, 60     # Gauss-Newton on the singular system
 RANK_TOL_RATIO = 1e-5   # singular values up to this times max(s_max, 1) count as 0
 TRACE_STEP, TRACE_MAX_POINTS = 1e-2, 4000   # singular-curve continuation
+NEAR_CHUNK = 32   # consecutive locus points per bounding box in _near
 # the fields of SurfaceGeometry.frame_values; Z_gNT is Z(g(N,T))
 FRAME_SCALARS = ("f", "nh", "gNT", "tauZZ", "tauZnu", "thetaS", "H", "Z_gNT")
 FRAME_VECTORS = ("N", "nu_h", "Z", "S")
@@ -588,26 +590,32 @@ class SingularLocus:
 def _newton_lstsq(system, q0):
     """Gauss-Newton with minimum-norm least-squares steps capped at 0.5.
 
-    ``system(q)`` gives the residual r and its Jacobian J at q, from one
-    evaluation.  A non-finite iterate fails before LAPACK sees it, as in
+    ``system(q)`` gives the residuals r and the Jacobian rows J at q, from one
+    evaluation.  q0 is a float tuple or an array, and the iterates keep its
+    type.  A non-finite iterate fails before LAPACK sees it, as in
     ``_newton_batch``.  Returns (q, converged, J at q)."""
-    q = np.asarray(q0, dtype=float)
+    q = q0
     for _ in range(NEWTON_MAX_ITER):
         r, j = system(q)
-        if np.linalg.norm(r) < NEWTON_TOL:
+        rn = math.hypot(*r)   # inf or nan where some residual is
+        if rn < NEWTON_TOL:
             return q, True, j
-        if not (np.isfinite(r).all() and np.isfinite(j).all()):
+        jm = np.asarray(j, dtype=float)
+        if not (math.isfinite(rn) and np.isfinite(jm).all()):
             return q, False, j
-        step, *_ = np.linalg.lstsq(j, -r, rcond=None)
+        step, *_ = np.linalg.lstsq(jm, np.negative(r), rcond=None)
         if not np.all(np.isfinite(step)):
             return q, False, j
         limit = 0.5
         nrm = np.linalg.norm(step)
         if nrm > limit:
             step *= limit / nrm
-        q = q + step
+        if isinstance(q, np.ndarray):
+            q = q + step
+        else:
+            q = tuple(c + d for c, d in zip(q, step.tolist()))
     r, j = system(q)
-    return q, np.linalg.norm(r) < NEWTON_TOL * 10, j
+    return q, math.hypot(*r) < NEWTON_TOL * 10, j
 
 
 def _lstsq_batch(j, b):
@@ -653,49 +661,72 @@ def _newton_batch(batch, seeds, dim):
     return q, ok
 
 
-def _numeric_rank(j):
-    sv = np.linalg.svd(j, compute_uv=False)
+def _rank_and_kernel(j):
+    """Numeric rank of the Jacobian rows j and the last right singular vector,
+    the kernel direction where the rank is one short, from one SVD."""
+    _, sv, vt = np.linalg.svd(np.asarray(j, dtype=float))
     scale = max(sv[0], 1e-12)
-    return int(np.sum(sv > RANK_TOL_RATIO * max(scale, 1.0)))
+    return int(np.sum(sv > RANK_TOL_RATIO * max(scale, 1.0))), vt[-1]
 
 
-def _trace_curve(system, q0, j0, region):
+def _kernel_direction(j):
+    """Unit kernel direction of Jacobian rows of rank dim - 1, in floats: for
+    3 rows the longest cross product of two rows, for 2 rows the longer row
+    turned by 90 degrees.  None where every candidate has zero length (the
+    rank is lower) or its length is not a number."""
+    if len(j) == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = j
+        cands = ((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0),
+                 (a1 * c2 - a2 * c1, a2 * c0 - a0 * c2, a0 * c1 - a1 * c0),
+                 (b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0))
+    else:
+        (a0, a1), (b0, b1) = j
+        cands = ((-a1, a0), (-b1, b0))
+    best, n = None, 0.0
+    for u in cands:
+        length = math.hypot(*u)
+        if length > n:
+            best, n = u, length
+    return None if best is None else tuple([c / n for c in best])
+
+
+def _trace_curve(system, q0, tan0, region):
     """Predictor-corrector continuation of a rank-deficient zero curve from
-    q0, where the Jacobian is j0.  The tangent is the kernel direction of the
-    Jacobian of each corrected point.  A curve that closes on itself is
-    traced once round: the backward march only runs when the forward one
-    stopped short of q0."""
+    q0, in plain floats.  The march starts along tan0, the kernel direction
+    of the Jacobian at q0 from its SVD, then backward along -tan0; the
+    tangent of each corrected point is ``_kernel_direction`` of its Jacobian,
+    signed to keep the march's heading, and a point without one ends that
+    march.  A curve that closes on itself is traced once round: the backward
+    march only runs when the forward one stopped short of q0."""
+    bounds = [(lo - 1e-9, hi + 1e-9) for lo, hi in region]
+    q0, t0 = tuple(map(float, q0)), tuple(map(float, tan0))
+    # q0 is row mid; the forward march fills rows mid + 1, mid + 2, ... and
+    # the backward one rows mid - 1, mid - 2, ...; ends are the outermost rows
+    mid = TRACE_MAX_POINTS - 1
+    pts, tans = np.empty((2, 2 * mid + 1, len(q0)))
+    pts[mid], tans[mid] = q0, t0
+    ends = [mid, mid]
 
-    def kernel_dir(j):
-        _, _, vt = np.linalg.svd(j)
-        return vt[-1]
+    def traced():
+        return pts[ends[0]:ends[1] + 1].copy(), tans[ends[0]:ends[1] + 1].copy()
 
-    def in_region(q):
-        return all(lo - 1e-9 <= c <= hi + 1e-9 for c, (lo, hi) in zip(q, region))
-
-    pts = [np.asarray(q0, dtype=float)]
-    tans = [kernel_dir(j0)]
-    for direction in (1.0, -1.0):
-        q = np.asarray(q0, dtype=float)
-        tan = direction * tans[0]
-        while len(pts) < TRACE_MAX_POINTS:
-            q_pred = q + TRACE_STEP * tan
-            q_corr, ok, j = _newton_lstsq(system, q_pred)
-            if not ok or not in_region(q_corr):
+    for side, step in ((1, 1), (0, -1)):
+        q, tan = q0, tuple(step * c for c in t0)
+        while ends[1] - ends[0] + 1 < TRACE_MAX_POINTS:
+            q, ok, j = _newton_lstsq(system, tuple(c + TRACE_STEP * d for c, d in zip(q, tan)))
+            if not ok or not all(lo <= c <= hi for c, (lo, hi) in zip(q, bounds)):
                 break
-            new_tan = kernel_dir(j)
-            if np.dot(new_tan, tan) < 0:
-                new_tan = -new_tan
-            q, tan = q_corr, new_tan
-            if direction > 0:
-                pts.append(q)
-                tans.append(tan)
-            else:
-                pts.insert(0, q)
-                tans.insert(0, tan)
-            if np.linalg.norm(q - q0) < 0.5 * TRACE_STEP and len(pts) > 10:
-                return np.array(pts), np.array(tans)  # closed loop
-    return np.array(pts), np.array(tans)
+            new_tan = _kernel_direction(j)
+            if new_tan is None:
+                break
+            if sum(c * d for c, d in zip(new_tan, tan)) < 0:
+                new_tan = tuple(-c for c in new_tan)
+            tan = new_tan
+            ends[side] += step
+            pts[ends[side]], tans[ends[side]] = q, tan
+            if math.dist(q, q0) < 0.5 * TRACE_STEP and ends[1] - ends[0] > 9:
+                return traced()   # closed loop
+    return traced()
 
 
 def singular_set_detect(structure: StructureSpec, surf, region=None,
@@ -719,20 +750,22 @@ def singular_set_detect(structure: StructureSpec, surf, region=None,
 def _detect(exprs, region, grid, dim):
     """Loci of the zeros of dim residuals in the first dim coordinates (t = 0
     when dim is 2); ``exprs`` holds the residuals, then the row-major Jacobian.
-    A ``"math"`` kernel on floats serves the scalar Newton (nan values where it
-    raises or turns complex), an ``"arrays"`` kernel the grid screen (seeds:
-    residual norm below 4 cells) and the batched Newton."""
+    A ``"math"`` kernel on floats serves the scalar Newton: float tuples of
+    the residuals and the Jacobian rows, nan where it raises or turns complex.
+    An ``"arrays"`` kernel serves the grid screen (seeds: residual norm below
+    4 cells) and the batched Newton."""
     region = tuple(region)[:dim]
     point_fn = ex.compiled_cse(exprs, "math")
     batch_fn = ex.compiled_cse(exprs, "arrays")
     pad = (0.0,) * (3 - dim)
+    failed = (math.nan,) * (dim + dim * dim)
 
     def system(q):
         try:   # TypeError: float() of a complex value
-            vals = np.array(point_fn(*q.tolist(), *pad), dtype=float)
+            vals = tuple(map(float, point_fn(*q, *pad)))
         except (ArithmeticError, ValueError, TypeError):
-            vals = np.full(dim + dim * dim, np.nan)
-        return vals[:dim], vals[dim:].reshape(dim, dim)
+            vals = failed
+        return vals[:dim], [vals[k:k + dim] for k in range(dim, len(vals), dim)]
 
     def batch(q):
         return batch_fn(np.column_stack([q, np.zeros((len(q), 3 - dim))]))
@@ -747,14 +780,29 @@ def _detect(exprs, region, grid, dim):
 
 def _near(points, qs, radius):
     """Whether each row of qs lies within radius of some row of points: the
-    squared distances, summed coordinate by coordinate, against radius^2, a
-    block of rows at a time so that the distance table stays small."""
+    squared distances, summed coordinate by coordinate, against radius^2.
+    The points are cut into chunks of NEAR_CHUNK consecutive rows, and a
+    distance is only measured between a q and the chunks whose bounding box,
+    padded by the radius, holds it; no table passes 4096 entries."""
+    n, dim = points.shape
+    m = -(-n // NEAR_CHUNK)
+    # the last chunk is filled up with copies of the last point
+    chunks = points[np.minimum(np.arange(m * NEAR_CHUNK), n - 1)].reshape(m, NEAR_CHUNK, dim)
+    pad = 2.0 * radius   # wider than the radius by far more than any rounding
+    lo, hi = chunks.min(axis=1) - pad, chunks.max(axis=1) + pad
     out = np.zeros(len(qs), dtype=bool)
-    rows = max(1, 4096 // len(points))
-    for lo in range(0, len(qs), rows):
-        d2 = sum((points[None, :, k] - qs[lo:lo + rows, None, k]) ** 2
-                 for k in range(points.shape[1]))
-        out[lo:lo + rows] = d2.min(axis=1) < radius * radius
+    rows, pairs = max(1, 4096 // m), 4096 // NEAR_CHUNK
+    for q_lo in range(0, len(qs), rows):
+        block = qs[q_lo:q_lo + rows]
+        inside = np.ones((len(block), m), dtype=bool)
+        for k in range(dim):
+            inside &= (lo[:, k] <= block[:, k, None]) & (block[:, k, None] <= hi[:, k])
+        qi, ci = np.nonzero(inside)
+        qi += q_lo
+        for s in range(0, len(qi), pairs):
+            q, c = qi[s:s + pairs], ci[s:s + pairs]
+            d2 = sum((chunks[c, :, k] - qs[q, k, None]) ** 2 for k in range(dim))
+            out[q[d2.min(axis=1) < radius * radius]] = True
     return out
 
 
@@ -767,22 +815,22 @@ def _classify_seeds(system, batch, seeds, region, dim):
     ``_newton_lstsq``, so a locus is always founded, ranked and traced from
     the scalar solution."""
     loci = []
-    seeds = sorted(seeds, key=tuple)
+    seeds = sorted(seeds.tolist())
     solved, converged = _newton_batch(batch, seeds, dim)
     covered = np.zeros(len(seeds), dtype=bool)
     for k, seed in enumerate(seeds):
         if covered[k]:
             continue
-        q, ok, j = _newton_lstsq(system, seed)
-        if not ok or any(_near(l.points, q[None], 5 * TRACE_STEP)[0] for l in loci):
+        q, ok, j = _newton_lstsq(system, tuple(seed))
+        if not ok or any(_near(l.points, np.array([q]), 5 * TRACE_STEP)[0] for l in loci):
             continue
         if not all(lo - 1e-7 <= c <= hi + 1e-7 for c, (lo, hi) in zip(q, region)):
             continue
-        rank = _numeric_rank(j)
+        rank, kernel = _rank_and_kernel(j)
         if rank >= dim:
             loci.append(SingularLocus("isolated-point", np.array([q])))
         elif rank == dim - 1:
-            loci.append(SingularLocus("curve", *_trace_curve(system, q, j, region)))
+            loci.append(SingularLocus("curve", *_trace_curve(system, q, kernel, region)))
         else:
             loci.append(SingularLocus("unclassified", np.array([q])))
         later = k + 1 + np.flatnonzero(converged[k + 1:] & ~covered[k + 1:])

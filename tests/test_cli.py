@@ -53,6 +53,18 @@ def test_structure_info_missing_field(tmp_path, capsys):
     assert "frame" in err
 
 
+def test_structure_info_on_a_chart_not_centred_on_zero(tmp_path, capsys):
+    # the residual points lie in the chart's middle half, here x in [0.875, 1.625]
+    spec = tmp_path / "heisenberg_off_centre.json"
+    spec.write_text(json.dumps({"kind": "coordinate-frame",
+                                "chart_domain": [[0.5, 2], [-1, 1], [-1, 1]],
+                                "frame": {"X": ["1", "0", "y"], "Y": ["0", "1", "-x"],
+                                          "T": ["0", "0", "1"]}}))
+    code, out, err = run_cli(["structure", "info", str(spec), "--json"], capsys)
+    assert code == 0, err
+    assert max(json.loads(out)["residuals"].values()) < 1e-12
+
+
 _STRUCTURE_VERBS = (["structure", "info", "{}"],
                     ["surface", "analyze", "--structure", "{}", "--surface", "sigma_c",
                      "--grid", "3"])
@@ -494,6 +506,22 @@ def test_the_verbs_that_draw_import_no_numpy_random(tmp_path):
             "             ['structure', 'info', 'rt', '--json']):\n"
             "    assert main(argv + ['--out', out]) in (0, 1), argv\n"
             "print('numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_singular_set_verbs_import_no_numpy_ma(tmp_path):
+    # numpy.ma costs about 1.5 MB and 15 ms per process; np.unique imports it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "from subriemann.cli import main\n"
+            f"out = {str(tmp_path / 'out.json')!r}\n"
+            "for argv in (['surface', 'analyze', '--structure', 'rt', '--surface', 'sigma_c'],\n"
+            "             ['rt-report', '--seed', '1', '--json']):\n"
+            "    assert main(argv + ['--out', out]) in (0, 1), argv\n"
+            "print('numpy.ma' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
     assert proc.returncode == 0, proc.stderr

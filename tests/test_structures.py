@@ -187,6 +187,34 @@ def test_connection_keeps_pointwise_bits(name):
                     assert got.tobytes() == want.tobytes(), (name, v, w, p)
 
 
+def test_new_directions_compile_no_new_connection_kernels(rt):
+    rng = np.random.default_rng(12)
+    p = (0.3, -0.4, 1.1)
+    rt.connection_ph(TangentVector(p, (1.0, 2.0, 3.0)), "T", p)
+    before = len(ex._FAST_CACHE)
+    for _ in range(100):
+        rt.connection_ph(TangentVector(p, rng.normal(size=3)), "T", p)
+    assert len(ex._FAST_CACHE) - before <= 3
+
+
+@pytest.mark.parametrize("name", ["rt", "su2", "sasakian"])
+def test_direction_contraction_equals_the_symbolic_route(name):
+    # the route it replaced: V's components as constants in the field formula
+    st = cat.structure_by_name(name)
+    rng = np.random.default_rng(13)
+    field = [ex.X, ex.ZERO, ex.add(1.0, ex.mul(ex.Y, ex.T))]
+    for table, method in ((st._lc, st.connection_lc), (st._ph, st.connection_ph)):
+        for _ in range(5):
+            p = tuple(rng.uniform(-1.0, 1.0, 3))
+            v = TangentVector(p, rng.normal(size=3))
+            for w in (*NAMES, field):
+                comps = st._cov_field_exprs(table, [ex.Const(c) for c in v.components],
+                                            st._field_components(w))
+                want = ex.compiled_cse(comps, "arrays")(np.array([p]))[0]
+                got = np.array(method(v, w, p).components)
+                assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
 def test_unimodular_connection_closed_forms():
     st = unimodular_structure(1.0, -2.0)
     p = (0.0, 0.0, 0.0)

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import sys
 import warnings
@@ -565,17 +566,36 @@ def _oracle_newton(fun, jac, q0, tol=1e-10, max_iter=60):
     return q, np.linalg.norm(fun(q)) < tol * 10
 
 
-def _oracle_trace(fun, jac, q0, region, step=1e-2, newton_tol=1e-10, max_steps=4000):
-    def kernel_dir(q):
-        j = np.asarray(jac(q), dtype=float)
-        _, _, vt = np.linalg.svd(j)
-        return vt[-1]
+def _svd_tangent(j):
+    _, _, vt = np.linalg.svd(np.asarray(j, dtype=float))
+    return vt[-1]
 
+
+def _cross_tangent(j):
+    """The tracer's tangent rule written out: the unit kernel direction of
+    Jacobian rows of rank dim - 1, from the longest cross product of two rows
+    (3 x 3) or the longer row turned by 90 degrees (2 x 2)."""
+    j = [[float(v) for v in row] for row in j]
+    if len(j) == 3:
+        cands = [(a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                  a[0] * b[1] - a[1] * b[0])
+                 for a, b in ((j[0], j[1]), (j[0], j[2]), (j[1], j[2]))]
+    else:
+        cands = [(-r[1], r[0]) for r in j]
+    lengths = [math.hypot(*u) for u in cands]
+    k = lengths.index(max(lengths))
+    return np.array(cands[k]) / lengths[k]
+
+
+def _oracle_trace(fun, jac, q0, region, step=1e-2, newton_tol=1e-10, max_steps=4000,
+                  tangent=_cross_tangent):
+    """The continuation, one point at a time on arrays: the first tangent is
+    the SVD's kernel direction at q0, every later one ``tangent(J)``."""
     def in_region(q):
         return all(lo - 1e-9 <= c <= hi + 1e-9 for c, (lo, hi) in zip(q, region))
 
     pts = [np.asarray(q0, dtype=float)]
-    tans = [kernel_dir(q0)]
+    tans = [_svd_tangent(jac(q0))]
     for direction in (1.0, -1.0):
         q = np.asarray(q0, dtype=float)
         tan = direction * tans[0]
@@ -584,7 +604,7 @@ def _oracle_trace(fun, jac, q0, region, step=1e-2, newton_tol=1e-10, max_steps=4
             q_corr, ok = _oracle_newton(fun, jac, q_pred, newton_tol)
             if not ok or not in_region(q_corr):
                 break
-            new_tan = kernel_dir(q_corr)
+            new_tan = tangent(jac(q_corr))
             if np.dot(new_tan, tan) < 0:
                 new_tan = -new_tan
             q, tan = q_corr, new_tan
@@ -599,7 +619,7 @@ def _oracle_trace(fun, jac, q0, region, step=1e-2, newton_tol=1e-10, max_steps=4
     return np.array(pts), np.array(tans)
 
 
-def _oracle_classify(fun, jac, seeds, region, step, ambient_dim):
+def _oracle_classify(fun, jac, seeds, region, step, ambient_dim, tangent=_cross_tangent):
     """The sequential detection: one scalar Newton solve per sorted seed."""
     loci = []
 
@@ -617,7 +637,8 @@ def _oracle_classify(fun, jac, seeds, region, step, ambient_dim):
         if rank >= ambient_dim:
             loci.append(("isolated-point", np.array([q]), None))
         elif rank == ambient_dim - 1:
-            loci.append(("curve", *_oracle_trace(fun, jac, q, region, step)))
+            loci.append(("curve", *_oracle_trace(fun, jac, q, region, step,
+                                                 tangent=tangent)))
         else:
             loci.append(("unclassified", np.array([q]), None))
     return loci
@@ -631,7 +652,7 @@ def _singular_system(geom, q):
     return vals[:3], vals[3:].reshape(3, 3)
 
 
-def _oracle_detect(structure, surf, region, grid, step=1e-2):
+def _oracle_detect(structure, surf, region, grid, step=1e-2, tangent=_cross_tangent):
     if isinstance(surf, GraphSurface):
         pe = surf.p_exprs()
         jac_exprs = [[pe[i].diff(j) for j in range(2)] for i in range(2)]
@@ -650,7 +671,7 @@ def _oracle_detect(structure, surf, region, grid, step=1e-2):
         cell = max(hi - lo for lo, hi in region) / grid
         seeds = [np.array([gx[i, j], gy[i, j]])
                  for i, j in zip(*np.where(np.hypot(p1, p2) < 4 * cell))]
-        return _oracle_classify(fun, jac, seeds, region, step, 2)
+        return _oracle_classify(fun, jac, seeds, region, step, 2, tangent)
     geom = surf.geometry(structure)
 
     def fun(q):
@@ -666,7 +687,7 @@ def _oracle_detect(structure, surf, region, grid, step=1e-2):
     cell = max(hi - lo for lo, hi in region) / grid
     idx = np.where(np.sqrt(sum(v * v for v in vals)) < 4 * cell)
     seeds = [np.array([gx[i], gy[i], gt[i]]) for i in zip(*idx)]
-    return _oracle_classify(fun, jac, seeds, region, step, 3)
+    return _oracle_classify(fun, jac, seeds, region, step, 3, tangent)
 
 
 def _assert_same_loci(loci, oracle):
@@ -801,13 +822,89 @@ def test_closed_singular_curve_is_traced_once_round():
                 np.array([[2 * x, 2 * y, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
 
     q0 = np.array([1.0, 0.0, 0.0])
-    pts, tans = _trace_curve(system, q0, system(q0)[1], ((-2, 2), (-2, 2), (-1, 1)))
+    pts, tans = _trace_curve(system, q0, _svd_tangent(system(q0)[1]),
+                             ((-2, 2), (-2, 2), (-1, 1)))
     assert len(pts) == len(tans) <= 2 * np.pi / TRACE_STEP + 2
     # one lap: the angle moves one way and never comes back to an earlier value
     angle = np.unwrap(np.arctan2(pts[:, 1], pts[:, 0]))
     steps = np.diff(angle)
     assert np.all(steps > 0) or np.all(steps < 0)
     assert 2 * np.pi - 2 * TRACE_STEP < abs(angle[-1] - angle[0]) < 2 * np.pi
+
+
+def _unit_circle_system(q):
+    # the closed curve x^2 + y^2 = 1, t = 0: residuals and Jacobian rows
+    x, y, t = q
+    return (x * x + y * y - 1.0, t, 0.0), [(2 * x, 2 * y, 0.0), (0.0, 0.0, 1.0),
+                                           (0.0, 0.0, 0.0)]
+
+
+def _assert_close_loci(loci, oracle, tol=1e-12):
+    assert [l.kind for l in loci] == [o[0] for o in oracle]
+    for locus, (_, pts, tans) in zip(loci, oracle):
+        assert locus.points.shape == pts.shape
+        assert np.max(np.abs(locus.points - pts)) <= tol
+        if tans is not None:
+            assert np.max(np.abs(locus.tangents - tans)) <= tol
+
+
+@pytest.mark.parametrize("name, region", [
+    *((n, None) for n in _RT_REPORT_SURFACES),
+    # a shifted box of the surface_frames benchmark
+    ("helicoid", ((-2.8, 3.2), (-3.1, 2.9), (-2.75, 3.25))),
+])
+def test_cross_product_tangents_follow_the_svd_trace(name, region, rt, request):
+    surf = request.getfixturevalue(name)
+    region = region or RT_REPORT_REGIONS[surf.name]
+    loci = singular_set_detect(rt, surf, region=region, grid=13)
+    assert "curve" in [l.kind for l in loci]
+    _assert_close_loci(loci, _oracle_detect(rt, surf, region, 13, tangent=_svd_tangent))
+
+
+def test_cross_product_tangents_follow_the_svd_trace_round_a_circle():
+    from subriemann.surfaces import _trace_curve
+    region = ((-2, 2), (-2, 2), (-1, 1))
+    q0 = np.array([1.0, 0.0, 0.0])
+    got = _trace_curve(_unit_circle_system, q0, _svd_tangent(_unit_circle_system(q0)[1]),
+                       region)
+    want = _oracle_trace(lambda q: np.array(_unit_circle_system(q)[0]),
+                         lambda q: np.array(_unit_circle_system(q)[1]), q0, region,
+                         tangent=_svd_tangent)
+    _assert_close_loci([SingularLocus("curve", *got)], [("curve", *want)])
+
+
+def test_kernel_direction_is_the_svd_kernel_up_to_sign():
+    from subriemann.surfaces import _kernel_direction
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        a, b = rng.normal(size=(2, 3))
+        j3 = np.array([a, b, rng.normal() * a + rng.normal() * b])       # rank 2
+        j2 = np.outer(rng.normal(size=2), rng.normal(size=2))              # rank 1
+        for j in (j3, j2):
+            got = np.array(_kernel_direction(j.tolist()))
+            want = _svd_tangent(j)
+            assert min(np.max(np.abs(got - want)), np.max(np.abs(got + want))) <= 1e-12
+    assert _kernel_direction([(0.0, 0.0), (0.0, 0.0)]) is None
+
+
+def test_detection_makes_one_svd_per_locus_outside_the_batched_newton(rt, helicoid,
+                                                                      monkeypatch):
+    svd = np.linalg.svd
+    outside = []
+
+    def counted(*args, **kwargs):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        if "_newton_batch" not in names:
+            outside.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    loci = singular_set_detect(rt, helicoid, region=RT_REPORT_REGIONS["sigma_c"], grid=13)
+    assert [l.kind for l in loci] == ["curve"] and len(loci[0].points) > 300
+    assert len(outside) <= len(loci)
 
 
 def test_singular_exprs_are_built_once(rt, helicoid):
