@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -135,12 +136,17 @@ def cmd_curve_integrate(args) -> int:
         geodesic=args.geodesic, oracle=args.oracle)
     extra = () if closed is None else [
         (name, closed[:, j]) for j, name in enumerate(("x_oracle", "y_oracle", "t_oracle"))]
-    csv = trace.to_csv(extra=extra)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(csv)
+            trace.to_csv(extra, fh)
     else:
-        sys.stdout.write(csv)
+        try:
+            trace.to_csv(extra, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone: drop the rest, and the unwritten buffer with
+            # it, where the flush at exit would raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     config = {"structure": args.structure, "init": args.init, "phi": args.phi,
               "lambda": args.lam, "range": args.range, "step": args.step,
               "geodesic": args.geodesic, "truncated": trace.truncated}

@@ -53,8 +53,9 @@ class CharState:
         object.__setattr__(self, "lam", float(self.lam))
 
 
-# rows per block of CurveTrace.to_csv: a 10^4-row table formatted whole
-# raises the peak memory of `curve integrate` by about 10 %
+# rows per block of CurveTrace.to_csv, which writes a file block by block:
+# the 10^4-row table of `curve integrate` formatted from one list raised the
+# command's peak memory by about 10 %
 _CSV_BLOCK = 512
 
 # the most RK4 steps one integration may take: 100 times the longest run of
@@ -73,9 +74,11 @@ class CurveTrace:
     def __len__(self):
         return len(self.s)
 
-    def to_csv(self, extra=()) -> str:
+    def to_csv(self, extra=(), fh=None):
         """CSV of s, x, y, t, phi, lambda and the (name, values) columns of
-        ``extra``, each value as ``%.17g`` with a negative zero written as 0."""
+        ``extra``, each value as ``%.17g`` with a negative zero written as 0.
+        Given a text file ``fh``, writes it there block by block and returns
+        None; otherwise returns it as one string."""
         cols = ["s", "x", "y", "t", "phi", "lambda"]
         data = [self.s, self.points[:, 0], self.points[:, 1], self.points[:, 2],
                 self.phi, self.lam]
@@ -83,12 +86,12 @@ class CurveTrace:
             cols.append(name)
             data.append(values)
         row = ",".join(["%.17g"] * len(cols)) + "\n"
-        buf = io.StringIO()
-        buf.write(",".join(cols) + "\n")
+        out = io.StringIO() if fh is None else fh
+        out.write(",".join(cols) + "\n")
         for i in range(0, len(self.s), _CSV_BLOCK):
             block = np.column_stack([d[i:i + _CSV_BLOCK] for d in data]) + 0.0
-            buf.writelines(row % tuple(r) for r in block.tolist())
-        return buf.getvalue()
+            out.writelines(row % tuple(r) for r in block.tolist())
+        return out.getvalue() if fh is None else None
 
 
 @dataclass
@@ -291,19 +294,24 @@ def rk4_step(f, y, h):
 
 
 def _rk4_run(f, y, s, h, n, box):
-    """(s values, states, cut) of n RK4 steps from y at s, stopped before the
-    first step that raises or leaves ``box`` (a nan point; a complex one raises)."""
+    """(s values, states row after row, cut) of n RK4 steps from y at s, as
+    flat float arrays, stopped before the first step that raises, leaves
+    ``box`` (a nan point; a complex one raises) or holds a complex entry."""
+    # imported on first use: loading this extension module raised the peak
+    # memory of runs without a curve (rt-report, surface analyze) by 0.25 MB
+    from array import array
     (xlo, xhi), (ylo, yhi), (tlo, thi) = box
-    ss, ys = [s], [y]
+    ss, ys = array("d", (s,)), array("d", y)
     try:
         for _ in range(n):
             y = rk4_step(f, y, h)
             if not (xlo <= y[0] <= xhi and ylo <= y[1] <= yhi and tlo <= y[2] <= thi):
                 return ss, ys, True
+            ys.extend(y)      # a complex entry raises TypeError
             s += h
             ss.append(s)
-            ys.append(y)
     except (ArithmeticError, ValueError, TypeError):
+        del ys[len(ss) * len(y):]     # the entries of a partly stored row
         return ss, ys, True
     return ss, ys, False
 
@@ -321,16 +329,17 @@ def integrate_ode(structure: StructureSpec, f, y0, s_span, step):
     The run is truncated before a step with no float value: one that raises
     (a kernel divides by zero, overflows or takes the square root of a
     negative number; ``math.cos`` meets an infinite angle) or turns the point
-    complex (a negative base under a fractional power).  From the first state
-    complex or non-finite elsewhere (angle, curvature, a Jacobi entry) the
-    states are cut.
+    complex (a negative base under a fractional power).  The run also ends
+    before a state complex elsewhere (angle, curvature, a Jacobi entry), and
+    from the first non-finite state the states are cut.
 
     A state whose length has no RK4 step (4, 5 or 7), or a flow whose value
     at ``y0`` has another length than ``y0``, raises ValueError; a flow that
     raises there ends the run at ``y0``.
 
-    Returns (s_values, states, truncated) with the states as an array;
-    deterministic for fixed seeds and steps.
+    Returns (s_values, states, truncated), the states as an (n, len(y0))
+    array; both arrays view the flat float arrays the run filled, about 8
+    bytes per entry.  Deterministic for fixed seeds and steps.
     """
     structure.check_point(y0[:3])
     s0, s1 = float(s_span[0]), float(s_span[1])
@@ -353,15 +362,12 @@ def integrate_ode(structure: StructureSpec, f, y0, s_span, step):
             raise ValueError(f"the flow gives {len(dy)} values for a state of {len(y)}")
     box = [(lo - 1e-9, hi + 1e-9) for lo, hi in structure.chart_domain]
     ss, ys, cut = _rk4_run(f, y, s0, h, n, box)
-    states = np.array(ys)
-    if states.dtype.kind == "c":
-        k = next(i for i, y in enumerate(ys) if any(type(v) is complex for v in y))
-        ss, states, cut = ss[:k], np.array(ys[:k]), True
+    ss, states = np.frombuffer(ss), np.frombuffer(ys).reshape(-1, len(y))
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         k = int(finite.argmin())
         ss, states, cut = ss[:k], states[:k], True
-    return np.array(ss), states, cut
+    return ss, states, cut
 
 
 def integrate_characteristic(structure: StructureSpec, init: CharState,

@@ -736,8 +736,9 @@ def singular_set_detect(structure: StructureSpec, surf, region=None,
     Graphs: zeros of p = grad(u) + F in the (x, y) domain, classified by the
     rank of Dp (2 -> isolated point, 1 -> curve).  Implicit surfaces: zeros
     of (f, Xf, Yf) in the chart region, classified by the rank of the 3x3
-    Jacobian (3 -> isolated, 2 -> curve, else unclassified).  The seeds are
-    the grid points where the system is small.
+    Jacobian (3 -> isolated, 2 -> curve, else unclassified).  A curve traced
+    within half a step of its founding point is that isolated point.  The
+    seeds are the grid points where the system is small.
     """
     if isinstance(surf, GraphSurface):
         pe = surf.p_exprs()
@@ -830,7 +831,12 @@ def _classify_seeds(system, batch, seeds, region, dim):
         if rank >= dim:
             loci.append(SingularLocus("isolated-point", np.array([q])))
         elif rank == dim - 1:
-            loci.append(SingularLocus("curve", *_trace_curve(system, q, kernel, region)))
+            pts, tans = _trace_curve(system, q, kernel, region)
+            if len(pts) > 1 and all(math.dist(p, q) < 0.5 * TRACE_STEP for p in pts):
+                # the march closed at once, a step from a degenerate isolated zero
+                loci.append(SingularLocus("isolated-point", np.array([q])))
+            else:
+                loci.append(SingularLocus("curve", pts, tans))
         else:
             loci.append(SingularLocus("unclassified", np.array([q])))
         later = k + 1 + np.flatnonzero(converged[k + 1:] & ~covered[k + 1:])

@@ -358,15 +358,15 @@ def test_criterion_8d_plane_negative_direction(rt):
     a direct second-variation computation) and the singular-curve coefficient
     c1 + 2 g(tau(Z), nu_h) = 0, so the modeled quadratic is a sum of squares;
     the prescribed widening cosine ansatz never goes negative.  This
-    criterion is therefore expected to FAIL; see ROADMAP.md items 1-2.
+    criterion is therefore expected to FAIL; see ROADMAP.md items 1–3.
     """
     search = plane_q_search(rt, widths=(2.5, 5.0, 10.0, 20.0))
     found = search["negative_direction_found"]
     report("criterion 8d (plane negative direction)", found,
            f"min Q over widths = {search['min_Q']:.6e} "
-           "(engine finds no negative direction; see ROADMAP.md items 1-2)")
+           "(engine finds no negative direction; see ROADMAP.md items 1–3)")
     assert found, ("no negative Q direction exists in the modeled class; "
-                   "blocking analysis recorded in ROADMAP.md items 1-2")
+                   "blocking analysis recorded in ROADMAP.md items 1–3")
 
 
 def test_criterion_8e_x_plus_sin_not_stationary(rt, x_plus_sin):

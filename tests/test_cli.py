@@ -433,6 +433,53 @@ def test_curve_oracle_columns_follow_the_trace_columns(tmp_path, capsys):
     assert out_file.read_text() == "\n".join(expected) + "\n"
 
 
+def test_curve_integrate_writes_its_csv_in_blocks(capsys, monkeypatch):
+    # the --out file gets the table in pieces of at most a row, never the
+    # whole text in one write, and the same text as stdout gets
+    import io
+    import subriemann.cli as cli
+    argv = _CURVE + ["--init", "0,0,0.5", "--phi", "0.3", "--range", "0,2", "--oracle"]
+    code, text, _ = run_cli(argv, capsys)
+    assert code == 0 and text.count("\n") == 2002
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, piece):
+            writes.append(len(piece))
+            return super().write(piece)
+
+        def close(self):
+            self.text = self.getvalue()
+            super().close()
+
+    fh = Recorder()
+    monkeypatch.setattr(cli, "open", lambda path, mode: fh, raising=False)
+    code, _, _ = run_cli(argv + ["--out", "trace.csv"], capsys)
+    assert code == 0 and fh.text == text
+    assert max(writes) < 1000
+
+
+def test_curve_integrate_stops_quietly_when_the_reader_goes():
+    # the child writes about 1.7 MB, far more than a pipe holds, after the
+    # reader has closed its end; the rest of the table is dropped
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen([sys.executable, "-m", "subriemann.cli", *_CURVE,
+                             "--init", "0,0,0", "--phi", "0.3", "--range", "0,20"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=str(src)))
+    try:
+        assert proc.stdout.readline() == b"s,x,y,t,phi,lambda\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+    assert err.startswith("# config: ") and err.count("\n") == 1, err
+
+
 def test_surface_sample_points_stop_at_the_cap():
     from subriemann import catalog as cat
     from subriemann.reproduce import MAX_SURFACE_SAMPLES, _surface_sample_points

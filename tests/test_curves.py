@@ -10,7 +10,7 @@ from subriemann.curves import (CharState, integrate_characteristic,
                                jacobi_vertical_ode, jacobi_from_curve_family,
                                first_integral, integrate_ode, _char_flow,
                                _geodesic_flow, _jacobi_flow, _char_kernel,
-                               _jacobi_kernel, rk4_step)
+                               _jacobi_kernel, rk4_step, _CSV_BLOCK)
 from subriemann.structures import structure_from_json, unimodular_structure
 
 
@@ -750,7 +750,8 @@ def test_a_state_that_turns_complex_off_the_point_is_cut(heis):
         return (-1.0, 0.0, 0.0, y[0] ** 0.5)
 
     s, states, cut = integrate_ode(heis, flow, (0.0025, 0.0, 0.0, 0.0), (0.0, 0.01), 1e-3)
-    assert cut and len(s) == 3 and states.dtype == float
+    # the run stores no part of the complex state's row
+    assert cut and len(s) == 3 and states.dtype == float and states.shape == (3, 4)
     short_s, short, short_cut = integrate_ode(heis, flow, (0.0025, 0.0, 0.0, 0.0),
                                               (0.0, s[-1]), 1e-3)
     assert not short_cut
@@ -841,6 +842,38 @@ def test_csv_rows_equal_the_cell_by_cell_format():
         ",".join("%.17g" % (v + 0.0) for v in row) + "\n" for row in zip(*cols))
     assert trace.to_csv(extra=extra) == expect
     assert "-0," not in expect and ",nan," in expect and ",-inf," in expect
+
+
+@pytest.mark.parametrize("n", [1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1,
+                               2 * _CSV_BLOCK + 1])
+def test_csv_written_to_a_file_equals_the_returned_text(n):
+    import io
+    from subriemann.curves import CurveTrace
+    rng = np.random.default_rng(n)
+    cols = rng.normal(size=(8, n)) * 10.0 ** rng.integers(-300, 300, size=(8, n))
+    cols[:, ::7] = -0.0
+    cols[:, n // 2] = np.nan
+    trace = CurveTrace(s=cols[0], points=cols[1:4].T, phi=cols[4], lam=cols[5])
+    extra = [("x_oracle", cols[6]), ("y_oracle", cols[7])]
+    fh = io.StringIO()
+    assert trace.to_csv(extra, fh) is None
+    text = trace.to_csv(extra)
+    assert fh.getvalue() == text and text.count("\n") == n + 1
+    assert ",nan," in text and "-0," not in text
+
+
+def test_a_run_keeps_under_100_bytes_per_state(rt):
+    import tracemalloc
+    init, span = CharState((0.0, 0.0, -15.0), 1.5408), (0.0, 20.0)
+    integrate_characteristic(rt, init, (0.0, 0.01), 1e-3)     # compiles the kernel
+    tracemalloc.start()
+    try:
+        trace = integrate_characteristic(rt, init, span, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 20_001 and not trace.truncated
+    assert peak < 100 * len(trace), f"{peak / len(trace):.1f} bytes per state"
 
 
 def test_a_span_past_the_chart_edge_steps_once_past_the_edge(tmp_path, monkeypatch):

@@ -507,6 +507,18 @@ def test_singular_set_heisenberg_flat_graph():
     assert np.allclose(loci[0].points[0], (0.0, 0.0), atol=1e-8)
 
 
+def test_a_degenerate_isolated_zero_is_an_isolated_point():
+    # at the origin, the only zero, Dp = [[0, 0], [2, 0]] has rank 1: the
+    # march from the founding point closes within half a step of it
+    gs = GraphSurface(ex.parse("x*y + 0.2*(x^2+y^2)^2"), domain=((-1, 1), (-1, 1)))
+    loci = singular_set_detect(None, gs, grid=15)
+    assert [(l.kind, len(l.points)) for l in loci] == [("isolated-point", 1)]
+    assert np.abs(loci[0].points[0]).max() < 1e-3
+    line = singular_set_detect(None, GraphSurface(ex.parse("x*y"),
+                                                  domain=((-1, 1), (-1, 1))), grid=15)
+    assert [(l.kind, len(l.points)) for l in line] == [("curve", 201)]
+
+
 def test_singular_set_helicoid(rt, helicoid):
     loci = singular_set_detect(rt, helicoid, region=((-2, 2), (-2, 2), (-2, 2)),
                                grid=13)
