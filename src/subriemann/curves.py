@@ -30,7 +30,7 @@ foliations exactly.
 from __future__ import annotations
 
 import io
-import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,118 +105,114 @@ class JacobiTrace:
     gVJZ: np.ndarray | None = None
 
 
-def _char_kernel(structure: StructureSpec):
-    """The characteristic coefficient kernel: the coordinate rows of X and Y,
-    then the pseudo-hermitian Christoffels g(nabla_{E_a} E_b, E_k) for
-    a, b, k < 2, as one ``math`` kernel.  ``compiled_cse`` keeps it, so every
-    curve on equal frames shares it."""
+def _flow_exprs(structure: StructureSpec, kind):
+    """A flow's coefficients: the coordinate rows of X and Y, then
+    g(nabla_{E_a} E_b, E_k) for a, b, k < 2; for a geodesic or Jacobi flow
+    then tau_00, tau_01, tau_11, their d/dx, d/dy, d/dt, the Webster
+    curvature W and g(R(E_a, T) E_c, E_d) for a, c, d < 2."""
     if structure.kind == "lie-group":
         raise StructureError(
             "curve integration needs a coordinate-frame structure; lie-group "
             "specs carry frame-level geometry only")
     ph = structure._ph
-    return ex.compiled_cse([*structure.frame[0], *structure.frame[1],
-                            *(ph[a][b][k] for a in range(2) for b in range(2)
-                              for k in range(2))], "math")
+    exprs = [*structure.frame[0], *structure.frame[1],
+             *(ph[a][b][k] for a in range(2) for b in range(2) for k in range(2))]
+    if kind != "char":
+        tau = structure.tau_matrix_exprs()
+        m = (tau[0][0], tau[0][1], tau[1][1])
+        exprs += [*m, *(e.diff(k) for e in m for k in range(3)), structure.webster_expr(),
+                  *(structure.curvature_expr(a, 2, c, d)
+                    for a in range(2) for c in range(2) for d in range(2))]
+    return exprs
 
 
-def _jacobi_kernel(structure: StructureSpec):
-    """The Jacobi coefficient kernel: tau_00, tau_01, tau_11, their d/dx,
-    d/dy, d/dt, the Webster curvature W, then g(R(E_a, T) E_c, E_d) for
-    a, c, d < 2."""
-    tau = structure.tau_matrix_exprs()
-    m = (tau[0][0], tau[0][1], tau[1][1])
-    rzt = [structure.curvature_expr(a, 2, c, d)
-           for a in range(2) for c in range(2) for d in range(2)]
-    return ex.compiled_cse([*m, *(e.diff(k) for e in m for k in range(3)),
-                            structure.webster_expr(), *rzt], "math")
+def _times(*factors):
+    """A product, left to right, of the factors other than 1.0: x * 1.0 is x."""
+    return " * ".join(f for f in factors if f != "1.0") or "1.0"
 
 
-# Each right-hand side below is one closure, built once per run with the
-# curvature bound: it makes one call per kernel it needs and does the rest as
-# float arithmetic, so the RK4 loop never walks expression trees.
+_W, _JW = ("c", "s2"), ("jc", "js")      # Z = (c, s2) and J(Z) = (jc, js)
+
+
+def _flow_source(kind, lines, k):
+    """Source of ``_f(c1, sgn, lam=None)``, which returns the right-hand side of
+    a flow (``"char"``, ``"geodesic"`` or ``"jacobi"``): the CSE ``lines``
+    of its coefficients, whose values are named or written out in ``k``,
+    then the flow arithmetic on them as plain floats.
+
+    Two exact folds drop work.  A factor 1.0 is left out of a product.  A
+    term is left out of the sums that start from 0.0 (Gamma, the spatial
+    part of d/ds g(tau(Z), J(Z)) and g(R(Z, T) Z, J(Z))) when its
+    coefficients are the literals 0.0 or -0.0: such a sum is never -0.0, so
+    adding the term's +-0.0 leaves it as it is, and the term is +-0.0 as long
+    as its other factors are finite.  They are, for a finite stage angle:
+    the point velocity that multiplies a spatial term also enters the new
+    point, so where it is not finite both the full and the folded step give
+    a point off the chart, and where the angle is not finite both give a
+    non-finite state, which the run cuts."""
+    zero = [v in ("0.0", "-0.0") for v in k]
+    k = [f"({v})" if v.startswith("-") else v for v in k]
+    gamma = ["0.0"] + [
+        f"{_W[a]} * {_W[b]} * ({_times('-s2', k[6 + 2 * i])} + {_times('c', k[7 + 2 * i])})"
+        for i, (a, b) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1)))
+        if not (zero[6 + 2 * i] and zero[7 + 2 * i])]
+    flow = ", ".join(f"{_times('c', k[i])} + {_times('s2', k[3 + i])}"
+                     for i in range(3)) + ", -abs_c1 * lam - gamma"
+    body = [*lines, "c, s2 = _cos(phi), _sin(phi)", "gamma = " + " + ".join(gamma)]
+    state, out = {"char": ("x, y, t, phi", flow),
+                  "geodesic": ("x, y, t, phi, lam", "dx, dy, dt, dphi, -tzz / c1"),
+                  "jacobi": ("x, y, t, phi, vt, vtp, vtpp",
+                             "dx, dy, dt, dphi, vtp, vtpp, -beta1 * vtp - c1 * beta2 * vt")}[kind]
+    if kind != "char":
+        m00, m01, m11 = k[14:17]
+        body += [f"dx, dy, dt, dphi = {flow}",
+                 f"tzz = {m00} * c * c + 2 * {m01} * c * s2 + {m11} * s2 * s2"]
+    if kind == "jacobi":
+        # d/ds g(tau(Z), J(Z)) along the flow, then g(R(Z, T) Z, J(Z))
+        spatial = ["0.0"] + [
+            f"{d} * ({_times(k[20 + i], 'cos2')} + 0.5 * ({k[23 + i]} - {k[17 + i]}) * sin2)"
+            for i, d in enumerate(("dx", "dy", "dt"))
+            if not (zero[17 + i] and zero[20 + i] and zero[23 + i])]
+        r_term = ["0.0"] + [_times(_W[a], _W[c], _JW[d], k[27 + 4 * a + 2 * c + d])
+                            for a in range(2) for c in range(2) for d in range(2)
+                            if not zero[27 + 4 * a + 2 * c + d]]
+        body += [f"tzj = sgn * ({m01} * (c * c - s2 * s2) + ({m11} - {m00}) * c * s2)",
+                 "cos2, sin2 = c * c - s2 * s2, 2 * c * s2",
+                 "spatial = " + " + ".join(spatial),
+                 f"angular = (-2 * {m01} * sin2 + ({m11} - {m00}) * cos2) * dphi",
+                 "dtzj = sgn * (spatial + angular)",
+                 "jc, js = -sgn * s2, sgn * c",
+                 "r_term = " + " + ".join(r_term),
+                 f"beta1 = {k[26]} + c1 * tzj + c1 ** 2 * lam ** 2",
+                 "beta2 = c1 * lam * tzz + r_term + dtzj"]
+    return ("def _f(c1, sgn, lam=None):\n    abs_c1 = abs(c1)\n    def rhs(state):\n"
+            f"        {state} = state\n" + "".join(f"        {line}\n" for line in body)
+            + f"        return ({out})\n    return rhs\n")
+
+
+def _flow(structure: StructureSpec, kind, *lam):
+    """A flow's right-hand side, compiled once per structure and kind."""
+    make = ex.compiled_program(_flow_exprs(structure, kind), ("flow", kind),
+                               lambda lines, k: _flow_source(kind, lines, k))
+    return make(structure.c1, structure.sgn_c1, *lam)
 
 
 def _char_flow(structure: StructureSpec, lam):
-    """(x, y, t, phi) -> (x, y, t, phi)' on a characteristic curve of
-    curvature lam, from one kernel call."""
-    kernel, abs_c1 = _char_kernel(structure), abs(structure.c1)
-
-    def rhs(state):
-        x, y, t, phi = state
-        return _char_terms(kernel(x, y, t), phi, lam, abs_c1)[2]
-    return rhs
+    """(x, y, t, phi) -> its derivative on a characteristic curve of
+    curvature lam: Z = cos(phi) X + sin(phi) Y and -|c1| lam - Gamma(p, phi)."""
+    return _flow(structure, "char", lam)
 
 
 def _geodesic_flow(structure: StructureSpec):
     """(x, y, t, phi, lam) -> its derivative on a geodesic: the
-    characteristic flow of curvature lam and lam' = -(1/c1) g(tau(Z), Z),
-    from one call of each kernel."""
-    ckernel, jkernel = _char_kernel(structure), _jacobi_kernel(structure)
-    c1, abs_c1 = structure.c1, abs(structure.c1)
-
-    def rhs(state):
-        x, y, t, phi, lam = state
-        c, s2, flow = _char_terms(ckernel(x, y, t), phi, lam, abs_c1)
-        m00, m01, m11 = jkernel(x, y, t)[:3]
-        return (*flow, -_tau_zz(m00, m01, m11, c, s2) / c1)
-    return rhs
+    characteristic flow of curvature lam and lam' = -(1/c1) g(tau(Z), Z)."""
+    return _flow(structure, "geodesic")
 
 
 def _jacobi_flow(structure: StructureSpec, lam):
     """(x, y, t, phi, v, v', v'') -> its derivative for a characteristic
-    curve of curvature lam and the vertical Jacobi equation in v = g(V, T),
-    from one call of each kernel."""
-    ckernel, jkernel = _char_kernel(structure), _jacobi_kernel(structure)
-    c1, abs_c1, sgn = structure.c1, abs(structure.c1), structure.sgn_c1
-
-    def rhs(state):
-        x, y, t, phi, vt, vtp, vtpp = state
-        c, s2, flow = _char_terms(ckernel(x, y, t), phi, lam, abs_c1)
-        dx, dy, dt, dphi = flow
-        (m00, m01, m11, m00x, m00y, m00t, m01x, m01y, m01t, m11x, m11y, m11t,
-         webster, r000, r001, r010, r011, r100, r101, r110, r111) = jkernel(x, y, t)
-        tzz = _tau_zz(m00, m01, m11, c, s2)
-        tzj = sgn * (m01 * (c * c - s2 * s2) + (m11 - m00) * c * s2)
-        # d/ds g(tau(Z), J(Z)) along the flow
-        cos2, sin2 = c * c - s2 * s2, 2 * c * s2
-        spatial = (0.0 + dx * (m01x * cos2 + 0.5 * (m11x - m00x) * sin2)
-                   + dy * (m01y * cos2 + 0.5 * (m11y - m00y) * sin2)
-                   + dt * (m01t * cos2 + 0.5 * (m11t - m00t) * sin2))
-        angular = (-2 * m01 * sin2 + (m11 - m00) * cos2) * dphi
-        dtzj = sgn * (spatial + angular)
-        # g(R(Z, T) Z, J(Z)) with Z = (c, s2) and J(Z) = (jc, js)
-        jc, js = -sgn * s2, sgn * c
-        r_term = (0.0 + c * c * jc * r000 + c * c * js * r001
-                  + c * s2 * jc * r010 + c * s2 * js * r011
-                  + s2 * c * jc * r100 + s2 * c * js * r101
-                  + s2 * s2 * jc * r110 + s2 * s2 * js * r111)
-        beta1 = webster + c1 * tzj + c1 ** 2 * lam ** 2
-        beta2 = c1 * lam * tzz + r_term + dtzj
-        return (*flow, vtp, vtpp, -beta1 * vtp - c1 * beta2 * vt)
-    return rhs
-
-
-def _char_terms(k, phi, lam, abs_c1):
-    """cos(phi), sin(phi) and the characteristic flow (x, y, t, phi)' of
-    curvature lam from the characteristic kernel values k at the point: the
-    coordinate velocity cos(phi) X + sin(phi) Y and
-    dphi/ds = -|c1| lam - Gamma(p, phi)."""
-    x0, x1, x2, y0, y1, y2, n000, n001, n010, n011, n100, n101, n110, n111 = k
-    c, s2 = math.cos(phi), math.sin(phi)
-    # Gamma = sum over a, b < 2 of w_a w_b g(nabla_{E_a} E_b, Zperp) with
-    # w = (c, s2); starting from 0.0 makes a sum of zeros +0.0, not -0.0
-    gamma = (0.0 + c * c * (-s2 * n000 + c * n001)
-             + c * s2 * (-s2 * n010 + c * n011)
-             + s2 * c * (-s2 * n100 + c * n101)
-             + s2 * s2 * (-s2 * n110 + c * n111))
-    return c, s2, (c * x0 + s2 * y0, c * x1 + s2 * y1, c * x2 + s2 * y2,
-                   -abs_c1 * lam - gamma)
-
-
-def _tau_zz(m00, m01, m11, c, s2):
-    """g(tau(Z), Z) for Z = c X + s2 Y from the torsion entries."""
-    return m00 * c * c + 2 * m01 * c * s2 + m11 * s2 * s2
+    curve of curvature lam and the vertical Jacobi equation in v = g(V, T)."""
+    return _flow(structure, "jacobi", lam)
 
 
 # RK4 steps of y' = f(y) for the three state lengths in use (characteristic
@@ -303,14 +299,17 @@ def _rk4_run(f, y, s, h, n, box):
     (xlo, xhi), (ylo, yhi), (tlo, thi) = box
     ss, ys = array("d", (s,)), array("d", y)
     try:
-        for _ in range(n):
-            y = rk4_step(f, y, h)
-            if not (xlo <= y[0] <= xhi and ylo <= y[1] <= yhi and tlo <= y[2] <= thi):
-                return ss, ys, True
-            ys.extend(y)      # a complex entry raises TypeError
-            s += h
-            ss.append(s)
-    except (ArithmeticError, ValueError, TypeError):
+        with warnings.catch_warnings():
+            # a complex entry raises TypeError in extend, a numpy one warns
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            for _ in range(n):
+                y = rk4_step(f, y, h)
+                if not (xlo <= y[0] <= xhi and ylo <= y[1] <= yhi and tlo <= y[2] <= thi):
+                    return ss, ys, True
+                ys.extend(y)
+                s += h
+                ss.append(s)
+    except (ArithmeticError, ValueError, TypeError, np.exceptions.ComplexWarning):
         del ys[len(ss) * len(y):]     # the entries of a partly stored row
         return ss, ys, True
     return ss, ys, False
@@ -330,8 +329,8 @@ def integrate_ode(structure: StructureSpec, f, y0, s_span, step):
     (a kernel divides by zero, overflows or takes the square root of a
     negative number; ``math.cos`` meets an infinite angle) or turns the point
     complex (a negative base under a fractional power).  The run also ends
-    before a state complex elsewhere (angle, curvature, a Jacobi entry), and
-    from the first non-finite state the states are cut.
+    before a state complex elsewhere (angle, curvature, a Jacobi entry), a
+    numpy complex too, and from the first non-finite state they are cut.
 
     A state whose length has no RK4 step (4, 5 or 7), or a flow whose value
     at ``y0`` has another length than ``y0``, raises ValueError; a flow that

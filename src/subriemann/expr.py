@@ -600,23 +600,42 @@ def compiled_cse(exprs, mode: str):
         raise TypeError("compiled_cse takes a list of expressions, not one expression")
     if mode not in ("math", "arrays"):
         raise ValueError(f"unknown kernel mode {mode!r}")
+    return compiled_program(exprs, mode, _KERNEL_SOURCE[mode], arrays=mode == "arrays")
+
+
+def _arrays_source(lines, results):
+    return ("def _f(P):\n    x, y, t = P[:, 0], P[:, 1], P[:, 2]\n"
+            + "".join(f"    {line}\n" for line in lines)
+            + f"    out = _empty((P.shape[0], {len(results)}))\n"
+            + "".join(f"    out[:, {j}] = {r}\n" for j, r in enumerate(results))
+            + "    return out\n")
+
+
+def _math_source(lines, results):
+    return ("def _f(x, y, t):\n" + "".join(f"    {line}\n" for line in lines)
+            + f"    return ({', '.join(results)},)\n")
+
+
+_KERNEL_SOURCE = {"arrays": _arrays_source, "math": _math_source}
+
+
+def compiled_program(exprs, tag, write, arrays=False):
+    """The function ``_f`` that the source ``write(lines, results)`` defines
+    from the CSE program of ``exprs`` (``_cse_program``), which computes with
+    the ``math`` functions ``_sin``, ``_cos``, ``_exp`` and ``_sqrt``, or
+    with numpy's and np.float64 constants if ``arrays``.
+
+    The one compile path: the kernels of ``compiled_cse`` and the curve
+    flows.  A function is compiled once per expressions and ``tag``, which
+    names what ``write`` makes of them, and kept in ``_FAST_CACHE``.
+    """
     exprs = tuple(exprs)
-    key = (tuple(map(id, exprs)), mode)
+    key = (tuple(map(id, exprs)), tag)
     hit = _FAST_CACHE.get(key)
     if hit is not None:
         return hit[1]
-    lines, results = _cse_program(exprs, f64=mode == "arrays")
-    if mode == "arrays":
-        head = "P"
-        body = (["x, y, t = P[:, 0], P[:, 1], P[:, 2]"] + lines
-                + [f"out = _empty((P.shape[0], {len(exprs)}))"]
-                + [f"out[:, {j}] = {r}" for j, r in enumerate(results)]
-                + ["return out"])
-    else:
-        head = "x, y, t"
-        body = lines + [f"return ({', '.join(results)},)"]
-    ns = dict(_ARRAYS_NS if mode == "arrays" else _MATH_NS)
-    exec(f"def _f({head}):\n    " + "\n    ".join(body) + "\n", ns)  # noqa: S102
+    ns = dict(_ARRAYS_NS if arrays else _MATH_NS)
+    exec(write(*_cse_program(exprs, f64=arrays)), ns)  # noqa: S102
     fn = ns["_f"]
     _FAST_CACHE[key] = (exprs, fn)
     return fn

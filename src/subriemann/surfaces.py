@@ -772,9 +772,9 @@ def _detect(exprs, region, grid, dim):
         return batch_fn(np.column_stack([q, np.zeros((len(q), 3 - dim))]))
 
     pts = grid_points(*(np.linspace(lo, hi, grid) for lo, hi in region))
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):   # a huge region's values overflow to inf
         vals = batch(pts)
-    norm = np.sqrt(sum(vals[:, i] * vals[:, i] for i in range(dim)))
+        norm = np.sqrt(sum(vals[:, i] * vals[:, i] for i in range(dim)))
     cell = max(hi - lo for lo, hi in region) / grid
     return _classify_seeds(system, batch, pts[norm < 4 * cell], region, dim)
 

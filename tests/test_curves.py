@@ -9,8 +9,8 @@ from subriemann.curves import (CharState, integrate_characteristic,
                                integrate_geodesic, rt_characteristic_closed_form,
                                jacobi_vertical_ode, jacobi_from_curve_family,
                                first_integral, integrate_ode, _char_flow,
-                               _geodesic_flow, _jacobi_flow, _char_kernel,
-                               _jacobi_kernel, rk4_step, _CSV_BLOCK)
+                               _geodesic_flow, _jacobi_flow, _flow_exprs, _flow_source,
+                               rk4_step, _CSV_BLOCK)
 from subriemann.structures import structure_from_json, unimodular_structure
 
 
@@ -506,12 +506,23 @@ def _array_rk4_step(f, y, h):
 
 
 class _LayeredRhs:
-    """The right-hand sides as layered method calls on the system's two
-    coefficient kernels: characteristic terms, then the betas, with the
-    spatial and curvature sums as loops."""
+    """The right-hand sides as layered method calls on two coefficient
+    kernels of their own: characteristic terms, then the betas, with the
+    spatial and curvature sums as loops over every term."""
 
     def __init__(self, structure):
-        self.ck, self.jk = _char_kernel(structure), _jacobi_kernel(structure)
+        # the coordinate rows of X and Y and g(nabla_{E_a} E_b, E_k); the
+        # torsion entries, their derivatives, W and g(R(E_a, T) E_c, E_d)
+        ph = structure._ph
+        self.ck = ex.compiled_cse([*structure.frame[0], *structure.frame[1],
+                                   *(ph[a][b][k] for a in range(2) for b in range(2)
+                                     for k in range(2))], "math")
+        tau = structure.tau_matrix_exprs()
+        m = (tau[0][0], tau[0][1], tau[1][1])
+        self.jk = ex.compiled_cse([*m, *(e.diff(k) for e in m for k in range(3)),
+                                   structure.webster_expr(),
+                                   *(structure.curvature_expr(a, 2, c, d) for a in range(2)
+                                     for c in range(2) for d in range(2))], "math")
         self.c1, self.abs_c1, self.sgn_c1 = structure.c1, abs(structure.c1), structure.sgn_c1
 
     def _char_terms(self, x, y, t, phi, lam):
@@ -574,21 +585,31 @@ class _LayeredRhs:
 
 def _array_integrate(structure, rhs, y0, s_range, step):
     """(s, states, truncated) of fixed-step RK4 on a float64 array state,
-    each right-hand side wrapped in np.array, over the whole span, then cut
-    before the first row off the chart."""
+    each right-hand side wrapped in np.array, over the whole span or up to a
+    step that raises (``math.cos`` of an infinite angle, an overflowing
+    float power), then cut before the first row off the chart or not
+    finite."""
     s0, s1 = float(s_range[0]), float(s_range[1])
     n = max(int(round(abs(s1 - s0) / abs(step))), 1)
     h = (s1 - s0) / n
     s, y = s0, np.asarray(y0, dtype=float)
-    ss, ys = [s], [y]
+    ss, ys, raised = [s], [y], False
     for _ in range(n):
-        y = _array_rk4_step(lambda v: np.array(rhs(v)), y, h)
+        try:
+            y = _array_rk4_step(lambda v: np.array(rhs(v)), y, h)
+        except (ArithmeticError, ValueError):
+            raised = True
+            break
         s += h
         ss.append(s)
         ys.append(y)
     ss, ys = np.array(ss), np.array(ys)
-    cut = _first_outside_scan(structure, ys)
-    return ss[:cut], ys[:cut], cut is not None
+    finite = np.isfinite(ys).all(axis=1)
+    cuts = [i for i in (_first_outside_scan(structure, ys),
+                        None if finite.all() else int(finite.argmin())) if i is not None]
+    if not cuts:
+        return ss, ys, raised
+    return ss[:min(cuts)], ys[:min(cuts)], True
 
 
 def _run_kind(st, kind, init, s_range, step=1e-3):
@@ -675,6 +696,11 @@ def squeezed():
     # the float run, stopped before the step that has no float value
     *[(height, kind, CharState(init, phi, 0.3), (0.0, 1.0), 1e-3, True)
       for height, init, phi in POLE_CASES for kind in ("char", "geodesic", "jacobi")],
+    # signed zeros in the start, the angle and the curvature; at lam = 1e308
+    # phi' overflows (or lam^2 does), and the run keeps only its start
+    *[(name, kind, CharState((-0.0, -0.0, -0.0), phi, lam), (0.0, 1.0), 1e-3, lam > 1.0)
+      for name in ("rt", "heis") for kind in ("char", "geodesic", "jacobi")
+      for phi in (-0.0, math.pi) for lam in (-0.0, 1e308)],
 ])
 def test_float_states_equal_array_states_bit_for_bit(name, kind, init, s_range, step,
                                                      truncated, request):
@@ -758,6 +784,22 @@ def test_a_state_that_turns_complex_off_the_point_is_cut(heis):
     assert s.tobytes() == short_s.tobytes() and states.tobytes() == short.tobytes()
 
 
+def test_a_numpy_complex_entry_is_cut_not_cast(heis):
+    # array('d') casts a numpy complex to its real part with only a warning;
+    # the run cuts it as it cuts a Python complex, whatever the filters say
+    import warnings
+
+    def flow(y):
+        return (-1.0, 0.0, 0.0, np.complex128(y[0]) ** 0.5)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        s, states, cut = integrate_ode(heis, flow, (0.0025, 0.0, 0.0, 0.0), (0.0, 0.01), 1e-3)
+    # the first step's fourth entry is complex, so only the start is kept
+    assert cut and states.dtype == float and states.shape == (1, 4)
+    assert s.tolist() == [0.0] and states.tolist() == [[0.0025, 0.0, 0.0, 0.0]]
+
+
 def test_a_state_non_finite_off_the_point_is_cut(heis):
     # the fourth entry grows by 1.65 a step from 1e307, and the RK4 sum of
     # the step from the third state overflows to inf; the point stays
@@ -809,6 +851,66 @@ def test_right_hand_sides_equal_the_layered_ones(name, request):
         b1, b2 = ref.beta_coeffs(state[:3], state[3], lam)
         assert jacobi((*state[:4], 0.0, 1.0, 0.0))[6] == -b1
         assert jacobi((*state[:4], 1.0, 0.0, 0.0))[6] == -(st.c1 * b2)
+
+
+def _sum_terms(source, name):
+    """The terms of the generated line ``name = ...``, split at the + signs
+    outside parentheses."""
+    text = next(line.strip() for line in source.splitlines()
+                if line.strip().startswith(name + " = ")).split(" = ", 1)[1]
+    terms, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0 and text.startswith(" + ", i):
+            terms.append(text[start:i])
+            start = i + 3
+    return terms + [text[start:]]
+
+
+@pytest.mark.parametrize("name, dropped", [("rt", (1, 2, 4)), ("heis", (4, 3, 8)),
+                                           ("squeezed", (0, 0, 0))])
+def test_generated_flows_leave_out_exactly_the_literal_zero_terms(name, dropped, request):
+    # Gamma (4 terms), the spatial part of d/ds g(tau(Z), J(Z)) (3) and
+    # g(R(Z, T) Z, J(Z)) (8) lose the terms whose coefficients are all 0.0
+    st = request.getfixturevalue(name)
+    lines, k = ex._cse_program(_flow_exprs(st, "jacobi"))
+    zero = [v in ("0.0", "-0.0") for v in k]
+    source = _flow_source("jacobi", lines, k)
+    groups = {"gamma": [(6 + 2 * i, 7 + 2 * i) for i in range(4)],
+              "spatial": [(17 + i, 20 + i, 23 + i) for i in range(3)],
+              "r_term": [(27 + j,) for j in range(8)]}
+    for (sum_name, terms), n_dropped in zip(groups.items(), dropped):
+        kept = [js for js in terms if not all(zero[j] for j in js)]
+        assert len(kept) == len(terms) - n_dropped
+        got = _sum_terms(source, sum_name)
+        assert got[0] == "0.0" and len(got) == 1 + len(kept)
+        for term, js in zip(got[1:], kept):
+            assert all(zero[j] or k[j] == "1.0" or k[j] in term for j in js)
+    # the characteristic flow keeps the same Gamma terms; no flow multiplies
+    # by 1.0
+    char = _flow_source("char", *ex._cse_program(_flow_exprs(st, "char")))
+    assert len(_sum_terms(char, "gamma")) == len(_sum_terms(source, "gamma"))
+    for text in (source, char):
+        assert "* 1.0" not in text.split("c, s2 = ")[1]
+
+
+def test_a_second_run_compiles_nothing(rt, monkeypatch):
+    # flows are compiled once per structure and kind; lam is bound per run
+    compiles, program = [], ex._cse_program
+    monkeypatch.setattr(ex, "_cse_program", lambda *a, **kw: compiles.append(a) or program(*a, **kw))
+
+    def runs(st, lam):
+        jacobi_from_curve_family(st, lambda e: CharState((e, 0, 0.2), 0.4, lam), 0.0,
+                                 (0.0, 0.1), 1e-2)
+        jacobi_vertical_ode(st, CharState((0, 0, 0.2), 0.4, lam), (0, -1, 0), (0.0, 0.1), 1e-2)
+        integrate_geodesic(st, CharState((0, 0, 0.2), 0.4, lam), (0.0, 0.1), 1e-2)
+
+    # curvatures no other test uses, so no earlier test has filled the cache
+    runs(rt, 0.61803)
+    entries, compiles[:] = len(ex._FAST_CACHE), []
+    runs(rt, 0.61803)
+    runs(rt, 0.41421)
+    assert compiles == [] and len(ex._FAST_CACHE) == entries
 
 
 def test_each_step_is_one_rk4_step_call(rt, monkeypatch):
