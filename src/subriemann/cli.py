@@ -22,6 +22,7 @@ import numpy as np
 
 from . import expr as ex
 from . import catalog as cat
+from .curves import write_csv
 from .structures import StructureSpec, StructureError, structure_from_json
 from .surfaces import surface_from_json
 from .variation import AdmissibilityError
@@ -163,9 +164,9 @@ def cmd_surface_analyze(args) -> int:
         _load_structure(args.structure), _load_surface(args.surface),
         region=_floats(args.region) if args.region else None, grid=args.grid)
     if args.csv_out:
+        cols = ("x", "y", "t", "nh", "gNT", "H", "thetaS", "tauZZ", "tauZnu")
         with open(args.csv_out, "w") as fh:
-            fh.write("x,y,t,nh,gNT,H,thetaS,tauZZ,tauZnu\n"
-                     + "\n".join(",".join(_fmt(v) for v in r) for r in rows) + "\n")
+            write_csv(fh, cols, np.reshape(rows, (-1, len(cols))).T)
     _emit(summary, args)
     return EXIT_OK
 

@@ -53,7 +53,7 @@ class CharState:
         object.__setattr__(self, "lam", float(self.lam))
 
 
-# rows per block of CurveTrace.to_csv, which writes a file block by block:
+# rows per block of write_csv, which writes a file block by block:
 # the 10^4-row table of `curve integrate` formatted from one list raised the
 # command's peak memory by about 10 %
 _CSV_BLOCK = 512
@@ -85,13 +85,21 @@ class CurveTrace:
         for name, values in extra:
             cols.append(name)
             data.append(values)
-        row = ",".join(["%.17g"] * len(cols)) + "\n"
         out = io.StringIO() if fh is None else fh
-        out.write(",".join(cols) + "\n")
-        for i in range(0, len(self.s), _CSV_BLOCK):
-            block = np.column_stack([d[i:i + _CSV_BLOCK] for d in data]) + 0.0
-            out.writelines(row % tuple(r) for r in block.tolist())
+        write_csv(out, cols, data)
         return out.getvalue() if fh is None else None
+
+
+def write_csv(out, cols, data):
+    """Write to the text file ``out`` the header ``cols``, then one row per
+    index of the equal-length columns ``data``, block by block, each value as
+    ``%.17g`` with a negative zero written as 0.  No rows, no line after the
+    header."""
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    out.write(",".join(cols) + "\n")
+    for i in range(0, len(data[0]), _CSV_BLOCK):
+        block = np.column_stack([d[i:i + _CSV_BLOCK] for d in data]) + 0.0
+        out.writelines(row % tuple(r) for r in block.tolist())
 
 
 @dataclass
@@ -215,78 +223,44 @@ def _jacobi_flow(structure: StructureSpec, lam):
     return _flow(structure, "jacobi", lam)
 
 
-# RK4 steps of y' = f(y) for the three state lengths in use (characteristic
-# 4, geodesic 5, Jacobi 7), written out entry by entry
+def _rk4_source(n):
+    """Source of ``_f(f, y, h)``, one RK4 step of y' = f(y) on a state of n
+    floats, written out entry by entry as one straight-line pass."""
+    def each(form):
+        return "".join(form.format(i=i) + ", " for i in range(n))
+
+    return ("def _f(f, y, h):\n"
+            f"    [{each('y{i}')}] = y\n"
+            f"    [{each('a{i}')}] = f(y)\n"
+            "    hh = 0.5 * h\n"
+            f"    [{each('b{i}')}] = f(({each('y{i} + hh * a{i}')}))\n"
+            f"    [{each('c{i}')}] = f(({each('y{i} + hh * b{i}')}))\n"
+            f"    [{each('d{i}')}] = f(({each('y{i} + h * c{i}')}))\n"
+            "    h6 = h / 6.0\n"
+            f"    return ({each('y{i} + h6 * (((a{i} + 2 * b{i}) + 2 * c{i}) + d{i})')})\n")
 
 
-def _rk4_4(f, y, h):
-    y0, y1, y2, y3 = y
-    a0, a1, a2, a3 = f(y)
-    hh = 0.5 * h
-    b0, b1, b2, b3 = f((y0 + hh * a0, y1 + hh * a1, y2 + hh * a2, y3 + hh * a3))
-    c0, c1, c2, c3 = f((y0 + hh * b0, y1 + hh * b1, y2 + hh * b2, y3 + hh * b3))
-    d0, d1, d2, d3 = f((y0 + h * c0, y1 + h * c1, y2 + h * c2, y3 + h * c3))
-    h6 = h / 6.0
-    return (y0 + h6 * (((a0 + 2 * b0) + 2 * c0) + d0),
-            y1 + h6 * (((a1 + 2 * b1) + 2 * c1) + d1),
-            y2 + h6 * (((a2 + 2 * b2) + 2 * c2) + d2),
-            y3 + h6 * (((a3 + 2 * b3) + 2 * c3) + d3))
-
-
-def _rk4_5(f, y, h):
-    y0, y1, y2, y3, y4 = y
-    a0, a1, a2, a3, a4 = f(y)
-    hh = 0.5 * h
-    b0, b1, b2, b3, b4 = f((y0 + hh * a0, y1 + hh * a1, y2 + hh * a2, y3 + hh * a3,
-                            y4 + hh * a4))
-    c0, c1, c2, c3, c4 = f((y0 + hh * b0, y1 + hh * b1, y2 + hh * b2, y3 + hh * b3,
-                            y4 + hh * b4))
-    d0, d1, d2, d3, d4 = f((y0 + h * c0, y1 + h * c1, y2 + h * c2, y3 + h * c3,
-                            y4 + h * c4))
-    h6 = h / 6.0
-    return (y0 + h6 * (((a0 + 2 * b0) + 2 * c0) + d0),
-            y1 + h6 * (((a1 + 2 * b1) + 2 * c1) + d1),
-            y2 + h6 * (((a2 + 2 * b2) + 2 * c2) + d2),
-            y3 + h6 * (((a3 + 2 * b3) + 2 * c3) + d3),
-            y4 + h6 * (((a4 + 2 * b4) + 2 * c4) + d4))
-
-
-def _rk4_7(f, y, h):
-    y0, y1, y2, y3, y4, y5, y6 = y
-    a0, a1, a2, a3, a4, a5, a6 = f(y)
-    hh = 0.5 * h
-    b0, b1, b2, b3, b4, b5, b6 = f((y0 + hh * a0, y1 + hh * a1, y2 + hh * a2,
-                                    y3 + hh * a3, y4 + hh * a4, y5 + hh * a5,
-                                    y6 + hh * a6))
-    c0, c1, c2, c3, c4, c5, c6 = f((y0 + hh * b0, y1 + hh * b1, y2 + hh * b2,
-                                    y3 + hh * b3, y4 + hh * b4, y5 + hh * b5,
-                                    y6 + hh * b6))
-    d0, d1, d2, d3, d4, d5, d6 = f((y0 + h * c0, y1 + h * c1, y2 + h * c2,
-                                    y3 + h * c3, y4 + h * c4, y5 + h * c5,
-                                    y6 + h * c6))
-    h6 = h / 6.0
-    return (y0 + h6 * (((a0 + 2 * b0) + 2 * c0) + d0),
-            y1 + h6 * (((a1 + 2 * b1) + 2 * c1) + d1),
-            y2 + h6 * (((a2 + 2 * b2) + 2 * c2) + d2),
-            y3 + h6 * (((a3 + 2 * b3) + 2 * c3) + d3),
-            y4 + h6 * (((a4 + 2 * b4) + 2 * c4) + d4),
-            y5 + h6 * (((a5 + 2 * b5) + 2 * c5) + d5),
-            y6 + h6 * (((a6 + 2 * b6) + 2 * c6) + d6))
-
-
-_RK4_BY_LENGTH = {4: _rk4_4, 5: _rk4_5, 7: _rk4_7}
+# the RK4 step of each state length met so far
+_RK4_BY_LENGTH: dict = {}
 
 
 def rk4_step(f, y, h):
-    """One RK4 step of y' = f(y) on a sequence of 4, 5 or 7 floats, as a
-    tuple.
+    """One RK4 step of y' = f(y) on a sequence of floats, as a tuple.
 
     Each entry takes the operations, in the order, that numpy takes for the
     same step on a float64 array, so the result has the same bits; on the
     few entries of a curve state, plain floats in one straight-line pass per
-    state length save numpy's per-call cost.
+    state length save numpy's per-call cost.  The pass for a length is
+    generated on its first use and compiled through
+    ``expr.compiled_program``.
     """
-    return _RK4_BY_LENGTH[len(y)](f, y, h)
+    try:
+        step = _RK4_BY_LENGTH[len(y)]
+    except KeyError:
+        n = len(y)
+        step = _RK4_BY_LENGTH[n] = ex.compiled_program(
+            (), ("rk4", n), lambda lines, k: _rk4_source(n))
+    return step(f, y, h)
 
 
 def _rk4_run(f, y, s, h, n, box):
@@ -332,14 +306,16 @@ def integrate_ode(structure: StructureSpec, f, y0, s_span, step):
     before a state complex elsewhere (angle, curvature, a Jacobi entry), a
     numpy complex too, and from the first non-finite state they are cut.
 
-    A state whose length has no RK4 step (4, 5 or 7), or a flow whose value
-    at ``y0`` has another length than ``y0``, raises ValueError; a flow that
-    raises there ends the run at ``y0``.
+    A state of fewer than 3 entries, which holds no chart point, or a flow
+    whose value at ``y0`` has another length than ``y0``, raises ValueError;
+    a flow that raises there ends the run at ``y0``.
 
     Returns (s_values, states, truncated), the states as an (n, len(y0))
     array; both arrays view the flat float arrays the run filled, about 8
     bytes per entry.  Deterministic for fixed seeds and steps.
     """
+    if len(y0) < 3:
+        raise ValueError(f"a state of length {len(y0)} holds no chart point (x, y, t)")
     structure.check_point(y0[:3])
     s0, s1 = float(s_span[0]), float(s_span[1])
     steps = abs(s1 - s0) / abs(step)    # inf where the span overflows
@@ -349,9 +325,6 @@ def integrate_ode(structure: StructureSpec, f, y0, s_span, step):
     n = max(int(round(steps)), 1) if s1 != s0 else 0
     h = (s1 - s0) / max(n, 1)
     y = tuple(float(v) for v in y0)
-    if len(y) not in _RK4_BY_LENGTH:
-        raise ValueError(f"no RK4 step for a state of length {len(y)}; the lengths "
-                         f"are {', '.join(map(str, _RK4_BY_LENGTH))}")
     try:
         dy = f(y)
     except (ArithmeticError, ValueError, TypeError):

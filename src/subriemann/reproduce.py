@@ -179,8 +179,9 @@ def integrate_curve(st: StructureSpec, init_point, phi, lam, s_range, step,
     vel = np.cos(phi) * m[0] + np.sin(phi) * m[1]
     closed = rt_characteristic_closed_form((*init_point, vel[0], vel[1], vel[2]),
                                            trace.s)
-    max_dev = float(np.max(np.linalg.norm(closed - trace.points, axis=1))) \
-        if len(trace) else 0.0
+    with np.errstate(over="ignore"):   # a distance past the float range reads inf
+        max_dev = float(np.max(np.linalg.norm(closed - trace.points, axis=1))) \
+            if len(trace) else 0.0
     return trace, closed, max_dev
 
 

@@ -591,9 +591,9 @@ def _newton_lstsq(system, q0):
     """Gauss-Newton with minimum-norm least-squares steps capped at 0.5.
 
     ``system(q)`` gives the residuals r and the Jacobian rows J at q, from one
-    evaluation.  q0 is a float tuple or an array, and the iterates keep its
-    type.  A non-finite iterate fails before LAPACK sees it, as in
-    ``_newton_batch``.  Returns (q, converged, J at q)."""
+    evaluation.  q0 is a float tuple, and so is each iterate.  A non-finite
+    iterate fails before LAPACK sees it, as in ``_newton_batch``.  Returns
+    (q, converged, J at q)."""
     q = q0
     for _ in range(NEWTON_MAX_ITER):
         r, j = system(q)
@@ -610,10 +610,7 @@ def _newton_lstsq(system, q0):
         nrm = np.linalg.norm(step)
         if nrm > limit:
             step *= limit / nrm
-        if isinstance(q, np.ndarray):
-            q = q + step
-        else:
-            q = tuple(c + d for c, d in zip(q, step.tolist()))
+        q = tuple(c + d for c, d in zip(q, step.tolist()))
     r, j = system(q)
     return q, math.hypot(*r) < NEWTON_TOL * 10, j
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -582,6 +583,20 @@ def test_the_library_source_names_no_numpy_random():
     for path in files:
         text = path.read_text()
         assert "np.random" not in text and "numpy.random" not in text, path
+
+
+def test_the_library_source_has_one_exec_in_compiled_program():
+    # every generated function (kernel, curve flow, RK4 step) is compiled
+    # through expr.compiled_program
+    pkg = Path(__file__).resolve().parents[1] / "src" / "subriemann"
+    calls = []
+    for path in sorted(pkg.rglob("*.py")):
+        assert path.read_text().count("exec(") == (path.name == "expr.py"), path
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                calls += [(path.name, fn.name) for node in ast.walk(fn)
+                          if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "exec"]
+    assert calls == [("expr.py", "compiled_program")]
 
 
 def test_the_library_source_calls_no_tree_walk():

@@ -93,6 +93,10 @@ def _run(argv):
 # phi' = -|c1| lambda overflows within the first step
 @example(["curve", "integrate", "--structure", "rt", "--init", "0.1,0.2,0.3", "--phi", "0.3",
           "--lambda", "1e308", "--range", "0,0.05", "--step", "0.01"])
+# the oracle's distance from a point near s = 1e308 overflows
+@example(["curve", "integrate", "--structure", "rt", "--init", "0.1,0.2,0.3", "--phi", "0",
+          "--lambda", "0", "--range", "1e308,0.05", "--step", "1e308", "--oracle",
+          "--oracle-tol", "1e-8"])
 def test_fuzzed_argv_exits_0_1_or_2_without_a_traceback(argv):
     code, err = _run(argv)   # an escaping exception fails the test here
     assert code in (0, 1, 2), (argv, code, err)

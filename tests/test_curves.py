@@ -458,14 +458,37 @@ def test_a_span_of_more_than_max_steps_is_refused_before_any_step(rt):
         integrate_ode(rt, stop, y0, (0.0, 1.0), 1.0 / MAX_STEPS)
 
 
-@pytest.mark.parametrize("length", [3, 6, 8])
-def test_a_state_length_with_no_rk4_step_is_named_before_any_step(rt, length):
+def test_every_state_length_steps_through_one_generated_rk4_step(rt, monkeypatch):
+    from subriemann import curves
+    # start from caches that hold no RK4 step
+    monkeypatch.setattr(ex, "_FAST_CACHE", {k: v for k, v in ex._FAST_CACHE.items()
+                                            if k[1][:1] != ("rk4",)})
+    monkeypatch.setattr(curves, "_RK4_BY_LENGTH", {})
+
     def never(y):
         pytest.fail("a refused state took a step")
 
-    with pytest.raises(ValueError, match=f"no RK4 step for a state of length {length}; "
-                                         "the lengths are 4, 5, 7"):
-        integrate_ode(rt, never, (0.0,) * length, (0.0, 1.0), 1e-3)
+    for length in (0, 1, 2):        # no chart point
+        with pytest.raises(ValueError, match=f"a state of length {length} holds no chart point"):
+            integrate_ode(rt, never, (0.0,) * length, (0.0, 1.0), 1e-3)
+
+    for length in (3, 6, 8):
+        def f(y):
+            return tuple(0.3 * math.sin(y[(i + 1) % length]) - 0.2 * y[i] + 0.01 * i
+                         for i in range(length))
+
+        y0 = tuple(0.1 * (i + 1) for i in range(length))
+        entries = len(ex._FAST_CACHE)
+        _, ys, cut = integrate_ode(rt, f, y0, (0.0, 1.0), 1e-2)
+        assert len(ex._FAST_CACHE) == entries + 1        # compiled on first use
+        expected = [np.array(y0)]
+        for _ in range(100):
+            expected.append(_array_rk4_step(lambda v: np.array(f(tuple(v.tolist()))),
+                                            expected[-1], 1.0 / 100))
+        assert not cut and ys.shape == (101, length)
+        assert ys.tobytes() == np.array(expected).tobytes()
+        again = integrate_ode(rt, f, y0, (0.0, 1.0), 1e-2)[1]
+        assert again.tobytes() == ys.tobytes() and len(ex._FAST_CACHE) == entries + 1
 
 
 @pytest.mark.parametrize("name", ["rt", "heis"])
